@@ -102,14 +102,3 @@ def degree_prescribed_complex(odd_degrees):
     d = tuple((k - 1) // 2 for k in ks)
     return j_construction(base, d + (1,) * n)
 
-
-def wedge_copy_counts(spec):
-    """The wedge vector used by a kns/kbarns/degrees spec (for support bookkeeping)."""
-    name = spec.name.lower()
-    if name in ("kns", "kbarns"):
-        n, s = _require_n(spec), _require_s(spec)
-        return (s,) * n + (1,) * n
-    if name == "degrees":
-        ks = tuple(spec.degrees)
-        return tuple((k - 1) // 2 for k in ks) + (1,) * len(ks)
-    raise InputError(f"family {spec.name!r} has no wedge vector")

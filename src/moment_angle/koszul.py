@@ -208,14 +208,6 @@ class KoszulCochain:
         return " + ".join(parts)
 
 
-def differential(cochain):
-    return cochain.differential()
-
-
-def multiply(c1, c2):
-    return c1 * c2
-
-
 # -- multidegree components -----------------------------------------------------
 
 
@@ -297,17 +289,18 @@ class ComponentBasis:
     def cohomology_basis(self):
         """Deterministic cocycle representatives spanning cohomology.
 
-        Canonical cocycle basis vectors are kept greedily when independent of
-        the coboundary space, in their canonical order.
+        Canonical cocycle basis vectors are kept greedily, in their canonical
+        order, when independent of the coboundary space and of the vectors
+        kept before them: the cocycle columns that are pivots of
+        [matrix_from_below | cocycle_basis].
         """
         if "hbasis" not in self._cache:
-            pivots, _ = _incremental_pivots(self.matrix_from_below())
-            chosen = []
-            for vec in self.cocycle_basis():
-                pivots, grew = _try_extend(pivots, vec)
-                if grew:
-                    chosen.append(vec)
-            self._cache["hbasis"] = tuple(chosen)
+            below = self.matrix_from_below()
+            cocycles = self.cocycle_basis()
+            pivots = below.with_columns(cocycles).pivot_columns()
+            self._cache["hbasis"] = tuple(
+                cocycles[c - below.ncols] for c in pivots if c >= below.ncols
+            )
         return self._cache["hbasis"]
 
     def coordinates(self, cochain):
@@ -326,62 +319,31 @@ class ComponentBasis:
             {mono: c for mono, c in zip(self.monomials, coords)},
         )
 
-    def is_coboundary_vector(self, vec):
-        return solve_linear(self.matrix_from_below(), vec) is not None
+    def primitive(self, cochain):
+        """The deterministic c with dc = cochain (free variables zero), or None.
+
+        c lives in the component one degree below; None means the cochain is
+        not a coboundary.
+        """
+        sol = solve_linear(self.matrix_from_below(), self.coordinates(cochain))
+        if sol is None:
+            return None
+        return self._neighbor(-1).cochain_from_coordinates(sol.vector)
 
     def class_vector(self, cochain):
         """Coordinates of [cochain] in the cohomology basis (zero iff coboundary)."""
         if not cochain.differential().is_zero():
             raise NotACocycleError(f"d({cochain!r}) != 0")
-        vec = self.coordinates(cochain)
-        hbasis = self.cohomology_basis()
-        M_in = self.matrix_from_below()
-        ncols = M_in.ncols + len(hbasis)
-        entries = dict(M_in.entries)
-        for k, basis_vec in enumerate(hbasis):
-            for r, v in enumerate(basis_vec):
-                if v:
-                    entries[(r, M_in.ncols + k)] = v
-        A = SparseMatrix(len(self), ncols, entries)
-        sol = solve_linear(A, vec)
+        below = self.matrix_from_below()
+        if "classes" not in self._cache:  # [coboundaries | cohomology basis]
+            self._cache["classes"] = below.with_columns(self.cohomology_basis())
+        sol = solve_linear(self._cache["classes"], self.coordinates(cochain))
         if sol is None:  # cannot happen for a cocycle of this component
             raise NotACocycleError("cocycle not in span of coboundaries + cohomology basis")
-        return tuple(sol.vector[M_in.ncols :])
+        return sol.vector[below.ncols :]
 
     def key(self):
         return (self.multidegree, self.total_degree)
-
-
-def _incremental_pivots(matrix):
-    """Pivot rows (col -> normalized row dict) spanning matrix's column space."""
-    pivots = []
-    for col_dict in matrix.columns_as_dicts():
-        pivots, _ = _try_extend(pivots, None, row=dict(col_dict))
-    return pivots, None
-
-
-def _try_extend(pivots, vec, row=None):
-    """Reduce a vector against pivot rows; record a new pivot if independent."""
-    if row is None:
-        row = {i: v for i, v in enumerate(vec) if v}
-    else:
-        row = dict(row)
-    for pc, prow in pivots:
-        f = row.get(pc)
-        if f is not None:
-            for c, v in prow.items():
-                s = row.get(c, 0) - f * v
-                if s:
-                    row[c] = s
-                else:
-                    row.pop(c, None)
-    if not row:
-        return pivots, False
-    pc = min(row)
-    inv = _ONE / row[pc]
-    prow = {c: v * inv for c, v in row.items()}
-    pivots = pivots + [(pc, prow)]
-    return pivots, True
 
 
 @lru_cache(maxsize=None)

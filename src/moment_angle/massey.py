@@ -204,16 +204,14 @@ def build_defining_system(input, perturbations=None):
             support = input.window_support(i, j - 1)
             degree = input.window_total_degree(i, j - 1) - 1
             comp_rhs = component_basis(K, support, degree + 1)
-            comp_cell = component_basis(K, support, degree)
-            sol = solve_linear(comp_rhs.matrix_from_below(), comp_rhs.coordinates(rhs))
-            if sol is None:
+            cell = comp_rhs.primitive(rhs)
+            if cell is None:
                 return CellFailure(
                     cell=(i, j),
                     obstruction=comp_rhs.class_vector(rhs),
                     support=support,
                     total_degree=degree + 1,
                 )
-            cell = comp_cell.cochain_from_coordinates(sol.vector)
             pert = perturbations.get((i, j))
             if pert is not None:
                 if not pert.differential().is_zero():
@@ -341,25 +339,12 @@ class TripleValueSet:
     nontrivial: bool
 
 
-def _span_matrix(vectors, length):
-    entries = {}
-    for c, vec in enumerate(vectors):
-        for r, v in enumerate(vec):
-            if v:
-                entries[(r, c)] = v
-    return SparseMatrix(length, len(vectors), entries)
-
-
 def _independent_columns(vectors):
+    """The vectors a greedy left-to-right scan keeps as independent."""
     if not vectors:
         return ()
-    length = len(vectors[0])
-    out = []
-    for vec in vectors:
-        candidate = out + [vec]
-        if _span_matrix(candidate, length).rank() == len(candidate):
-            out.append(vec)
-    return tuple(out)
+    span = SparseMatrix(len(vectors[0]), 0).with_columns(vectors)
+    return tuple(vectors[c] for c in span.pivot_columns())
 
 
 def triple_value_set(input, ds=None):
@@ -401,7 +386,8 @@ def triple_value_set(input, ds=None):
     hdim = len(target.cohomology_basis())
     if basis:
         contains_zero = (
-            solve_linear(_span_matrix(basis, hdim), value.class_coordinates) is not None
+            solve_linear(SparseMatrix(hdim, 0).with_columns(basis), value.class_coordinates)
+            is not None
         )
     else:
         contains_zero = value.is_zero
@@ -512,13 +498,7 @@ def search_triple_products(K, profile=None, capacity=SEARCH_TRIPLE_CAPACITY,
             rhs = cl_a.representative.bar() * cl_b.representative
             support = tuple(sorted(cl_a.support + cl_b.support))
             degree = cl_a.total_degree + cl_b.total_degree
-            comp = component_basis(K, support, degree)
-            sol = solve_linear(comp.matrix_from_below(), comp.coordinates(rhs))
-            if sol is None:
-                cell_cache[key] = None
-            else:
-                below = component_basis(K, support, degree - 1)
-                cell_cache[key] = below.cochain_from_coordinates(sol.vector)
+            cell_cache[key] = component_basis(K, support, degree).primitive(rhs)
         return cell_cache[key]
 
     examined = 0
@@ -577,24 +557,15 @@ def search_triple_products(K, profile=None, capacity=SEARCH_TRIPLE_CAPACITY,
 def family_massey_input(n, s):
     """K(n,s) with its canonical classes on the inflated non-faces {j-copies, n+j}.
 
-    The representative of the j-th class is u on the first copy of vertex j
+    This is the degree-prescribed input with every class of dimension 2s + 1:
+    the representative of the j-th class is u on the first copy of vertex j
     times v over its remaining copies and over vertex n+j.
     """
     if n < 2:
         raise InputError(f"need n >= 2, got {n}")
     if s < 1:
         raise InputError(f"need s >= 1, got {s}")
-    base = family_complex(FamilySpec("k", n=n))
-    K = family_complex(FamilySpec("kns", n=n, s=s))
-    copies = wedge_vertex_map(base, (s,) * n + (1,) * n)
-    classes = []
-    for j in range(1, n + 1):
-        block = copies[j]
-        partner = copies[n + j]
-        support = tuple(sorted(block + partner))
-        rep = KoszulCochain.monomial(K, (block[0],), block[1:] + partner)
-        classes.append(MasseyClassInput(support, s - 1, rep))
-    return MasseyInput(K, classes)
+    return degree_prescribed_input((2 * s + 1,) * n)
 
 
 def degree_prescribed_input(odd_degrees):

@@ -1,12 +1,17 @@
 """Exact rational chain-complex machinery.
 
 Coboundary matrices of simplicial cochain complexes, reduced cohomology
-ranks, and a deterministic sparse solver over the rationals.  Everything in
-the package that needs linear algebra funnels through ``solve_linear`` and
-``rank``, so the determinism convention lives here: solutions come from the
-reduced row echelon form with the fixed left-to-right column order and all
-free variables set to zero.  The RREF is canonical, so the answers do not
-depend on pivot-row choices (which are made to limit fill-in).
+ranks, and a deterministic sparse solver over the rationals.  ``_reduce`` is
+the package's single rational elimination, so the determinism convention
+lives here: it yields the canonical reduced row echelon form with the fixed
+left-to-right column order.  Solutions set every free variable to zero, and
+every basis choice (cohomology representatives, independent indeterminacy
+vectors) is read from ``SparseMatrix.pivot_columns`` of a matrix whose
+columns are the candidates in order: a column is a pivot exactly when it is
+independent of the columns before it.  The RREF is canonical, so the answers
+do not depend on pivot-row choices (which are made to limit fill-in).
+``rank_mod_p`` is a separate GF(p) elimination, kept on purpose as an
+independent oracle for the rational path.
 
 Coefficients are arbitrary-precision rationals: gmpy2.mpq when available
 (it is a drop-in, much faster implementation), fractions.Fraction otherwise.
@@ -28,7 +33,7 @@ _ONE = Rational(1)
 class SparseMatrix:
     """Immutable sparse matrix over the rationals; no explicit zeros stored."""
 
-    __slots__ = ("nrows", "ncols", "entries", "_rank")
+    __slots__ = ("nrows", "ncols", "entries", "_pivots")
 
     def __init__(self, nrows, ncols, entries=None):
         self.nrows = nrows
@@ -42,7 +47,7 @@ class SparseMatrix:
                 if v:
                     clean[(r, c)] = v
         self.entries = clean
-        self._rank = None
+        self._pivots = None
 
     def entry(self, r, c):
         return self.entries.get((r, c), _ZERO)
@@ -53,19 +58,17 @@ class SparseMatrix:
             rows[r][c] = v
         return rows
 
-    def columns_as_dicts(self):
-        cols = [dict() for _ in range(self.ncols)]
-        for (r, c), v in self.entries.items():
-            cols[c][r] = v
-        return cols
-
     def is_zero(self):
         return not self.entries
 
-    def transpose(self):
-        return SparseMatrix(
-            self.ncols, self.nrows, {(c, r): v for (r, c), v in self.entries.items()}
-        )
+    def with_columns(self, vectors):
+        """The matrix [self | vectors]: each vector (length nrows) becomes a new column."""
+        entries = dict(self.entries)
+        for c, vec in enumerate(vectors, start=self.ncols):
+            for r, v in enumerate(vec):
+                if v:
+                    entries[(r, c)] = v
+        return SparseMatrix(self.nrows, self.ncols + len(vectors), entries)
 
     def matmul(self, other):
         if self.ncols != other.nrows:
@@ -82,16 +85,19 @@ class SparseMatrix:
                     out.pop(key, None)
         return SparseMatrix(self.nrows, other.ncols, out)
 
-    def rank(self):
-        if self._rank is None:
-            self._rank = len(_reduce(self.rows_as_dicts(), self.ncols)[0])
-        return self._rank
+    def pivot_columns(self):
+        """Pivot columns of the canonical RREF, ascending.
 
-    def to_dense(self):
-        return [
-            [self.entries.get((r, c), _ZERO) for c in range(self.ncols)]
-            for r in range(self.nrows)
-        ]
+        Column c is a pivot exactly when it is not in the span of columns
+        0..c-1, so these are the columns a greedy left-to-right scan keeps.
+        """
+        if self._pivots is None:
+            pivots, _ = _reduce(self.rows_as_dicts(), self.ncols)
+            self._pivots = tuple(c for c, _ in pivots)
+        return self._pivots
+
+    def rank(self):
+        return len(self.pivot_columns())
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):

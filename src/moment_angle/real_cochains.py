@@ -182,14 +182,6 @@ class RealCochain:
         return " + ".join(parts)
 
 
-def real_multiply(c1, c2):
-    return c1 * c2
-
-
-def real_differential(c):
-    return c.differential()
-
-
 def _degree_basis(K, p):
     """All normal-form monomials of degree p, sorted."""
     monos = []

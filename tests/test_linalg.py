@@ -1,10 +1,15 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moment_angle.complexes import SimplicialComplex
 from moment_angle.errors import InputError
 from moment_angle.families import polygon_nerve
+from moment_angle.koszul import component_basis
 from moment_angle.rational_linalg import (
     Rational,
     SparseMatrix,
@@ -181,3 +186,76 @@ def test_parallel_determinism():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(lambda _: solve_linear(A, b), range(32)))
     assert all(r == expected for r in results)
+
+
+# -- fast path (pivot columns of one elimination) against a slow greedy scan --------
+
+
+def reference_rank(columns):
+    """Rank of a list of equal-length columns by dense elimination over Fraction."""
+    rows = [list(map(Fraction, col)) for col in columns]  # rank(A) = rank(A^T)
+    rank = 0
+    width = len(rows[0]) if rows else 0
+    for c in range(width):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c] / rows[rank][c]
+            if f:
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def greedy_keep(prefix, candidates):
+    """Indices of the candidates kept, left to right, when they raise the rank."""
+    kept = list(prefix)
+    out = []
+    for idx, col in enumerate(candidates):
+        if reference_rank(kept + [col]) > reference_rank(kept):
+            kept.append(col)
+            out.append(idx)
+    return out
+
+
+small_matrices = st.integers(1, 5).flatmap(
+    lambda nrows: st.lists(
+        st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3]), min_size=nrows, max_size=nrows),
+        min_size=1,
+        max_size=6,
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices)
+def test_pivot_columns_match_greedy_rank_scan(columns):
+    A = SparseMatrix(len(columns[0]), 0).with_columns(columns)
+    assert A.pivot_columns() == tuple(greedy_keep([], columns))
+    assert A.rank() == reference_rank(columns)
+
+
+@st.composite
+def small_complexes(draw):
+    m = draw(st.integers(3, 5))
+    nonfaces = draw(
+        st.lists(st.sets(st.integers(1, m), min_size=2, max_size=m), max_size=m + 2)
+    )
+    return SimplicialComplex(m, [tuple(sorted(f)) for f in nonfaces])
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_complexes())
+def test_cohomology_basis_matches_greedy_scan(K):
+    for size in range(1, K.m + 1):
+        for J in itertools.combinations(range(1, K.m + 1), size):
+            for degree in range(size, 2 * size + 1):
+                comp = component_basis(K, J, degree)
+                B = comp.matrix_from_below()
+                coboundaries = [[B.entry(r, c) for r in range(B.nrows)] for c in range(B.ncols)]
+                cocycles = comp.cocycle_basis()
+                kept = greedy_keep(coboundaries, cocycles)
+                assert comp.cohomology_basis() == tuple(cocycles[i] for i in kept)
+                assert len(kept) == comp.cohomology_dimension()
