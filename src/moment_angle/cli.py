@@ -40,8 +40,11 @@ def _load_input(args):
             raise InputError("give exactly one of --input and --inline")
         text = args.inline
     elif getattr(args, "input", None):
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise InputError(f"cannot read --input: {exc}") from exc
     else:
         return None
     try:
@@ -160,7 +163,10 @@ def _cmd_family(args):
 
 def _cmd_massey(args):
     if args.family:
-        n, s = _int_list(args.family, "--family")
+        family = _int_list(args.family, "--family")
+        if len(family) != 2:
+            raise InputError("--family expects n,s")
+        n, s = family
         family_report = verify_family_massey(n, s)
         out = _massey_report_dict(family_report.report)
         out["family"] = {"n": n, "s": s}

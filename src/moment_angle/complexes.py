@@ -2,7 +2,9 @@
 
 A complex is stored by its set of minimal non-faces (the generators of the
 corresponding squarefree monomial ideal); the maximal faces are derived
-lazily by hypergraph dualization and cached.  Every singleton {i} is required
+lazily by hypergraph dualization and cached.  The faces themselves form a
+bitmask lattice that is grown one level (face size) at a time, only as far
+as a caller asks, and cached.  Every singleton {i} is required
 to be a face, so complexes carry no ghost vertices.  All values are
 canonicalized and immutable after construction; equality and hashing use the
 canonical form (vertex labels are carried along but never affect any
@@ -22,12 +24,28 @@ ISOMORPHISM_CAPACITY = 9
 
 
 def _mask_of(vertices, m):
+    try:
+        vertices = iter(vertices)
+    except TypeError:
+        raise InputError(f"expected a list of vertices, got {vertices!r}") from None
     mask = 0
     for v in vertices:
-        if not isinstance(v, int) or v < 1 or v > m:
+        if type(v) is not int or v < 1 or v > m:  # bool is an int subclass: not a vertex
             raise InputError(f"vertex {v!r} out of range 1..{m}")
         mask |= 1 << (v - 1)
     return mask
+
+
+def _as_list(value, what):
+    try:
+        return list(value)
+    except TypeError:
+        raise InputError(f"{what} must be a list, got {value!r}") from None
+
+
+def _check_vertex_count(m):
+    if type(m) is not int or m < 0:  # bool is an int subclass: not a count
+        raise InputError(f"vertex count must be a nonnegative integer, got {m!r}")
 
 
 def _tuple_of(mask):
@@ -94,12 +112,11 @@ class SimplicialComplex:
     __slots__ = ("m", "labels", "_mf_masks", "_full_mask", "_cache")
 
     def __init__(self, m, minimal_nonfaces=(), labels=None):
-        if not isinstance(m, int) or m < 0:
-            raise InputError(f"vertex count must be a nonnegative integer, got {m!r}")
+        _check_vertex_count(m)
         self.m = m
         self._full_mask = (1 << m) - 1
         masks = []
-        for nf in minimal_nonfaces:
+        for nf in _as_list(minimal_nonfaces, "minimal non-faces"):
             mask = _mask_of(nf, m)
             size = bin(mask).count("1")
             if size != len(tuple(nf)):
@@ -113,7 +130,7 @@ class SimplicialComplex:
         if labels is None:
             labels = tuple(str(i) for i in range(1, m + 1))
         else:
-            labels = tuple(str(x) for x in labels)
+            labels = tuple(str(x) for x in _as_list(labels, "labels"))
             if len(labels) != m:
                 raise InputError(f"expected {m} labels, got {len(labels)}")
         self.labels = labels
@@ -133,9 +150,10 @@ class SimplicialComplex:
         maximal face, so the minimal non-faces are the minimal transversals
         of the complement hypergraph.
         """
+        _check_vertex_count(m)
         face_masks = []
         covered = 0
-        for f in maximal_faces:
+        for f in _as_list(maximal_faces, "maximal faces"):
             mask = _mask_of(f, m)
             face_masks.append(mask)
             covered |= mask
@@ -204,19 +222,39 @@ class SimplicialComplex:
     def is_face(self, vertices):
         return self.is_face_mask(_mask_of(vertices, self.m))
 
+    def face_masks(self, size):
+        """All faces with ``size`` vertices, as bitmasks in lex order of their tuples.
+
+        Levels of the face lattice are grown one at a time and cached, so a
+        call costs only the levels up to ``size``.  A face is extended only by
+        vertices above its top vertex, so each face of the next level is
+        reached exactly once, and growing the levels in lex order keeps them
+        in lex order.  ``f | v`` is a face exactly when no minimal non-face
+        whose top vertex is ``v`` lies inside it: any other non-face inside it
+        would already lie inside the face ``f``.
+        """
+        if size < 0:
+            return ()
+        levels = self._cache.setdefault("face_masks", [(0,)])
+        if len(levels) <= size and levels[-1]:
+            by_top = [[] for _ in range(self.m + 1)]
+            for nf in self._mf_masks:
+                by_top[nf.bit_length()].append(nf)
+            while len(levels) <= size and levels[-1]:
+                grown = []
+                for f in levels[-1]:
+                    for v in range(f.bit_length() + 1, self.m + 1):
+                        g = f | (1 << (v - 1))
+                        if all(nf & g != nf for nf in by_top[v]):
+                            grown.append(g)
+                levels.append(tuple(grown))
+        return levels[size] if size < len(levels) else ()
+
     def faces(self, size):
         """All faces with ``size`` vertices, as sorted tuples in lex order."""
         key = ("faces", size)
         if key not in self._cache:
-            if size == 0:
-                out = ((),)
-            else:
-                out = tuple(
-                    f
-                    for f in itertools.combinations(range(1, self.m + 1), size)
-                    if self.is_face_mask(_mask_of(f, self.m))
-                )
-            self._cache[key] = out
+            self._cache[key] = tuple(_tuple_of(f) for f in self.face_masks(size))
         return self._cache[key]
 
     @property

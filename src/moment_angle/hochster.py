@@ -5,23 +5,36 @@ j-element vertex subsets J of the rank of reduced cohomology of the induced
 subcomplex K_J in degree j-i-1; the same per-subset ranks assemble the
 Poincare vectors of the moment-angle complex Z_K and of the real
 moment-angle complex R_K.
+
+No induced subcomplex is built: the faces of K_J are the faces of K's
+bitmask face lattice that lie inside J, read level by level up to the first
+empty level.  They come in the same lexicographic order as the faces of the
+relabeled K_J, so each subset gets exactly the coboundary matrices of K_J.
 """
 
 import itertools
 from dataclasses import dataclass
 
+from .complexes import _mask_of
 from .errors import CapacityError, InputError
-from .rational_linalg import reduced_cohomology_rank, reduced_cohomology_ranks
+from .rational_linalg import cohomology_profile, cohomology_rank
 
 FULL_TABLE_CAPACITY = 22
 
 
+def _faces_inside(K, jmask, size):
+    """The faces of K_J with ``size`` vertices: the lattice faces of K inside J."""
+    return [f for f in K.face_masks(size) if f & jmask == f]
+
+
 def multigraded_betti(K, i, J):
     """beta^{-i, 2J}: rank of reduced H^{|J|-i-1} of the induced subcomplex on J."""
-    J = tuple(sorted(set(J)))
+    J = sorted(set(J))
     if i < 0 or i > len(J):
         raise InputError(f"homological degree {i} outside 0..{len(J)}")
-    return reduced_cohomology_rank(K.induced(J), len(J) - i - 1)
+    jmask = _mask_of(J, K.m)
+    size = len(J) - i  # faces of size d + 1 carry degree d = |J| - i - 1
+    return cohomology_rank(*(_faces_inside(K, jmask, k) for k in (size - 1, size, size + 1)))
 
 
 @dataclass(frozen=True)
@@ -61,7 +74,11 @@ def bigraded_betti_table(K, multidegrees=None, capacity=FULL_TABLE_CAPACITY):
     zk = {}
     rk = {}
     for J in subsets:
-        profile = reduced_cohomology_ranks(K.induced(J))
+        jmask = _mask_of(J, K.m)
+        levels = []
+        while level := _faces_inside(K, jmask, len(levels)):
+            levels.append(level)
+        profile = cohomology_profile(levels)
         size = len(J)
         for d, r in profile.items():
             if not r:

@@ -1,7 +1,9 @@
 """Exact rational chain-complex machinery.
 
-Coboundary matrices of simplicial cochain complexes, reduced cohomology
-ranks, and a deterministic sparse solver over the rationals.  ``_reduce`` is
+Coboundary matrices of simplicial cochain complexes, assembled from levels
+of bitmask faces (so a caller can pass the faces of an induced subcomplex
+without building it), reduced cohomology ranks, and a deterministic sparse
+solver over the rationals.  ``_reduce`` is
 the package's single rational elimination, so the determinism convention
 lives here: it yields the canonical reduced row echelon form with the fixed
 left-to-right column order.  Solutions set every free variable to zero, and
@@ -28,6 +30,7 @@ from .errors import InputError
 
 _ZERO = Rational(0)
 _ONE = Rational(1)
+_MINUS_ONE = Rational(-1)
 
 
 class SparseMatrix:
@@ -43,7 +46,8 @@ class SparseMatrix:
             for (r, c), v in entries.items():
                 if not (0 <= r < nrows and 0 <= c < ncols):
                     raise InputError(f"entry ({r},{c}) outside {nrows}x{ncols}")
-                v = Rational(v)
+                if type(v) is not Rational:
+                    v = Rational(v)
                 if v:
                     clean[(r, c)] = v
         self.entries = clean
@@ -294,25 +298,36 @@ def reduced_cohomology_ranks_mod_p(K, p):
 # -- simplicial cochain complexes ----------------------------------------------
 
 
+def _coboundary(domain, target):
+    """Coboundary matrix from a list of face masks of one size to the next size up.
+
+    Row and column order is the order of the two lists.  Inserting vertex v
+    into a face contributes (-1)^k, where k counts the vertices of the target
+    face below v (its 0-based position there).  Every module in the package
+    inherits this ascending-orientation convention.
+    """
+    index = {f: i for i, f in enumerate(domain)}
+    entries = {}
+    for col, tau in enumerate(target):
+        rest = tau
+        k = 0
+        while rest:
+            low = rest & -rest
+            entries[(index[tau ^ low], col)] = _MINUS_ONE if k & 1 else _ONE
+            rest ^= low
+            k += 1
+    return SparseMatrix(len(domain), len(target), entries)
+
+
 def coboundary_matrix(K, d):
     """Matrix of the reduced-cochain differential C^d -> C^{d+1}.
 
     Rows are indexed by the d-faces and columns by the (d+1)-faces of K, both
-    in lexicographic order; inserting vertex v at (0-based) position k of the
-    target face contributes the sign (-1)^k.  Every module in the package
-    inherits this ascending-orientation convention.
+    in lexicographic order of their vertex tuples.
     """
     if d < -1 or d > K.dim:
         raise InputError(f"degree {d} outside -1..{K.dim}")
-    domain = K.faces(d + 1)
-    target = K.faces(d + 2)
-    index = {f: i for i, f in enumerate(domain)}
-    entries = {}
-    for col, tau in enumerate(target):
-        for k, v in enumerate(tau):
-            sigma = tau[:k] + tau[k + 1 :]
-            entries[(index[sigma], col)] = -_ONE if k & 1 else _ONE
-    return SparseMatrix(len(domain), len(target), entries)
+    return _coboundary(K.face_masks(d + 1), K.face_masks(d + 2))
 
 
 @dataclass(frozen=True)
@@ -341,29 +356,48 @@ class CohomologyProfile:
         return all(r == 0 for r in self.ranks)
 
 
-def reduced_cohomology_ranks(K):
-    """Reduced rational cohomology ranks of K in all degrees.
+def cohomology_profile(levels):
+    """Reduced rational cohomology ranks from the face levels of a complex.
 
-    rank H^d = dim ker(delta: C^d -> C^{d+1}) - rank(delta: C^{d-1} -> C^d).
-    For the complex {emptyset} the profile is (1,): rank 1 in degree -1.
+    ``levels[k]`` lists the faces with k vertices as bitmasks, for k = 0 up
+    to the largest face size (every level nonempty).  rank H^d =
+    dim ker(delta: C^d -> C^{d+1}) - rank(delta: C^{d-1} -> C^d).
     """
-    dim = K.dim
-    counts = [len(K.faces(k)) for k in range(dim + 2)]
-    dranks = [coboundary_matrix(K, d).rank() for d in range(-1, dim)]
+    dranks = [_coboundary(lower, upper).rank() for lower, upper in zip(levels, levels[1:])]
     dranks.append(0)  # top differential is zero
     ranks = []
     prev = 0
-    for i in range(dim + 2):
-        ranks.append(counts[i] - dranks[i] - prev)
-        prev = dranks[i]
+    for level, r in zip(levels, dranks):
+        ranks.append(len(level) - r - prev)
+        prev = r
     return CohomologyProfile(tuple(ranks))
+
+
+def reduced_cohomology_ranks(K):
+    """Reduced rational cohomology ranks of K in all degrees.
+
+    For the complex {emptyset} the profile is (1,): rank 1 in degree -1.
+    """
+    levels = []
+    while level := K.face_masks(len(levels)):
+        levels.append(level)
+    return cohomology_profile(levels)
+
+
+def cohomology_rank(lower, middle, upper):
+    """Rank of reduced cohomology at the face level ``middle``.
+
+    ``lower`` and ``upper`` are the face levels one size below and above
+    (as bitmasks; empty where there are none).  Cheaper than the profile,
+    which eliminates every differential.
+    """
+    if not middle:
+        return 0
+    r_out = _coboundary(middle, upper).rank() if upper else 0
+    r_in = _coboundary(lower, middle).rank() if lower else 0
+    return len(middle) - r_out - r_in
 
 
 def reduced_cohomology_rank(K, d):
     """Rank of a single reduced cohomology group (cheaper than the profile)."""
-    if d < -1 or d > K.dim:
-        return 0
-    n = len(K.faces(d + 1))
-    r_out = coboundary_matrix(K, d).rank() if d < K.dim else 0
-    r_in = coboundary_matrix(K, d - 1).rank() if d > -1 else 0
-    return n - r_out - r_in
+    return cohomology_rank(K.face_masks(d), K.face_masks(d + 1), K.face_masks(d + 2))

@@ -8,6 +8,8 @@ arbitrate the dualization and induced-subcomplex code paths.
 import itertools
 import random
 
+from hypothesis import strategies as st
+
 from moment_angle.complexes import SimplicialComplex
 from moment_angle.koszul import KoszulCochain
 from moment_angle.real_cochains import RealCochain
@@ -76,6 +78,18 @@ def random_complex(rng, m):
         size = rng.randint(2, m)
         nonfaces.append(tuple(sorted(rng.sample(range(1, m + 1), size))))
     return SimplicialComplex(m, nonfaces)
+
+
+@st.composite
+def small_complexes(draw, min_m=3, max_m=5):
+    """Hypothesis strategy: a complex on min_m..max_m vertices with random non-faces."""
+    m = draw(st.integers(min_m, max_m))
+    if m < 2:
+        return SimplicialComplex(m)
+    nonfaces = draw(
+        st.lists(st.sets(st.integers(1, m), min_size=2, max_size=m), max_size=m + 2)
+    )
+    return SimplicialComplex(m, [tuple(sorted(f)) for f in nonfaces])
 
 
 def random_complexes(seed, count, max_m=6, min_m=3):

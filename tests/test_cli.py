@@ -218,3 +218,45 @@ def test_output_file(tmp_path, capsys):
     assert out == ""
     document = json.loads(out_path.read_text())
     assert document["result"]["m"] == 6
+
+
+def assert_one_input_error(code, err):
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    document = json.loads(lines[0])
+    assert document["kind"] == "input"
+    return document["error"]
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        '{"m":3,"minimal_nonfaces":[1]}',
+        '{"m":3,"maximal_faces":[1]}',
+        '{"m":3,"minimal_nonfaces":5}',
+        '{"m":2,"maximal_faces":[[1],[2]],"labels":5}',
+        '{"m":true,"minimal_nonfaces":[]}',
+        '{"m":"3","maximal_faces":[[1,2,3]]}',
+        '{"m":3,"minimal_nonfaces":[[true,2]]}',
+    ],
+)
+def test_malformed_complex_json_is_an_input_error(capsys, document):
+    assert_one_input_error(*run(capsys, ["homology", "--inline", document])[::2])
+
+
+def test_unreadable_input_file_is_an_input_error(capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    assert_one_input_error(*run(capsys, ["homology", "--input", missing])[::2])
+
+
+def test_family_needs_two_numbers(capsys):
+    message = assert_one_input_error(*run(capsys, ["massey", "--family", "3"])[::2])
+    assert message == "--family expects n,s"
+
+
+def test_multidegree_vertex_out_of_range(capsys):
+    complex_json = '{"m":3,"minimal_nonfaces":[[1,2]]}'
+    argv = ["betti", "--inline", complex_json, "--multidegree", "0,4"]
+    message = assert_one_input_error(*run(capsys, argv)[::2])
+    assert message == "vertex 0 out of range 1..3"

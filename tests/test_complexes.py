@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from moment_angle.complexes import (
     SimplicialComplex,
@@ -17,7 +18,14 @@ from moment_angle.complexes import (
 from moment_angle.errors import GhostVertexError, InputError
 from moment_angle.families import polygon_nerve
 
-from conftest import all_complexes, brute_maximal_faces, brute_minimal_nonfaces, random_complex
+from conftest import (
+    all_complexes,
+    brute_faces,
+    brute_maximal_faces,
+    brute_minimal_nonfaces,
+    random_complex,
+    small_complexes,
+)
 
 HEXAGON_MF = [(1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (2, 6), (3, 5), (3, 6), (4, 6)]
 
@@ -79,6 +87,21 @@ def test_round_trip_random_m5():
         K = random_complex(rng, 5)
         assert from_maximal_faces(5, K.maximal_faces()) == K
         assert brute_minimal_nonfaces(5, K.maximal_faces()) == sorted(K.minimal_nonfaces)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_complexes(min_m=1, max_m=7))
+def test_face_lattice_matches_brute_force(K):
+    expected = brute_faces(K.m, K.minimal_nonfaces)
+    for size in range(K.m + 2):
+        level = [f for f in expected if len(f) == size]
+        assert list(K.faces(size)) == level  # lex order included
+        assert sorted(K.face_masks(size)) == sorted(sum(1 << (v - 1) for v in f) for f in level)
+
+
+def test_face_levels_grow_only_as_asked():
+    # 2^40 faces in all: only the levels up to size 2 may be built
+    assert len(SimplicialComplex.full_simplex(40).faces(2)) == 780
 
 
 def test_induced_hexagon_pair():

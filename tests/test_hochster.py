@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moment_angle.complexes import SimplicialComplex
 from moment_angle.errors import CapacityError, InputError
@@ -11,7 +14,9 @@ from moment_angle.hochster import (
     multigraded_betti,
 )
 
-from conftest import random_complex
+from moment_angle.rational_linalg import reduced_cohomology_ranks
+
+from conftest import random_complex, small_complexes
 
 
 def test_multigraded_examples():
@@ -114,3 +119,31 @@ def test_multiwedge_transfer_vanishing():
             full = tuple(range(1, n * (s + 1) + 1))
             assert multigraded_betti(K, 2 * n - 2, full) == 0
             assert multigraded_betti(K, 2 * n - 1, full) == 0
+
+
+def slow_hochster_sum(K, subsets):
+    """Hochster's sum over explicit induced subcomplexes, the reference for the lattice path."""
+    bigraded = {}
+    for J in subsets:
+        for d, r in reduced_cohomology_ranks(K.induced(J)).items():
+            if r:
+                key = (len(J) - d - 1, len(J))
+                bigraded[key] = bigraded.get(key, 0) + r
+    return bigraded
+
+
+def all_subsets(m):
+    return [J for size in range(m + 1) for J in itertools.combinations(range(1, m + 1), size)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_complexes(min_m=1, max_m=7), st.randoms(use_true_random=False))
+def test_lattice_sum_matches_induced_complexes(K, rng):
+    subsets = all_subsets(K.m)
+    assert bigraded_betti_table(K).bigraded == slow_hochster_sum(K, subsets)
+    chosen = rng.sample(subsets, min(len(subsets), 5))
+    assert bigraded_betti_table(K, multidegrees=chosen).bigraded == slow_hochster_sum(K, chosen)
+    for J in chosen:
+        for i in range(len(J) + 1):
+            expected = slow_hochster_sum(K, [J]).get((i, len(J)), 0)
+            assert multigraded_betti(K, i, J) == expected

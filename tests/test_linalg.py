@@ -20,7 +20,7 @@ from moment_angle.rational_linalg import (
     solve_linear,
 )
 
-from conftest import all_complexes, random_complex
+from conftest import all_complexes, random_complex, small_complexes
 
 
 def dense(rows):
@@ -235,15 +235,6 @@ def test_pivot_columns_match_greedy_rank_scan(columns):
     A = SparseMatrix(len(columns[0]), 0).with_columns(columns)
     assert A.pivot_columns() == tuple(greedy_keep([], columns))
     assert A.rank() == reference_rank(columns)
-
-
-@st.composite
-def small_complexes(draw):
-    m = draw(st.integers(3, 5))
-    nonfaces = draw(
-        st.lists(st.sets(st.integers(1, m), min_size=2, max_size=m), max_size=m + 2)
-    )
-    return SimplicialComplex(m, [tuple(sorted(f)) for f in nonfaces])
 
 
 @settings(max_examples=40, deadline=None)
