@@ -7,9 +7,10 @@ Poincare vectors of the moment-angle complex Z_K and of the real
 moment-angle complex R_K.
 
 No induced subcomplex is built: the faces of K_J are the faces of K's
-bitmask face lattice that lie inside J, read level by level up to the first
-empty level.  They come in the same lexicographic order as the faces of the
-relabeled K_J, so each subset gets exactly the coboundary matrices of K_J.
+bitmask face lattice that lie inside J (the table reads them level by level
+up to the first empty level).  They come in the same lexicographic order as
+the faces of the relabeled K_J, so each subset gets exactly the coboundary
+matrices of K_J.
 """
 
 import itertools
@@ -75,10 +76,7 @@ def bigraded_betti_table(K, multidegrees=None, capacity=FULL_TABLE_CAPACITY):
     rk = {}
     for J in subsets:
         jmask = _mask_of(J, K.m)
-        levels = []
-        while level := _faces_inside(K, jmask, len(levels)):
-            levels.append(level)
-        profile = cohomology_profile(levels)
+        profile = cohomology_profile(lambda size: _faces_inside(K, jmask, size))
         size = len(J)
         for d, r in profile.items():
             if not r:

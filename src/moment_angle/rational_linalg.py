@@ -356,13 +356,16 @@ class CohomologyProfile:
         return all(r == 0 for r in self.ranks)
 
 
-def cohomology_profile(levels):
-    """Reduced rational cohomology ranks from the face levels of a complex.
+def cohomology_profile(level):
+    """Reduced rational cohomology ranks of a complex given by its face levels.
 
-    ``levels[k]`` lists the faces with k vertices as bitmasks, for k = 0 up
-    to the largest face size (every level nonempty).  rank H^d =
+    ``level(k)`` returns the faces with k vertices as bitmasks, in a fixed
+    order; levels are read from k = 0 up to the first empty one.  rank H^d =
     dim ker(delta: C^d -> C^{d+1}) - rank(delta: C^{d-1} -> C^d).
     """
+    levels = []
+    while faces := level(len(levels)):
+        levels.append(faces)
     dranks = [_coboundary(lower, upper).rank() for lower, upper in zip(levels, levels[1:])]
     dranks.append(0)  # top differential is zero
     ranks = []
@@ -378,10 +381,7 @@ def reduced_cohomology_ranks(K):
 
     For the complex {emptyset} the profile is (1,): rank 1 in degree -1.
     """
-    levels = []
-    while level := K.face_masks(len(levels)):
-        levels.append(level)
-    return cohomology_profile(levels)
+    return cohomology_profile(K.face_masks)
 
 
 def cohomology_rank(lower, middle, upper):
