@@ -13,7 +13,6 @@ from moment_angle.hochster import (
     component_count_betti,
     multigraded_betti,
 )
-
 from moment_angle.rational_linalg import reduced_cohomology_ranks
 
 from conftest import random_complex, small_complexes
