@@ -4,7 +4,8 @@ A complex is stored by its set of minimal non-faces (the generators of the
 corresponding squarefree monomial ideal); the maximal faces are derived
 lazily by hypergraph dualization and cached.  The faces themselves form a
 bitmask lattice that is grown one level (face size) at a time, only as far
-as a caller asks, and cached.  Every singleton {i} is required
+as a caller asks, and cached; the lattice of an induced subcomplex is grown
+the same way inside its vertex set.  Every singleton {i} is required
 to be a face, so complexes carry no ghost vertices.  All values are
 canonicalized and immutable after construction; equality and hashing use the
 canonical form (vertex labels are carried along but never affect any
@@ -222,33 +223,76 @@ class SimplicialComplex:
     def is_face(self, vertices):
         return self.is_face_mask(_mask_of(vertices, self.m))
 
+    def _nonface_rests(self):
+        """Minimal non-faces by top vertex v, each with v removed (cached).
+
+        Entry v is a pair: the bitmask of the vertices u with {u, v} a
+        minimal non-face, and the list of the larger rests.  ``f | v`` (v
+        above the top vertex of a face f) is a face exactly when no rest
+        listed under v lies inside f: any other non-face inside ``f | v``
+        would already lie inside the face f.
+        """
+        if "nonface_rests" not in self._cache:
+            pairs = [0] * (self.m + 1)
+            rests = [[] for _ in range(self.m + 1)]
+            for nf in self._mf_masks:
+                top = nf.bit_length()
+                rest = nf ^ (1 << (top - 1))
+                if rest & (rest - 1):
+                    rests[top].append(rest)
+                else:
+                    pairs[top] |= rest
+            self._cache["nonface_rests"] = list(zip(pairs, rests))
+        return self._cache["nonface_rests"]
+
+    @staticmethod
+    def _grow(level, mask, rests):
+        """The next face level: each face of ``level`` gains a vertex of ``mask`` above its top.
+
+        Each face of the next level is reached exactly once, and a level in
+        lex order of its tuples grows into a level in lex order.
+        """
+        grown = []
+        for f in level:
+            top = f.bit_length()
+            above = mask >> top << top
+            while above:
+                low = above & -above
+                above ^= low
+                pairs, larger = rests[low.bit_length()]
+                if not f & pairs and not (larger and any(r & f == r for r in larger)):
+                    grown.append(f | low)
+        return tuple(grown)
+
     def face_masks(self, size):
         """All faces with ``size`` vertices, as bitmasks in lex order of their tuples.
 
         Levels of the face lattice are grown one at a time and cached, so a
-        call costs only the levels up to ``size``.  A face is extended only by
-        vertices above its top vertex, so each face of the next level is
-        reached exactly once, and growing the levels in lex order keeps them
-        in lex order.  ``f | v`` is a face exactly when no minimal non-face
-        whose top vertex is ``v`` lies inside it: any other non-face inside it
-        would already lie inside the face ``f``.
+        call costs only the levels up to ``size``.
         """
         if size < 0:
             return ()
         levels = self._cache.setdefault("face_masks", [(0,)])
-        if len(levels) <= size and levels[-1]:
-            by_top = [[] for _ in range(self.m + 1)]
-            for nf in self._mf_masks:
-                by_top[nf.bit_length()].append(nf)
-            while len(levels) <= size and levels[-1]:
-                grown = []
-                for f in levels[-1]:
-                    for v in range(f.bit_length() + 1, self.m + 1):
-                        g = f | (1 << (v - 1))
-                        if all(nf & g != nf for nf in by_top[v]):
-                            grown.append(g)
-                levels.append(tuple(grown))
+        while len(levels) <= size and levels[-1]:
+            levels.append(self._grow(levels[-1], self._full_mask, self._nonface_rests()))
         return levels[size] if size < len(levels) else ()
+
+    def induced_face_levels(self, mask):
+        """The face levels of the induced subcomplex K_J, J given by the bitmask ``mask``.
+
+        Yields the faces of K_J with 0, 1, 2, ... vertices, up to the last
+        nonempty level, as bitmasks over K's own vertices in lex order.  The
+        lattice is grown from the minimal non-faces inside J by vertices of
+        J only, so it costs the faces of K_J, however large K is.
+        """
+        rests = [
+            (pairs, [r for r in larger if r & mask == r])
+            for pairs, larger in self._nonface_rests()
+        ]
+        level = (0,)
+        while level:
+            yield level
+            level = self._grow(level, mask, rests)
 
     def faces(self, size):
         """All faces with ``size`` vertices, as sorted tuples in lex order."""

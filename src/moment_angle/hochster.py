@@ -6,11 +6,11 @@ subcomplex K_J in degree j-i-1; the same per-subset ranks assemble the
 Poincare vectors of the moment-angle complex Z_K and of the real
 moment-angle complex R_K.
 
-No induced subcomplex is built: the faces of K_J are the faces of K's
-bitmask face lattice that lie inside J (the table reads them level by level
-up to the first empty level).  They come in the same lexicographic order as
-the faces of the relabeled K_J, so each subset gets exactly the coboundary
-matrices of K_J.
+No induced subcomplex is built: the face lattice of each K_J is grown level
+by level from the minimal non-faces inside J, using vertices of J only, so a
+subset costs the faces of K_J however large K is.  The faces come in the
+same lexicographic order as the faces of the relabeled K_J, so each subset
+gets exactly the coboundary matrices of K_J.
 """
 
 import itertools
@@ -23,19 +23,16 @@ from .rational_linalg import cohomology_profile, cohomology_rank
 FULL_TABLE_CAPACITY = 22
 
 
-def _faces_inside(K, jmask, size):
-    """The faces of K_J with ``size`` vertices: the lattice faces of K inside J."""
-    return [f for f in K.face_masks(size) if f & jmask == f]
-
-
 def multigraded_betti(K, i, J):
     """beta^{-i, 2J}: rank of reduced H^{|J|-i-1} of the induced subcomplex on J."""
     J = sorted(set(J))
     if i < 0 or i > len(J):
         raise InputError(f"homological degree {i} outside 0..{len(J)}")
-    jmask = _mask_of(J, K.m)
     size = len(J) - i  # faces of size d + 1 carry degree d = |J| - i - 1
-    return cohomology_rank(*(_faces_inside(K, jmask, k) for k in (size - 1, size, size + 1)))
+    # levels[k + 1] holds the faces with k vertices; levels[0] is the empty size -1
+    levels = [(), *itertools.islice(K.induced_face_levels(_mask_of(J, K.m)), size + 2)]
+    levels += [()] * (size + 3 - len(levels))
+    return cohomology_rank(*levels[size : size + 3])
 
 
 @dataclass(frozen=True)
@@ -75,8 +72,7 @@ def bigraded_betti_table(K, multidegrees=None, capacity=FULL_TABLE_CAPACITY):
     zk = {}
     rk = {}
     for J in subsets:
-        jmask = _mask_of(J, K.m)
-        profile = cohomology_profile(lambda size: _faces_inside(K, jmask, size))
+        profile = cohomology_profile(K.induced_face_levels(_mask_of(J, K.m)))
         size = len(J)
         for d, r in profile.items():
             if not r:

@@ -19,6 +19,7 @@ Coefficients are arbitrary-precision rationals: gmpy2.mpq when available
 (it is a drop-in, much faster implementation), fractions.Fraction otherwise.
 """
 
+import itertools
 from dataclasses import dataclass
 
 try:
@@ -46,8 +47,7 @@ class SparseMatrix:
             for (r, c), v in entries.items():
                 if not (0 <= r < nrows and 0 <= c < ncols):
                     raise InputError(f"entry ({r},{c}) outside {nrows}x{ncols}")
-                if type(v) is not Rational:
-                    v = Rational(v)
+                v = Rational(v)
                 if v:
                     clean[(r, c)] = v
         self.entries = clean
@@ -356,22 +356,20 @@ class CohomologyProfile:
         return all(r == 0 for r in self.ranks)
 
 
-def cohomology_profile(level):
+def cohomology_profile(levels):
     """Reduced rational cohomology ranks of a complex given by its face levels.
 
-    ``level(k)`` returns the faces with k vertices as bitmasks, in a fixed
-    order; levels are read from k = 0 up to the first empty one.  rank H^d =
-    dim ker(delta: C^d -> C^{d+1}) - rank(delta: C^{d-1} -> C^d).
+    ``levels`` yields the faces with 0, 1, 2, ... vertices as bitmasks, each
+    level in a fixed order; it is read up to the first empty level.  rank H^d
+    = dim ker(delta: C^d -> C^{d+1}) - rank(delta: C^{d-1} -> C^d).
     """
-    levels = []
-    while faces := level(len(levels)):
-        levels.append(faces)
+    levels = list(itertools.takewhile(bool, levels))
     dranks = [_coboundary(lower, upper).rank() for lower, upper in zip(levels, levels[1:])]
     dranks.append(0)  # top differential is zero
     ranks = []
     prev = 0
-    for level, r in zip(levels, dranks):
-        ranks.append(len(level) - r - prev)
+    for faces, r in zip(levels, dranks):
+        ranks.append(len(faces) - r - prev)
         prev = r
     return CohomologyProfile(tuple(ranks))
 
@@ -381,7 +379,7 @@ def reduced_cohomology_ranks(K):
 
     For the complex {emptyset} the profile is (1,): rank 1 in degree -1.
     """
-    return cohomology_profile(K.face_masks)
+    return cohomology_profile(map(K.face_masks, itertools.count()))
 
 
 def cohomology_rank(lower, middle, upper):

@@ -260,3 +260,12 @@ def test_multidegree_vertex_out_of_range(capsys):
     argv = ["betti", "--inline", complex_json, "--multidegree", "0,4"]
     message = assert_one_input_error(*run(capsys, argv)[::2])
     assert message == "vertex 0 out of range 1..3"
+
+
+def test_multidegree_on_a_large_complex(capsys):
+    nonfaces = [[2 * k - 1, 2 * k] for k in range(1, 7)]
+    complex_json = json.dumps({"m": 40, "minimal_nonfaces": nonfaces})
+    argv = ["betti", "--inline", complex_json, "--multidegree", ",".join(map(str, range(1, 13)))]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["result"]["bigraded"] == [[6, 12, 1]]

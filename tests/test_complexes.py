@@ -3,6 +3,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moment_angle.complexes import (
     SimplicialComplex,
@@ -97,6 +98,20 @@ def test_face_lattice_matches_brute_force(K):
         level = [f for f in expected if len(f) == size]
         assert list(K.faces(size)) == level  # lex order included
         assert sorted(K.face_masks(size)) == sorted(sum(1 << (v - 1) for v in f) for f in level)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_complexes(min_m=1, max_m=7), st.data())
+def test_induced_face_levels_match_brute_force(K, data):
+    J = data.draw(st.sets(st.integers(1, K.m)))
+    levels = list(K.induced_face_levels(sum(1 << (v - 1) for v in J)))
+    assert all(levels)  # no trailing empty level
+    faces = [
+        tuple(v for v in range(1, K.m + 1) if f >> (v - 1) & 1) for level in levels for f in level
+    ]
+    assert all(f.bit_count() == size for size, level in enumerate(levels) for f in level)
+    # the faces of K inside J, level by level, each level in lex order
+    assert faces == [f for f in brute_faces(K.m, K.minimal_nonfaces) if set(f) <= J]
 
 
 def test_face_levels_grow_only_as_asked():

@@ -88,6 +88,16 @@ def test_capacity_guard():
     assert table.rank(1, 2) == 1
 
 
+def test_targeted_queries_cost_only_the_subset():
+    # K_J is the octahedral 5-sphere; K has about 2^40 faces, and a query on
+    # J may build only the 3^6 faces of K_J
+    K = SimplicialComplex(40, [(2 * k - 1, 2 * k) for k in range(1, 7)])
+    J = range(1, 13)
+    assert multigraded_betti(K, 6, J) == 1
+    assert bigraded_betti_table(K, multidegrees=[J]).bigraded == {(6, 12): 1}
+    assert multigraded_betti(SimplicialComplex(40, [(1, 2)]), 0, J) == 0
+
+
 def test_multidegree_filter_restricts_sums():
     K = polygon_nerve(6)
     table = bigraded_betti_table(K, multidegrees=[(1, 3), (2, 4), (1, 2)])
