@@ -31,7 +31,6 @@ from .errors import InputError
 
 _ZERO = Rational(0)
 _ONE = Rational(1)
-_MINUS_ONE = Rational(-1)
 
 
 class SparseMatrix:
@@ -313,7 +312,7 @@ def _coboundary(domain, target):
         k = 0
         while rest:
             low = rest & -rest
-            entries[(index[tau ^ low], col)] = _MINUS_ONE if k & 1 else _ONE
+            entries[(index[tau ^ low], col)] = -1 if k & 1 else 1
             rest ^= low
             k += 1
     return SparseMatrix(len(domain), len(target), entries)
