@@ -328,8 +328,13 @@ def main(argv=None):
     }
     text = json.dumps(document, indent=2, sort_keys=True)
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            message = f"cannot write --out: {exc}"
+            print(json.dumps({"error": message, "kind": "input"}), file=sys.stderr)
+            return 1
     else:
         print(text)
     return 0

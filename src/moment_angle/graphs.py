@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _as_list
 from .errors import CapacityError, InputError
 from .massey import TripleWitness, search_triple_products
 
@@ -40,10 +40,13 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n, edges):
-        if n < 1:
-            raise InputError(f"graph needs at least one vertex, got n={n}")
+        if type(n) is not int or n < 1:  # bool is an int subclass: not a count
+            raise InputError(f"graph needs a positive integer vertex count, got n={n!r}")
         clean = set()
-        for e in edges:
+        for e in _as_list(edges, "graph edges"):
+            e = _as_list(e, "a graph edge")
+            if len(e) != 2 or any(type(x) is not int for x in e):
+                raise InputError(f"graph edge must be a pair of integers, got {e!r}")
             a, b = e
             if not (1 <= a <= n and 1 <= b <= n):
                 raise InputError(f"edge {tuple(e)} outside 1..{n}")

@@ -7,7 +7,8 @@ disjoint and T a face of K; its cohomology is the cohomology of Z_K, and the
 differential preserves the multidegree S u T, so everything decomposes into
 tiny components indexed by (vertex subset, total degree).  Per-component
 bases, coboundary matrices, and deterministic class coordinates live in
-``ComponentBasis``.
+``ComponentBasis``.  ``Cochain`` and ``differential_matrix`` are shared
+with Cai's real model in ``real_cochains``.
 
 Normal form and signs: u-variables first in ascending order, then
 v-variables ascending.  v's are even (degree 2) and contribute no signs;
@@ -59,8 +60,13 @@ class KoszulMonomial:
         return (us + vs) or "1"
 
 
-class KoszulCochain:
-    """Rational linear combination of Koszul monomials over a fixed complex."""
+class Cochain:
+    """Rational linear combination of normal-form monomials over a fixed complex.
+
+    The arithmetic both cochain models share.  A model sets ``Monomial`` (its
+    unit is ``Monomial((), ())``) and defines ``monomial``, ``differential``
+    and ``__mul__``; cochains of two models never combine or compare equal.
+    """
 
     __slots__ = ("complex", "terms")
 
@@ -75,27 +81,21 @@ class KoszulCochain:
         self.terms = clean
 
     @classmethod
-    def monomial(cls, complex, u_vertices, v_vertices, coeff=1):
-        u = tuple(sorted(u_vertices))
-        v = tuple(sorted(v_vertices))
-        if set(u) & set(v):
-            raise InputError(f"u-part {u} and v-part {v} overlap")
-        if not complex.is_face(v):
-            raise InputError(f"v-part {v} is not a face")
-        return cls(complex, {KoszulMonomial(u, v): Rational(coeff)})
-
-    @classmethod
     def zero(cls, complex):
         return cls(complex)
 
     @classmethod
     def unit(cls, complex):
-        return cls(complex, {KoszulMonomial((), ()): _ONE})
+        return cls(complex, {cls.Monomial((), ()): _ONE})
 
     def is_zero(self):
         return not self.terms
 
     def _check_ambient(self, other):
+        if type(self) is not type(other):
+            raise AmbientMismatchError(
+                f"cannot combine a {type(self).__name__} with a {type(other).__name__}"
+            )
         if self.complex != other.complex:
             raise AmbientMismatchError("cochains live over different complexes")
 
@@ -103,12 +103,8 @@ class KoszulCochain:
         self._check_ambient(other)
         terms = dict(self.terms)
         for mono, c in other.terms.items():
-            s = terms.get(mono, 0) + c
-            if s:
-                terms[mono] = s
-            else:
-                terms.pop(mono, None)
-        return KoszulCochain(self.complex, terms)
+            terms[mono] = terms.get(mono, 0) + c
+        return type(self)(self.complex, terms)
 
     def __sub__(self, other):
         return self + other.scaled(-1)
@@ -119,10 +115,8 @@ class KoszulCochain:
     def scaled(self, factor):
         factor = Rational(factor)
         if not factor:
-            return KoszulCochain(self.complex)
-        return KoszulCochain(
-            self.complex, {m: c * factor for m, c in self.terms.items()}
-        )
+            return type(self)(self.complex)
+        return type(self)(self.complex, {m: c * factor for m, c in self.terms.items()})
 
     def degree(self):
         """Common total degree of all terms; None for the zero cochain."""
@@ -132,6 +126,51 @@ class KoszulCochain:
         if len(degs) > 1:
             raise InputError(f"cochain is not homogeneous: degrees {sorted(degs)}")
         return degs.pop()
+
+    def __eq__(self, other):
+        if type(self) is not type(other):
+            return NotImplemented
+        return self.complex == other.complex and self.terms == other.terms
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for mono in sorted(self.terms):
+            c = self.terms[mono]
+            parts.append(f"{c}*{mono}" if c != 1 else str(mono))
+        return " + ".join(parts)
+
+
+def differential_matrix(cochain_type, K, source, target_index):
+    """Matrix of the differential of a cochain model on monomial bases.
+
+    Column j is d of the monomial ``source[j]`` as a ``cochain_type`` over K;
+    ``target_index`` maps every monomial the images reach to its row.
+    """
+    entries = {}
+    for col, mono in enumerate(source):
+        for m, c in cochain_type(K, {mono: _ONE}).differential().terms.items():
+            entries[(target_index[m], col)] = c
+    return SparseMatrix(len(target_index), len(source), entries)
+
+
+class KoszulCochain(Cochain):
+    """Rational linear combination of Koszul monomials over a fixed complex."""
+
+    __slots__ = ()
+
+    Monomial = KoszulMonomial
+
+    @classmethod
+    def monomial(cls, complex, u_vertices, v_vertices, coeff=1):
+        u = tuple(sorted(u_vertices))
+        v = tuple(sorted(v_vertices))
+        if set(u) & set(v):
+            raise InputError(f"u-part {u} and v-part {v} overlap")
+        if not complex.is_face(v):
+            raise InputError(f"v-part {v} is not a face")
+        return cls(complex, {KoszulMonomial(u, v): Rational(coeff)})
 
     def multidegree(self):
         mds = {m.multidegree for m in self.terms}
@@ -159,12 +198,7 @@ class KoszulCochain:
                 if not K.is_face(new_v):
                     continue
                 new_mono = KoszulMonomial(u[:pos] + u[pos + 1 :], new_v)
-                c = -coeff if pos & 1 else coeff
-                s = out.get(new_mono, 0) + c
-                if s:
-                    out[new_mono] = s
-                else:
-                    out.pop(new_mono, None)
+                out[new_mono] = out.get(new_mono, 0) + (-coeff if pos & 1 else coeff)
         return KoszulCochain(K, out)
 
     def __mul__(self, other):
@@ -185,27 +219,8 @@ class KoszulCochain:
                 new_mono = KoszulMonomial(
                     tuple(sorted(m1.u_vertices + m2.u_vertices)), new_v
                 )
-                c = c1 * c2 * sign
-                s = out.get(new_mono, 0) + c
-                if s:
-                    out[new_mono] = s
-                else:
-                    out.pop(new_mono, None)
+                out[new_mono] = out.get(new_mono, 0) + c1 * c2 * sign
         return KoszulCochain(K, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, KoszulCochain):
-            return NotImplemented
-        return self.complex == other.complex and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms):
-            c = self.terms[mono]
-            parts.append(f"{c}*{mono}" if c != 1 else str(mono))
-        return " + ".join(parts)
 
 
 # -- multidegree components -----------------------------------------------------
@@ -254,25 +269,13 @@ class ComponentBasis:
     def matrix_from_below(self):
         """Differential (degree-1 component) -> (this component), target rows."""
         if "from_below" not in self._cache:
-            below = self._neighbor(-1)
-            entries = {}
-            for col, mono in enumerate(below.monomials):
-                image = KoszulCochain(self.complex, {mono: _ONE}).differential()
-                for m, c in image.terms.items():
-                    entries[(self.index[m], col)] = c
-            self._cache["from_below"] = SparseMatrix(len(self), len(below), entries)
+            self._cache["from_below"] = differential_matrix(
+                KoszulCochain, self.complex, self._neighbor(-1).monomials, self.index
+            )
         return self._cache["from_below"]
 
     def matrix_to_above(self):
-        if "to_above" not in self._cache:
-            above = self._neighbor(+1)
-            entries = {}
-            for col, mono in enumerate(self.monomials):
-                image = KoszulCochain(self.complex, {mono: _ONE}).differential()
-                for m, c in image.terms.items():
-                    entries[(above.index[m], col)] = c
-            self._cache["to_above"] = SparseMatrix(len(above), len(self), entries)
-        return self._cache["to_above"]
+        return self._neighbor(+1).matrix_from_below()
 
     def cocycle_basis(self):
         if "cocycles" not in self._cache:

@@ -34,14 +34,10 @@ from typing import Optional
 
 from .errors import CapacityError, InputError, VerificationError
 from .families import FamilySpec, family_complex
+from .hochster import multigraded_betti
 from .koszul import KoszulCochain, component_basis
 from .multiwedge import wedge_vertex_map
-from .rational_linalg import (
-    Rational,
-    SparseMatrix,
-    reduced_cohomology_rank,
-    solve_linear,
-)
+from .rational_linalg import Rational, SparseMatrix, solve_linear
 
 FAMILY_ORDER_CAPACITY = 5
 SEARCH_TRIPLE_CAPACITY = 2_000_000
@@ -294,7 +290,14 @@ class ConditionTable:
 
 @lru_cache(maxsize=None)
 def _window_rank(K, support, degree):
-    return reduced_cohomology_rank(K.induced(support), degree)
+    """Reduced H^degree of K_support: the Betti number beta^{-i, 2 support}.
+
+    Zero outside degrees -1 .. |support| - 1, which zero representatives of
+    any reduced degree can ask for.
+    """
+    if not -1 <= degree < len(support):
+        return 0
+    return multigraded_betti(K, len(support) - degree - 1, support)
 
 
 def strict_conditions_check(input):

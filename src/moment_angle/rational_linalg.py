@@ -282,16 +282,24 @@ def rank_mod_p(A, p):
 
 def reduced_cohomology_ranks_mod_p(K, p):
     """Reduced cohomology ranks over GF(p), for cross-checking only."""
-    dim = K.dim
-    counts = [len(K.faces(k)) for k in range(dim + 2)]
-    dranks = [rank_mod_p(coboundary_matrix(K, d), p) for d in range(-1, dim)]
-    dranks.append(0)
+    levels = list(itertools.takewhile(bool, map(K.face_masks, itertools.count())))
+    dranks = [rank_mod_p(_coboundary(low, up), p) for low, up in zip(levels, levels[1:])]
+    return CohomologyProfile(cohomology_ranks(map(len, levels), dranks))
+
+
+def cohomology_ranks(dims, dranks):
+    """Cohomology ranks of a cochain complex from its level dimensions.
+
+    ``dims`` are the dimensions of the levels in order and ``dranks`` the
+    ranks of the differentials between consecutive levels, one fewer; the
+    top differential is zero.  rank H^k = dims[k] - dranks[k] - dranks[k-1].
+    """
     ranks = []
     prev = 0
-    for i in range(dim + 2):
-        ranks.append(counts[i] - dranks[i] - prev)
-        prev = dranks[i]
-    return CohomologyProfile(tuple(ranks))
+    for dim, r in zip(dims, [*dranks, 0]):
+        ranks.append(dim - r - prev)
+        prev = r
+    return tuple(ranks)
 
 
 # -- simplicial cochain complexes ----------------------------------------------
@@ -364,13 +372,7 @@ def cohomology_profile(levels):
     """
     levels = list(itertools.takewhile(bool, levels))
     dranks = [_coboundary(lower, upper).rank() for lower, upper in zip(levels, levels[1:])]
-    dranks.append(0)  # top differential is zero
-    ranks = []
-    prev = 0
-    for faces, r in zip(levels, dranks):
-        ranks.append(len(faces) - r - prev)
-        prev = r
-    return CohomologyProfile(tuple(ranks))
+    return CohomologyProfile(cohomology_ranks(map(len, levels), dranks))
 
 
 def reduced_cohomology_ranks(K):

@@ -13,17 +13,20 @@ The doubling map sends the moment-angle model of K into this model over
 K(2,...,2): u_i goes to u_{i''} t_{i'} and v_i to u_{i'} u_{i''}, where i'
 and i'' are the two copies of vertex i.  It is a degree-preserving map of
 differential graded algebras inducing an isomorphism on cohomology.
+
+``RealCochain`` inherits its linear arithmetic (sums, scaling, degree,
+equality, printing) from ``koszul.Cochain``, the core both cochain models
+share, and defines only the model's product and differential; its
+coboundary matrices come from ``koszul.differential_matrix``.
 """
 
 import itertools
 from dataclasses import dataclass
 
-from .errors import AmbientMismatchError, CapacityError, InputError
-from .koszul import shuffle_sign
+from .errors import CapacityError, InputError
+from .koszul import Cochain, differential_matrix, shuffle_sign
 from .multiwedge import j_construction, wedge_vertex_map
-from .rational_linalg import Rational, SparseMatrix
-
-_ONE = Rational(1)
+from .rational_linalg import Rational, cohomology_ranks
 
 REAL_RANKS_CAPACITY = 9
 
@@ -45,18 +48,12 @@ class RealMonomial:
         return (us + ts) or "1"
 
 
-class RealCochain:
-    __slots__ = ("complex", "terms")
+class RealCochain(Cochain):
+    """Rational linear combination of real-model monomials over a fixed complex."""
 
-    def __init__(self, complex, terms=None):
-        self.complex = complex
-        clean = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = Rational(coeff)
-                if coeff:
-                    clean[mono] = coeff
-        self.terms = clean
+    __slots__ = ()
+
+    Monomial = RealMonomial
 
     @classmethod
     def monomial(cls, complex, u_vertices, t_vertices, coeff=1):
@@ -67,49 +64,6 @@ class RealCochain:
         if not complex.is_face(u):
             raise InputError(f"u-part {u} is not a face")
         return cls(complex, {RealMonomial(u, t): Rational(coeff)})
-
-    @classmethod
-    def unit(cls, complex):
-        return cls(complex, {RealMonomial((), ()): _ONE})
-
-    @classmethod
-    def zero(cls, complex):
-        return cls(complex)
-
-    def is_zero(self):
-        return not self.terms
-
-    def _check_ambient(self, other):
-        if self.complex != other.complex:
-            raise AmbientMismatchError("cochains live over different complexes")
-
-    def __add__(self, other):
-        self._check_ambient(other)
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = terms.get(mono, 0) + c
-            if s:
-                terms[mono] = s
-            else:
-                terms.pop(mono, None)
-        return RealCochain(self.complex, terms)
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def scaled(self, factor):
-        factor = Rational(factor)
-        if not factor:
-            return RealCochain(self.complex)
-        return RealCochain(self.complex, {m: c * factor for m, c in self.terms.items()})
-
-    def degree(self):
-        degs = {m.degree for m in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise InputError(f"cochain is not homogeneous: degrees {sorted(degs)}")
-        return degs.pop()
 
     def __mul__(self, other):
         """Normal-form product.
@@ -135,12 +89,7 @@ class RealCochain:
                 sign = shuffle_sign(m1.u_vertices, m2.u_vertices)
                 tpart = tuple(sorted((t1 | set(m2.t_vertices)) - set(union)))
                 mono = RealMonomial(union, tpart)
-                c = c1 * c2 * sign
-                s = out.get(mono, 0) + c
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
+                out[mono] = out.get(mono, 0) + c1 * c2 * sign
         return RealCochain(K, out)
 
     def differential(self):
@@ -159,27 +108,8 @@ class RealCochain:
                     continue
                 pos = new_u.index(i)
                 new_mono = RealMonomial(new_u, tuple(x for x in t if x != i))
-                c = -coeff if pos & 1 else coeff
-                s = out.get(new_mono, 0) + c
-                if s:
-                    out[new_mono] = s
-                else:
-                    out.pop(new_mono, None)
+                out[new_mono] = out.get(new_mono, 0) + (-coeff if pos & 1 else coeff)
         return RealCochain(K, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, RealCochain):
-            return NotImplemented
-        return self.complex == other.complex and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms):
-            c = self.terms[mono]
-            parts.append(f"{c}*{mono}" if c != 1 else str(mono))
-        return " + ".join(parts)
 
 
 def _degree_basis(K, p):
@@ -199,31 +129,20 @@ def real_cohomology_ranks(K, capacity=REAL_RANKS_CAPACITY):
     """Cohomology ranks of the model by degree, 0 .. dim K + 1.
 
     Must match the Hochster-type sum: rank H^p = sum over J of reduced
-    H^{p-1}(K_J) with the {emptyset} convention.
+    H^{p-1}(K_J) with the {emptyset} convention.  Degrees are read up to the
+    first empty basis, the degree one above the largest face size.
     """
     if K.m > capacity:
         raise CapacityError(
             "real-ranks",
             f"full model on m={K.m} vertices exceeds capacity m <= {capacity}",
         )
-    top = K.dim + 1
-    bases = [_degree_basis(K, p) for p in range(top + 2)]
-    ranks_d = []
-    for p in range(top + 1):
-        index = {mono: i for i, mono in enumerate(bases[p + 1])}
-        entries = {}
-        for col, mono in enumerate(bases[p]):
-            image = RealCochain(K, {mono: _ONE}).differential()
-            for m, c in image.terms.items():
-                entries[(index[m], col)] = c
-        ranks_d.append(SparseMatrix(len(bases[p + 1]), len(bases[p]), entries).rank())
-    ranks_d.append(0)
-    out = []
-    prev = 0
-    for p in range(top + 1):
-        out.append(len(bases[p]) - ranks_d[p] - prev)
-        prev = ranks_d[p]
-    return tuple(out)
+    bases = list(itertools.takewhile(bool, (_degree_basis(K, p) for p in itertools.count())))
+    dranks = [
+        differential_matrix(RealCochain, K, lower, {m: i for i, m in enumerate(upper)}).rank()
+        for lower, upper in zip(bases, bases[1:])
+    ]
+    return cohomology_ranks(map(len, bases), dranks)
 
 
 # -- doubling bridge -------------------------------------------------------------

@@ -245,6 +245,29 @@ def test_malformed_complex_json_is_an_input_error(capsys, document):
     assert_one_input_error(*run(capsys, ["homology", "--inline", document])[::2])
 
 
+@pytest.mark.parametrize(
+    "document",
+    [
+        '{"n":3,"edges":[[1]]}',
+        '{"n":3,"edges":[[1,2,3]]}',
+        '{"n":"3"}',
+        '{"n":3,"edges":5}',
+        '{"n":true,"edges":[]}',
+    ],
+)
+def test_malformed_graph_json_is_an_input_error(capsys, document):
+    assert_one_input_error(*run(capsys, ["graphassoc", "--inline", document])[::2])
+
+
+def test_unwritable_output_path_is_an_input_error(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "out.json"
+    argv = ["homology", "--inline", '{"m":2,"minimal_nonfaces":[]}', "--out", str(out_path)]
+    code, out, err = run(capsys, argv)
+    assert out == ""
+    assert assert_one_input_error(code, err).startswith("cannot write --out")
+    assert not out_path.exists()
+
+
 def test_unreadable_input_file_is_an_input_error(capsys, tmp_path):
     missing = str(tmp_path / "missing.json")
     assert_one_input_error(*run(capsys, ["homology", "--input", missing])[::2])

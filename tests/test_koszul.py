@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from moment_angle.complexes import SimplicialComplex
 from moment_angle.errors import AmbientMismatchError, InputError, NotACocycleError
@@ -15,7 +16,7 @@ from moment_angle.koszul import (
     koszul_bigraded_ranks,
 )
 
-from conftest import homogeneous_pieces, random_complex, random_koszul_cochain
+from conftest import homogeneous_pieces, random_complex, random_koszul_cochain, small_complexes
 
 
 def mono(K, u, v, c=1):
@@ -83,6 +84,22 @@ def test_ambient_mismatch():
     K2 = SimplicialComplex(2, [(1, 2)])
     with pytest.raises(AmbientMismatchError):
         mono(K1, (1,), ()) * mono(K2, (1,), ())
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_complexes())
+def test_matrix_to_above_is_the_differential_of_each_monomial(K):
+    for size in range(K.m + 1):
+        for J in itertools.combinations(range(1, K.m + 1), size):
+            for degree in range(size - 1, 2 * size + 1):
+                comp = component_basis(K, J, degree)
+                above = component_basis(K, J, degree + 1)
+                A = comp.matrix_to_above()
+                assert (A.nrows, A.ncols) == (len(above), len(comp))
+                for col, m in enumerate(comp.monomials):
+                    image = KoszulCochain(K, {m: 1}).differential()
+                    column = tuple(A.entry(r, col) for r in range(A.nrows))
+                    assert column == above.coordinates(image)
 
 
 def test_cohomology_class_hexagon_generator():

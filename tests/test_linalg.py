@@ -14,6 +14,7 @@ from moment_angle.rational_linalg import (
     Rational,
     SparseMatrix,
     coboundary_matrix,
+    cohomology_ranks,
     nullspace_basis,
     reduced_cohomology_rank,
     reduced_cohomology_ranks,
@@ -127,6 +128,13 @@ def test_profiles():
     assert reduced_cohomology_ranks(kbar3).is_zero()
     assert reduced_cohomology_ranks(polygon_nerve(6)).ranks == (0, 0, 1)
     assert reduced_cohomology_ranks(SimplicialComplex.empty()).ranks == (1,)
+
+
+def test_cohomology_ranks_from_differential_ranks():
+    # reduced cochains of the 4-cycle: levels of sizes 1, 4, 4, ranks 1 and 3
+    assert cohomology_ranks([1, 4, 4], [1, 3]) == (0, 0, 1)
+    assert cohomology_ranks([1], []) == (1,)
+    assert cohomology_ranks([], []) == ()
 
 
 def test_single_degree_matches_profile():

@@ -21,6 +21,7 @@ from moment_angle.massey import (
     triple_value_set,
     verify_family_massey,
 )
+from moment_angle.rational_linalg import reduced_cohomology_rank
 
 
 def hexagon_input():
@@ -125,6 +126,24 @@ def test_family_strict_conditions_hold():
         report = massey_product(inp)
         assert report.status == "defined-strict"
         assert not report.value.is_zero
+
+
+@pytest.mark.parametrize("degrees", [(0, 0, 0), (0, -1, 1), (-3, 0, 0), (5, 5, 5)])
+def test_window_ranks_match_induced_complexes(degrees):
+    # zero representatives pass validation in any reduced degree, so window
+    # degrees can fall outside -1 .. |support| - 1, where every rank is zero
+    K = polygon_nerve(6)
+    classes = [
+        MasseyClassInput((j, j + 3), d, KoszulCochain.zero(K)) for j, d in zip((1, 2, 3), degrees)
+    ]
+    inp = MasseyInput(K, classes)
+    for row in strict_conditions_check(inp).rows:
+        d = inp.window_reduced_degree(row.start, row.end)
+        induced = K.induced(row.support)
+        assert row.rank_below == reduced_cohomology_rank(induced, d - 1)
+        assert row.rank_at == reduced_cohomology_rank(induced, d)
+    if degrees == (0, 0, 0):
+        assert not strict_conditions_check(inp).uniqueness_holds
 
 
 def test_strict_conditions_need_k3():

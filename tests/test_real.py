@@ -4,7 +4,7 @@ import random
 import pytest
 
 from moment_angle.complexes import SimplicialComplex
-from moment_angle.errors import CapacityError, InputError
+from moment_angle.errors import AmbientMismatchError, CapacityError, InputError
 from moment_angle.families import polygon_nerve
 from moment_angle.koszul import KoszulCochain, component_basis
 from moment_angle.rational_linalg import reduced_cohomology_ranks
@@ -34,6 +34,17 @@ def test_defining_relations():
     assert t1 * t2 == t2 * t1
     assert (u1 * u1).is_zero()
     assert u1 * u2 == (u2 * u1).scaled(-1)
+
+
+def test_the_two_models_do_not_mix():
+    K = SimplicialComplex(2, [])
+    with pytest.raises(AmbientMismatchError):
+        KoszulCochain.unit(K) + RealCochain.unit(K)
+    with pytest.raises(AmbientMismatchError):
+        RealCochain.unit(K) * KoszulCochain.unit(K)
+    assert KoszulCochain.zero(K) != RealCochain.zero(K)
+    assert KoszulCochain.unit(K) != RealCochain.unit(K)
+    assert RealCochain.unit(K) == RealCochain.monomial(K, (), ())
 
 
 def test_stanley_reisner_relation_in_u():
