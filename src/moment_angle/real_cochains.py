@@ -16,8 +16,8 @@ differential graded algebras inducing an isomorphism on cohomology.
 
 ``RealCochain`` inherits its linear arithmetic (sums, scaling, degree,
 equality, printing) from ``koszul.Cochain``, the core both cochain models
-share, and defines only the model's product and differential; its
-coboundary matrices come from ``koszul.differential_matrix``.
+share, and defines only the model's product and differential; the
+matrices of that differential come from ``koszul.differential_matrix``.
 """
 
 import itertools
