@@ -5,7 +5,8 @@ corresponding squarefree monomial ideal); the maximal faces are derived
 lazily by hypergraph dualization and cached.  The faces themselves form a
 bitmask lattice that is grown one level (face size) at a time, only as far
 as a caller asks, and cached; the lattice of an induced subcomplex is grown
-the same way inside its vertex set.  Every singleton {i} is required
+the same way inside its vertex set; face tests by vertex tuple are
+memoized in the same cache.  Every singleton {i} is required
 to be a face, so complexes carry no ghost vertices.  All values are
 canonicalized and immutable after construction; equality and hashing use the
 canonical form (vertex labels are carried along but never affect any
@@ -22,6 +23,8 @@ from typing import Iterable, NamedTuple
 from .errors import CapacityError, GhostVertexError, InputError
 
 ISOMORPHISM_CAPACITY = 9
+
+_INT_ONLY = frozenset((int,))
 
 
 def _mask_of(vertices, m):
@@ -135,7 +138,7 @@ class SimplicialComplex:
             if len(labels) != m:
                 raise InputError(f"expected {m} labels, got {len(labels)}")
         self.labels = labels
-        self._cache = {}
+        self._cache = {"is_face": {}}
 
     # -- constructors ------------------------------------------------------
 
@@ -221,7 +224,23 @@ class SimplicialComplex:
         return all(nf & mask != nf for nf in self._mf_masks)
 
     def is_face(self, vertices):
-        return self.is_face_mask(_mask_of(vertices, self.m))
+        """Whether a collection of vertices is a face of K.
+
+        Answers for vertex tuples are memoized in ``_cache``, so the memo is
+        freed with the complex.  Only validated tuples are stored, and a hit
+        counts only for int vertices: True == 1 would otherwise find the
+        entry of (1,), and a bool must still raise InputError.
+        """
+        memo = self._cache["is_face"]
+        try:
+            answer = memo.get(vertices)
+        except TypeError:  # unhashable, e.g. a list: answered without the memo
+            answer = None
+        if answer is None or not _INT_ONLY.issuperset(map(type, vertices)):
+            answer = self.is_face_mask(_mask_of(vertices, self.m))
+            if type(vertices) is tuple:
+                memo[vertices] = answer
+        return answer
 
     def _nonface_rests(self):
         """Minimal non-faces by top vertex v, each with v removed (cached).

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import AmbientMismatchError, InputError, NotACocycleError
-from .rational_linalg import Rational, SparseMatrix, nullspace_basis, solve_linear
+from .rational_linalg import Rational, SparseMatrix, nullspace_basis
 
 _ONE = Rational(1)
 
@@ -232,6 +232,12 @@ class ComponentBasis:
     Monomials are all u_S v_T with S u T = J, T a face, of the given total
     degree, sorted by u-part; since |S| + 2|T| is the degree and S u T = J,
     they are the faces T of K inside J with |T| = degree - |J|.
+
+    Each matrix is built once and cached in ``_cache``: the differential
+    from below and the matrix [coboundaries | cohomology basis].  Each is
+    eliminated once, with its row operations recorded on the first solve,
+    so every later ``primitive`` or ``class_vector`` replays that record on
+    the coordinates of its cochain instead of eliminating again.
     """
 
     __slots__ = (
@@ -328,10 +334,10 @@ class ComponentBasis:
         c lives in the component one degree below; None means the cochain is
         not a coboundary.
         """
-        sol = solve_linear(self.matrix_from_below(), self.coordinates(cochain))
-        if sol is None:
+        x = self.matrix_from_below().solve(self.coordinates(cochain))
+        if x is None:
             return None
-        return self._neighbor(-1).cochain_from_coordinates(sol.vector)
+        return self._neighbor(-1).cochain_from_coordinates(x)
 
     def class_vector(self, cochain):
         """Coordinates of [cochain] in the cohomology basis (zero iff coboundary)."""
@@ -340,10 +346,10 @@ class ComponentBasis:
         below = self.matrix_from_below()
         if "classes" not in self._cache:  # [coboundaries | cohomology basis]
             self._cache["classes"] = below.with_columns(self.cohomology_basis())
-        sol = solve_linear(self._cache["classes"], self.coordinates(cochain))
-        if sol is None:  # cannot happen for a cocycle of this component
+        x = self._cache["classes"].solve(self.coordinates(cochain))
+        if x is None:  # cannot happen for a cocycle of this component
             raise NotACocycleError("cocycle not in span of coboundaries + cohomology basis")
-        return sol.vector[below.ncols :]
+        return x[below.ncols :]
 
     def key(self):
         return (self.multidegree, self.total_degree)

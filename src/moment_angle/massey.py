@@ -28,6 +28,7 @@ up to sign conventions.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -37,7 +38,7 @@ from .families import FamilySpec, family_complex
 from .hochster import multigraded_betti
 from .koszul import KoszulCochain, component_basis
 from .multiwedge import wedge_vertex_map
-from .rational_linalg import Rational, SparseMatrix, solve_linear
+from .rational_linalg import Rational, SparseMatrix
 
 FAMILY_ORDER_CAPACITY = 5
 SEARCH_TRIPLE_CAPACITY = 2_000_000
@@ -78,6 +79,11 @@ class MasseyInput:
             if seen & sup:
                 raise InputError(f"class {idx} support overlaps an earlier one")
             seen |= sup
+            if not -1 <= cl.reduced_degree < len(sup):
+                raise InputError(
+                    f"class {idx} reduced degree {cl.reduced_degree} outside "
+                    f"-1..{len(sup) - 1}, where its support has no cohomology"
+                )
             rep = cl.representative
             if rep.complex != complex:
                 raise InputError(f"class {idx} representative has a different ambient")
@@ -388,10 +394,8 @@ def triple_value_set(input, ds=None):
     basis = _independent_columns(shift_vectors)
     hdim = len(target.cohomology_basis())
     if basis:
-        contains_zero = (
-            solve_linear(SparseMatrix(hdim, 0).with_columns(basis), value.class_coordinates)
-            is not None
-        )
+        span = SparseMatrix(hdim, 0).with_columns(basis)
+        contains_zero = span.solve(value.class_coordinates) is not None
     else:
         contains_zero = value.is_zero
     return TripleValueSet(
@@ -465,10 +469,20 @@ class TripleWitness:
     report: MasseyReport
 
 
-def _h0_candidates(K, size):
-    """Supports of the given size whose induced subcomplex has exactly 2 components."""
+def _h0_candidates(K, size, capacity):
+    """Supports of the given size whose induced subcomplex has exactly 2 components.
+
+    Raises CapacityError before scanning more than ``capacity`` subsets.
+    """
     out = []
-    for J in itertools.combinations(range(1, K.m + 1), size):
+    subsets = itertools.combinations(range(1, K.m + 1), size)
+    for scanned, J in enumerate(subsets):
+        if scanned == capacity:
+            raise CapacityError(
+                "triple-search",
+                f"capacity {capacity} reached after scanning {scanned} of the "
+                f"{math.comb(K.m, size)} candidate supports of size {size}",
+            )
         if K.component_count(J) == 2:
             out.append(J)
     return out
@@ -484,6 +498,8 @@ def search_triple_products(K, profile=None, capacity=SEARCH_TRIPLE_CAPACITY,
     generators.  Supports are scanned in lexicographic order and the first
     triple whose value set misses zero is returned; with ``require_strict``
     the value set must in addition be a single class (zero indeterminacy).
+    ``capacity`` bounds both the supports scanned for each class size and
+    the candidate triples examined.
     """
     if profile is None:
         profile = (3, 3, 3)
@@ -491,7 +507,7 @@ def search_triple_products(K, profile=None, capacity=SEARCH_TRIPLE_CAPACITY,
     if len(profile) != 3 or any(d < 3 for d in profile):
         raise InputError(f"profile must list three class dimensions >= 3, got {profile}")
     sizes = tuple(d - 1 for d in profile)
-    candidates = {size: _h0_candidates(K, size) for size in set(sizes)}
+    candidates = {size: _h0_candidates(K, size, capacity) for size in set(sizes)}
     cell_cache = {}
 
     def cup_cell(cl_a, cl_b):

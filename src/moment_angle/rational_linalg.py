@@ -3,15 +3,21 @@
 Coboundary matrices of simplicial cochain complexes, assembled from levels
 of bitmask faces (so a caller can pass the faces of an induced subcomplex
 without building it), reduced cohomology ranks, and a deterministic sparse
-solver over the rationals.  ``_reduce`` is
-the package's single rational elimination, so the determinism convention
-lives here: it yields the canonical reduced row echelon form with the fixed
-left-to-right column order.  Solutions set every free variable to zero, and
-every basis choice (cohomology representatives, independent indeterminacy
-vectors) is read from ``SparseMatrix.pivot_columns`` of a matrix whose
-columns are the candidates in order: a column is a pivot exactly when it is
-independent of the columns before it.  The RREF is canonical, so the answers
-do not depend on pivot-row choices (which are made to limit fill-in).
+solver over the rationals.  ``_reduce`` is the package's single rational
+elimination, so the determinism convention lives here: it yields the
+canonical reduced row echelon form with the fixed left-to-right column
+order.  Every basis choice (cohomology representatives, independent
+indeterminacy vectors) is read from ``SparseMatrix.pivot_columns`` of a
+matrix whose columns are the candidates in order: a column is a pivot
+exactly when it is independent of the columns before it.  The RREF is
+canonical, so the answers do not depend on pivot-row choices (which are
+made to limit fill-in).
+
+Each matrix caches its elimination.  Reading its rank or pivot columns runs
+the bare elimination; the first solve against it runs the elimination with
+a log of its row operations, and every solve, the first included, replays
+that log on the right-hand side alone and reads the particular solution
+(free variables zero) from the pivot rows.
 ``rank_mod_p`` is a separate GF(p) elimination, kept on purpose as an
 independent oracle for the rational path.
 
@@ -34,9 +40,13 @@ _ONE = Rational(1)
 
 
 class SparseMatrix:
-    """Immutable sparse matrix over the rationals; no explicit zeros stored."""
+    """Immutable sparse matrix over the rationals; no explicit zeros stored.
 
-    __slots__ = ("nrows", "ncols", "entries", "_pivots")
+    Its elimination is cached: the pivot columns once a rank is read, and
+    the row-operation log once it is solved against.
+    """
+
+    __slots__ = ("nrows", "ncols", "entries", "_pivots", "_log")
 
     def __init__(self, nrows, ncols, entries=None):
         self.nrows = nrows
@@ -51,6 +61,7 @@ class SparseMatrix:
                     clean[(r, c)] = v
         self.entries = clean
         self._pivots = None
+        self._log = None
 
     def entry(self, r, c):
         return self.entries.get((r, c), _ZERO)
@@ -95,12 +106,41 @@ class SparseMatrix:
         0..c-1, so these are the columns a greedy left-to-right scan keeps.
         """
         if self._pivots is None:
-            pivots, _ = _reduce(self.rows_as_dicts(), self.ncols)
-            self._pivots = tuple(c for c, _ in pivots)
+            self._pivots = tuple(c for c, _ in _reduce(self.rows_as_dicts(), self.ncols))
         return self._pivots
 
     def rank(self):
         return len(self.pivot_columns())
+
+    def solve(self, b):
+        """The particular solution of self x = b (free variables zero), or None.
+
+        The first call records the row operations of this matrix's
+        elimination; every call replays them on ``b`` alone.  Afterwards the
+        row that became pivot c holds x_c, and b is inconsistent exactly when
+        some row that holds no pivot is nonzero.
+        """
+        if len(b) != self.nrows:
+            raise InputError(f"right-hand side has length {len(b)}, expected {self.nrows}")
+        if self._log is None:
+            log = []
+            self._pivots = tuple(c for c, _ in _reduce(self.rows_as_dicts(), self.ncols, log))
+            self._log = tuple(log)
+        b = [Rational(v) if v else _ZERO for v in b]
+        for _, row, scale, targets, factors in self._log:
+            v = b[row]
+            if v:
+                if scale is not None:
+                    v = b[row] = v * scale
+                for target, factor in zip(targets, factors):
+                    b[target] += factor * v
+        x = [_ZERO] * self.ncols
+        for col, row, *_ in self._log:
+            x[col] = b[row]
+            b[row] = _ZERO
+        if any(b):
+            return None
+        return tuple(x)
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
@@ -126,46 +166,60 @@ def _axpy(target, source, factor):
             del target[c]
 
 
-def _reduce(rows, pivot_cols_limit):
-    """Gauss-Jordan over the rationals: returns (pivots, leftover rows).
+def _reduce(rows, ncols, log=None):
+    """Gauss-Jordan over the rationals: the pivots of the canonical RREF.
 
-    ``pivots`` is a list of (column, normalized fully reduced row) in
-    increasing column order; only columns < pivot_cols_limit are eligible as
-    pivots, so callers can append an augmentation column beyond the limit.
-    Leftover rows are nonzero rows supported entirely on columns >= the
-    limit (an inconsistency witness when solving).  The resulting pivot rows
-    are exactly the nonzero rows of the canonical RREF, independent of the
-    pivot-row selection below, which merely limits fill-in.
+    Returns (column, normalized fully reduced row) pairs in increasing
+    column order.  They are exactly the nonzero rows of the canonical RREF,
+    independent of the pivot-row selection below, which merely limits
+    fill-in.  Rows keep their input positions throughout.  A list ``log``
+    receives one entry per pivot, in order: (column, row, scale, targets,
+    factors) says that the row at position ``row`` was multiplied by
+    ``scale`` (None for 1) to become the pivot of ``column``, after which
+    factors[i] times it was added to the row at position targets[i].
     """
-    rows = [r for r in (dict(r) for r in rows) if r]
+    rows = [dict(r) for r in rows]
+    live = [i for i, r in enumerate(rows) if r]
     pivots = []
-    for col in range(pivot_cols_limit):
+    for col in range(ncols):
         best = -1
         best_len = None
-        for idx, r in enumerate(rows):
+        for i in live:
+            r = rows[i]
             if col in r and (best_len is None or len(r) < best_len):
-                best, best_len = idx, len(r)
+                best, best_len = i, len(r)
         if best < 0:
             continue
-        piv = rows.pop(best)
-        inv = _ONE / piv[col]
-        if inv != 1:
-            piv = {c: v * inv for c, v in piv.items()}
-        for _, prow in pivots:
-            f = prow.get(col)
+        live.remove(best)
+        piv = rows[best]
+        scale = _ONE / piv[col]
+        if scale != 1:
+            piv = rows[best] = {c: v * scale for c, v in piv.items()}
+        else:
+            scale = None
+        ops = []
+        for _, p in pivots:
+            f = rows[p].get(col)
             if f is not None:
-                _axpy(prow, piv, -f)
+                f = -f
+                _axpy(rows[p], piv, f)
+                ops.append((p, f))
         survivors = []
-        for r in rows:
+        for i in live:
+            r = rows[i]
             f = r.get(col)
             if f is not None:
-                _axpy(r, piv, -f)
+                f = -f
+                _axpy(r, piv, f)
+                ops.append((i, f))
             if r:
-                survivors.append(r)
-        rows = survivors
-        pivots.append((col, piv))
-    pivots.sort(key=lambda t: t[0])
-    return pivots, rows
+                survivors.append(i)
+        live = survivors
+        pivots.append((col, best))
+        if log is not None:
+            targets, factors = zip(*ops) if ops else ((), ())
+            log.append((col, best, scale, targets, factors))
+    return [(c, rows[i]) for c, i in pivots]
 
 
 @dataclass(frozen=True)
@@ -181,7 +235,10 @@ class LinearSolution:
         return all(v == 0 for v in self.vector)
 
 
-def _nullspace_from_pivots(pivots, ncols):
+def _nullspace(A):
+    """Free columns of A and the canonical basis of ker A, one vector per free column."""
+    ncols = A.ncols
+    pivots = _reduce(A.rows_as_dicts(), ncols)
     pivot_set = {c for c, _ in pivots}
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -199,38 +256,24 @@ def _nullspace_from_pivots(pivots, ncols):
 def solve_linear(A, b):
     """Deterministic particular solution of A x = b, or None if inconsistent.
 
-    The solution is read off the RREF with free variables set to zero; the
-    result also carries the canonical nullspace basis so callers can describe
-    the full solution set.
+    The solution is ``A.solve(b)``, read off the RREF with free variables
+    set to zero; the result also carries the canonical nullspace basis so
+    callers can describe the full solution set.
     """
-    if len(b) != A.nrows:
-        raise InputError(f"right-hand side has length {len(b)}, expected {A.nrows}")
-    aug = A.ncols
-    rows = A.rows_as_dicts()
-    for r, v in enumerate(b):
-        v = Rational(v)
-        if v:
-            rows[r][aug] = v
-    pivots, leftovers = _reduce(rows, A.ncols)
-    if leftovers:
+    vector = A.solve(b)
+    if vector is None:
         return None
-    vector = [_ZERO] * A.ncols
-    for pc, prow in pivots:
-        v = prow.get(aug)
-        if v is not None:
-            vector[pc] = v
-    free, basis = _nullspace_from_pivots(pivots, A.ncols)
+    free, basis = _nullspace(A)
     return LinearSolution(
-        vector=tuple(vector),
-        pivot_columns=tuple(c for c, _ in pivots),
+        vector=vector,
+        pivot_columns=A.pivot_columns(),
         free_columns=free,
         nullspace=basis,
     )
 
 
 def nullspace_basis(A):
-    pivots, _ = _reduce(A.rows_as_dicts(), A.ncols)
-    return _nullspace_from_pivots(pivots, A.ncols)[1]
+    return _nullspace(A)[1]
 
 
 CROSS_CHECK_PRIMES = (2, 3)

@@ -206,6 +206,21 @@ def test_capacity_exit_code(capsys):
     assert json.loads(err)["guard"] == "betti-table"
 
 
+def test_search_candidate_capacity_exit_code(capsys, monkeypatch):
+    import functools
+
+    from moment_angle import cli, massey
+
+    monkeypatch.setattr(
+        cli, "search_triple_products", functools.partial(massey.search_triple_products, capacity=3)
+    )
+    code, _, err = run(capsys, ["massey", "--inline", HEXAGON, "--search-triples"])
+    assert code == 2
+    document = json.loads(err)
+    assert document["guard"] == "triple-search"
+    assert "3 of the 15 candidate supports" in document["error"]
+
+
 def test_missing_input_is_an_error(capsys):
     code, _, err = run(capsys, ["homology"])
     assert code == 1

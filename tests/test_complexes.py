@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -112,6 +113,27 @@ def test_induced_face_levels_match_brute_force(K, data):
     assert all(f.bit_count() == size for size, level in enumerate(levels) for f in level)
     # the faces of K inside J, level by level, each level in lex order
     assert faces == [f for f in brute_faces(K.m, K.minimal_nonfaces) if set(f) <= J]
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_complexes(min_m=1, max_m=7))
+def test_is_face_memo_matches_nonface_scan(K):
+    nonfaces = [set(nf) for nf in K.minimal_nonfaces]
+    subsets = [
+        J for size in range(K.m + 1) for J in itertools.combinations(range(1, K.m + 1), size)
+    ]
+    expected = {J: not any(nf <= set(J) for nf in nonfaces) for J in subsets}
+    cold = SimplicialComplex(K.m, K.minimal_nonfaces)
+    assert {J: cold.is_face(J) for J in subsets} == expected  # each answer computed
+    assert len(cold._cache["is_face"]) == len(subsets)
+    assert {J: cold.is_face(J) for J in subsets} == expected  # each answer from the memo
+    assert {J: cold.is_face(list(J)) for J in subsets} == expected  # lists bypass the memo
+    assert {J: cold.is_face(iter(J)) for J in subsets} == expected  # so do iterators
+    assert {J: cold.is_face(J) for J in subsets} == expected
+    # a warm memo must not answer for inputs that are not vertex tuples
+    for bad in [(0,), (K.m + 1,), (True,), (1, True), [True], (1.0,), ([1],), 5]:
+        with pytest.raises(InputError):
+            cold.is_face(bad)
 
 
 def test_face_levels_grow_only_as_asked():

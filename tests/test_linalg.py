@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moment_angle.complexes import SimplicialComplex
-from moment_angle.errors import InputError
+from moment_angle.errors import InputError, NotACocycleError
 from moment_angle.families import polygon_nerve
 from moment_angle.koszul import component_basis
 from moment_angle.rational_linalg import (
@@ -258,3 +258,135 @@ def test_cohomology_basis_matches_greedy_scan(K):
                 kept = greedy_keep(coboundaries, cocycles)
                 assert comp.cohomology_basis() == tuple(cocycles[i] for i in kept)
                 assert len(kept) == comp.cohomology_dimension()
+
+
+# -- replayed solves (one recorded elimination per matrix) against one-shot solves ---
+
+
+def reference_solution(A, b):
+    """Canonical solution of A x = b (free variables zero) from the dense RREF of [A | b]."""
+    rows = [[Fraction(A.entry(r, c)) for c in range(A.ncols)] + [Fraction(b[r])]
+            for r in range(A.nrows)]
+    pivots = []
+    for c in range(A.ncols + 1):
+        piv = next((r for r in range(len(pivots), len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        if c == A.ncols:
+            return None  # a pivot in the augmented column: inconsistent
+        top = len(pivots)
+        rows[top], rows[piv] = rows[piv], rows[top]
+        rows[top] = [x / rows[top][c] for x in rows[top]]
+        for r in range(len(rows)):
+            if r != top and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[top])]
+        pivots.append(c)
+    x = [Fraction(0)] * A.ncols
+    for r, c in enumerate(pivots):
+        x[c] = rows[r][-1]
+    return tuple(x)
+
+
+sparse_rationals = st.sampled_from(
+    [0, 0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+)
+
+
+@st.composite
+def matrices_with_rhs(draw):
+    """A sparse rational matrix and right-hand sides: images A x and arbitrary vectors."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(sparse_rationals, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    A = dense(rows)
+    rhs = []
+    for _ in range(draw(st.integers(1, 4))):
+        x = draw(st.lists(sparse_rationals, min_size=ncols, max_size=ncols))
+        rhs.append([sum(Fraction(rows[r][c]) * x[c] for c in range(ncols)) for r in range(nrows)])
+        rhs.append(draw(st.lists(sparse_rationals, min_size=nrows, max_size=nrows)))
+    return A, rhs
+
+
+def fresh(A):
+    return SparseMatrix(A.nrows, A.ncols, A.entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices_with_rhs(), st.booleans())
+def test_replayed_solves_match_one_shot_solves(case, rank_first):
+    A, rhs = case
+    if rank_first:
+        A.rank()  # pivots cached without a log: the first solve must still record one
+    for _ in range(2):
+        for b in rhs:
+            expected = reference_solution(A, b)
+            one_shot = solve_linear(fresh(A), b)
+            assert (None if one_shot is None else one_shot.vector) == expected
+            assert A.solve(b) == expected
+    assert A.pivot_columns() == fresh(A).pivot_columns()
+
+
+def test_concurrent_first_solves_agree():
+    # threads racing to record one matrix's log must all read correct solutions
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng = random.Random(5)
+    cases = []
+    for _ in range(20):
+        rows = [[rng.choice([0, 0, 1, -1, 2]) for _ in range(5)] for _ in range(5)]
+        cases.append((dense(rows), [[rng.randint(-2, 2) for _ in range(5)] for _ in range(8)]))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for A, rhs in cases:
+                futures = [pool.submit(A.solve, b) for b in rhs]
+                got = [f.result(timeout=60) for f in futures]
+                assert got == [reference_solution(A, b) for b in rhs]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_solve_checks_the_length():
+    with pytest.raises(InputError):
+        dense([[1, 0], [0, 1]]).solve([1])
+
+
+def unit_vectors(n):
+    return [tuple(Rational(int(i == j)) for j in range(n)) for i in range(n)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_complexes())
+def test_component_reads_match_one_shot_solves(K):
+    for size in range(1, K.m + 1):
+        for J in itertools.combinations(range(1, K.m + 1), size):
+            for degree in range(size, 2 * size + 1):
+                comp = component_basis(K, J, degree)
+                below = component_basis(K, J, degree - 1)
+                B = comp.matrix_from_below()
+                units = unit_vectors(len(comp))
+                images = [  # coordinates of coboundaries: every one has a primitive
+                    comp.coordinates(below.cochain_from_coordinates(e).differential())
+                    for e in unit_vectors(len(below))
+                ]
+                for coords in units + images:
+                    cochain = comp.cochain_from_coordinates(coords)
+                    one_shot = solve_linear(fresh(B), coords)
+                    primitive = comp.primitive(cochain)
+                    if one_shot is None:
+                        assert primitive is None
+                    else:
+                        assert primitive == below.cochain_from_coordinates(one_shot.vector)
+                        assert primitive.differential() == cochain
+                for z in comp.cocycle_basis() + tuple(images):
+                    classes = B.with_columns(comp.cohomology_basis())  # a fresh matrix
+                    expected = solve_linear(classes, z).vector[B.ncols:]
+                    assert comp.class_vector(comp.cochain_from_coordinates(z)) == expected
+                for coords in units:
+                    cochain = comp.cochain_from_coordinates(coords)
+                    if not cochain.differential().is_zero():
+                        with pytest.raises(NotACocycleError):
+                            comp.class_vector(cochain)

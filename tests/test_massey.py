@@ -10,6 +10,7 @@ from moment_angle.massey import (
     CellFailure,
     MasseyClassInput,
     MasseyInput,
+    _window_rank,
     build_defining_system,
     canonical_class,
     degree_prescribed_input,
@@ -128,14 +129,18 @@ def test_family_strict_conditions_hold():
         assert not report.value.is_zero
 
 
-@pytest.mark.parametrize("degrees", [(0, 0, 0), (0, -1, 1), (-3, 0, 0), (5, 5, 5)])
+@pytest.mark.parametrize("degrees", [(0, 0, 0), (0, -1, 1), (-3, 0, 0), (5, 5, 5), (-1, -1, -1)])
 def test_window_ranks_match_induced_complexes(degrees):
-    # zero representatives pass validation in any reduced degree, so window
-    # degrees can fall outside -1 .. |support| - 1, where every rank is zero
+    # zero representatives pass validation in reduced degrees -1 .. |support| - 1
+    # only; window degrees can still fall below -1, where every rank is zero
     K = polygon_nerve(6)
     classes = [
         MasseyClassInput((j, j + 3), d, KoszulCochain.zero(K)) for j, d in zip((1, 2, 3), degrees)
     ]
+    if not all(-1 <= d <= 1 for d in degrees):
+        with pytest.raises(InputError):
+            MasseyInput(K, classes)
+        return
     inp = MasseyInput(K, classes)
     table = strict_conditions_check(inp)
     for row in table.rows:
@@ -145,6 +150,26 @@ def test_window_ranks_match_induced_complexes(degrees):
         assert row.rank_at == reduced_cohomology_rank(induced, d)
     if degrees == (0, 0, 0):
         assert not table.uniqueness_holds  # the comparison covers nonzero ranks
+
+
+def test_window_rank_is_zero_outside_the_cohomology_range():
+    K = polygon_nerve(6)
+    for support in [(), (1, 4), (1, 2, 4, 5)]:
+        for degree in [-3, -2, len(support), len(support) + 4]:
+            assert _window_rank(K, support, degree) == 0
+    assert _window_rank(K, (1, 4), 0) == 1
+
+
+def test_zero_representatives_outside_the_cohomology_range_are_rejected():
+    # the hexagon with reduced degrees (-3, 0, 0) used to be reported defined-strict
+    K = polygon_nerve(6)
+    for bad in [-3, -2, 2, 5]:
+        classes = [
+            MasseyClassInput((j, j + 3), d, KoszulCochain.zero(K))
+            for j, d in zip((1, 2, 3), (bad, 0, 0))
+        ]
+        with pytest.raises(InputError, match="reduced degree"):
+            MasseyInput(K, classes)
 
 
 def test_strict_conditions_need_k3():
@@ -278,6 +303,16 @@ def test_search_capacity_guard():
     nerve = associahedron_nerve(Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)]))
     with pytest.raises(CapacityError):
         search_triple_products(nerve, capacity=1)
+
+
+def test_search_candidate_scan_is_bounded():
+    # C(6, 2) = 15 supports of size 2: the scan stops at the capacity and says so
+    with pytest.raises(CapacityError, match="3 of the 15 candidate supports") as info:
+        search_triple_products(polygon_nerve(6), capacity=3)
+    assert info.value.guard == "triple-search"
+    # with room for the 45 supports of the 10-gon, the triple guard fires instead
+    with pytest.raises(CapacityError, match="examined more than 45 candidate triples"):
+        search_triple_products(polygon_nerve(10), capacity=45)
 
 
 def test_canonical_class_requires_nonzero_group():
