@@ -133,7 +133,7 @@ class SparseMatrix:
                 if scale is not None:
                     v = b[row] = v * scale
                 for target, factor in zip(targets, factors):
-                    b[target] += factor * v
+                    b[target] -= factor * v
         x = [_ZERO] * self.ncols
         for col, row, *_ in self._log:
             x[col] = b[row]
@@ -176,7 +176,7 @@ def _reduce(rows, ncols, log=None):
     receives one entry per pivot, in order: (column, row, scale, targets,
     factors) says that the row at position ``row`` was multiplied by
     ``scale`` (None for 1) to become the pivot of ``column``, after which
-    factors[i] times it was added to the row at position targets[i].
+    factors[i] times it was subtracted from the row at position targets[i].
     """
     rows = [dict(r) for r in rows]
     live = [i for i, r in enumerate(rows) if r]
@@ -201,16 +201,14 @@ def _reduce(rows, ncols, log=None):
         for _, p in pivots:
             f = rows[p].get(col)
             if f is not None:
-                f = -f
-                _axpy(rows[p], piv, f)
+                _axpy(rows[p], piv, -f)
                 ops.append((p, f))
         survivors = []
         for i in live:
             r = rows[i]
             f = r.get(col)
             if f is not None:
-                f = -f
-                _axpy(r, piv, f)
+                _axpy(r, piv, -f)
                 ops.append((i, f))
             if r:
                 survivors.append(i)
