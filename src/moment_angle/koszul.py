@@ -146,12 +146,13 @@ def differential_matrix(cochain_type, K, source, target_index):
     """Matrix of the differential of a cochain model on monomial bases.
 
     Column j is d of the monomial ``source[j]`` as a ``cochain_type`` over K;
-    ``target_index`` maps every monomial the images reach to its row.
+    ``target_index`` maps every monomial the images reach to its row.  The
+    entries are the integer signs of the differential.
     """
     entries = {}
     for col, mono in enumerate(source):
         for m, c in cochain_type(K, {mono: _ONE}).differential().terms.items():
-            entries[(target_index[m], col)] = c
+            entries[(target_index[m], col)] = int(c)
     return SparseMatrix(len(target_index), len(source), entries)
 
 

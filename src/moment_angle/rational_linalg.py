@@ -3,8 +3,18 @@
 Coboundary matrices of simplicial cochain complexes, assembled from levels
 of bitmask faces (so a caller can pass the faces of an induced subcomplex
 without building it), reduced cohomology ranks, and a deterministic sparse
-solver over the rationals.  ``_reduce`` is the package's single rational
-elimination, so the determinism convention lives here: it yields the
+solver over the rationals.
+
+``_reduce`` is the package's single rational elimination, and it works in
+integers.  Each row is scaled to a primitive integer row (row scaling keeps
+the row space, so it keeps the RREF), and a row is cleared by another with
+fraction-free steps r <- (q r - f p) / g that keep it primitive, in the
+sense of Bareiss's integer-preserving elimination.  The pivot row of each
+column is found through an index of the rows holding that column.  Rationals
+appear only when a result is read: an RREF row (an integer row divided by
+its pivot entry), a nullspace vector or a solution.
+
+The determinism convention lives here: the answers are those of the
 canonical reduced row echelon form with the fixed left-to-right column
 order.  Every basis choice (cohomology representatives, independent
 indeterminacy vectors) is read from ``SparseMatrix.pivot_columns`` of a
@@ -14,10 +24,11 @@ canonical, so the answers do not depend on pivot-row choices (which are
 made to limit fill-in).
 
 Each matrix caches its elimination.  Reading its rank or pivot columns runs
-the bare elimination; the first solve against it runs the elimination with
-a log of its row operations, and every solve, the first included, replays
-that log on the right-hand side alone and reads the particular solution
-(free variables zero) from the pivot rows.
+the forward pass alone.  The first solve or nullspace read runs the forward
+pass and the backward pass to the RREF with a log of the integer row
+operations; every solve replays that log on its right-hand side in exact
+rationals and reads the particular solution (free variables zero) from the
+pivot rows, and the nullspace is read from the RREF rows.
 ``rank_mod_p`` is a separate GF(p) elimination, kept on purpose as an
 independent oracle for the rational path.
 
@@ -27,6 +38,7 @@ Coefficients are arbitrary-precision rationals: gmpy2.mpq when available
 
 import itertools
 from dataclasses import dataclass
+from math import gcd, lcm
 
 try:
     from gmpy2 import mpq as Rational
@@ -42,11 +54,13 @@ _ONE = Rational(1)
 class SparseMatrix:
     """Immutable sparse matrix over the rationals; no explicit zeros stored.
 
-    Its elimination is cached: the pivot columns once a rank is read, and
-    the row-operation log once it is solved against.
+    Int entries stay ints; every other entry (a bool included) becomes a
+    Rational.  The elimination is cached: the pivot columns once a rank is
+    read, and the row-operation log with the RREF rows once the matrix is
+    solved against or its nullspace is read.
     """
 
-    __slots__ = ("nrows", "ncols", "entries", "_pivots", "_log")
+    __slots__ = ("nrows", "ncols", "entries", "_pivots", "_factors")
 
     def __init__(self, nrows, ncols, entries=None):
         self.nrows = nrows
@@ -56,12 +70,13 @@ class SparseMatrix:
             for (r, c), v in entries.items():
                 if not (0 <= r < nrows and 0 <= c < ncols):
                     raise InputError(f"entry ({r},{c}) outside {nrows}x{ncols}")
-                v = Rational(v)
+                if type(v) is not int:
+                    v = Rational(v)
                 if v:
                     clean[(r, c)] = v
         self.entries = clean
         self._pivots = None
-        self._log = None
+        self._factors = None
 
     def entry(self, r, c):
         return self.entries.get((r, c), _ZERO)
@@ -104,6 +119,7 @@ class SparseMatrix:
 
         Column c is a pivot exactly when it is not in the span of columns
         0..c-1, so these are the columns a greedy left-to-right scan keeps.
+        Only the forward pass of the elimination runs for them.
         """
         if self._pivots is None:
             self._pivots = tuple(c for c, _ in _reduce(self.rows_as_dicts(), self.ncols))
@@ -112,32 +128,50 @@ class SparseMatrix:
     def rank(self):
         return len(self.pivot_columns())
 
+    def _factor(self):
+        """(log, RREF rows): the logged elimination down to the integer RREF.
+
+        The RREF rows are (column, position, integer row) in pivot order;
+        the canonical RREF row is the integer row divided by its entry in
+        the pivot column.
+        """
+        if self._factors is None:
+            rows = self.rows_as_dicts()
+            log = []
+            pivots = _reduce(rows, self.ncols, log)
+            self._pivots = tuple(c for c, _ in pivots)
+            self._factors = (tuple(log), tuple((c, i, rows[i]) for c, i in pivots))
+        return self._factors
+
     def solve(self, b):
         """The particular solution of self x = b (free variables zero), or None.
 
         The first call records the row operations of this matrix's
-        elimination; every call replays them on ``b`` alone.  Afterwards the
-        row that became pivot c holds x_c, and b is inconsistent exactly when
-        some row that holds no pivot is nonzero.
+        elimination; every call replays them on ``b`` alone, in rationals.
+        Afterwards x_c is the entry at the position of pivot c divided by
+        that row's pivot entry, and b is inconsistent exactly when some
+        position that holds no pivot is nonzero.
         """
         if len(b) != self.nrows:
             raise InputError(f"right-hand side has length {len(b)}, expected {self.nrows}")
-        if self._log is None:
-            log = []
-            self._pivots = tuple(c for c, _ in _reduce(self.rows_as_dicts(), self.ncols, log))
-            self._log = tuple(log)
+        log, pivots = self._factor()
         b = [Rational(v) if v else _ZERO for v in b]
-        for _, row, scale, targets, factors in self._log:
-            v = b[row]
-            if v:
-                if scale is not None:
-                    v = b[row] = v * scale
-                for target, factor in zip(targets, factors):
-                    b[target] -= factor * v
+        for i, j, q, f, g in log:
+            u, v = b[i], b[j]
+            if f and v:
+                u = (q * u if q != 1 else u) - (v if f == 1 else f * v)
+            elif not u:
+                continue
+            elif q != 1:
+                u = q * u
+            b[i] = u / g if g != 1 else u
         x = [_ZERO] * self.ncols
-        for col, row, *_ in self._log:
-            x[col] = b[row]
-            b[row] = _ZERO
+        for c, i, row in pivots:
+            v = b[i]
+            if v:
+                p = row[c]
+                x[c] = v / p if p != 1 else v
+                b[i] = _ZERO
         if any(b):
             return None
         return tuple(x)
@@ -155,69 +189,107 @@ class SparseMatrix:
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={len(self.entries)})"
 
 
-def _axpy(target, source, factor):
-    """target += factor * source, dropping entries that become zero."""
-    for c, v in source.items():
-        s = target.get(c)
-        s = factor * v if s is None else s + factor * v
-        if s:
-            target[c] = s
-        else:
-            del target[c]
-
-
 def _reduce(rows, ncols, log=None):
-    """Gauss-Jordan over the rationals: the pivots of the canonical RREF.
+    """Fraction-free elimination over the integers: the pivots of the canonical RREF.
 
-    Returns (column, normalized fully reduced row) pairs in increasing
-    column order.  They are exactly the nonzero rows of the canonical RREF,
-    independent of the pivot-row selection below, which merely limits
-    fill-in.  Rows keep their input positions throughout.  A list ``log``
-    receives one entry per pivot, in order: (column, row, scale, targets,
-    factors) says that the row at position ``row`` was multiplied by
-    ``scale`` (None for 1) to become the pivot of ``column``, after which
-    factors[i] times it was subtracted from the row at position targets[i].
+    ``rows`` is a list of dicts (column -> nonzero int or Rational), one per
+    row; each is replaced in place by an integer row, and rows keep their
+    positions.  Returns the pivots as (column, position) pairs in increasing
+    column order; the pivot columns are those of the canonical RREF,
+    whichever rows are chosen as pivots.
+
+    Each row is first made primitive: scaled by the lcm of its denominators
+    and divided by the gcd of its entries.  The forward pass then takes each
+    column in turn.  Its pivot is the shortest row (the lowest position among
+    equals) that holds the column and is not yet a pivot, read from a column
+    index.  Every other such row r becomes (q r - f p) / g, where p is the
+    pivot row, q / f is p's entry over r's entry in the column in lowest
+    terms (q > 0), and g is the content of the result.  That is all a rank
+    needs.
+
+    With a list ``log``, a backward pass follows: each pivot column is
+    cleared, the same way, from the pivot rows above it, so the row at each
+    pivot's position becomes its canonical RREF row times an integer.
+    ``log`` receives every row operation in order as (i, j, q, f, g): the
+    row at position i became (q * row i - f * row j) / g.  The initial
+    scaling of row i is logged as (i, i, q, 0, g).
     """
-    rows = [dict(r) for r in rows]
-    live = [i for i, r in enumerate(rows) if r]
-    pivots = []
-    for col in range(ncols):
-        best = -1
-        best_len = None
-        for i in live:
-            r = rows[i]
-            if col in r and (best_len is None or len(r) < best_len):
-                best, best_len = i, len(r)
-        if best < 0:
+    index = [set() for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        if not row:
             continue
-        live.remove(best)
-        piv = rows[best]
-        scale = _ONE / piv[col]
-        if scale != 1:
-            piv = rows[best] = {c: v * scale for c, v in piv.items()}
+        den = 1
+        try:
+            g = gcd(*row.values())
+        except TypeError:  # gcd takes ints only: the row has Rational entries
+            den = lcm(*(v.denominator for v in row.values()))
+            row = {c: int(v * den) for c, v in row.items()}
+            g = gcd(*row.values())
+        if g != 1:
+            row = {c: v // g for c, v in row.items()}
+        if log is not None and (den != 1 or g != 1):
+            log.append((i, i, den, 0, g))
+        rows[i] = row
+        for c in row:
+            index[c].add(i)
+
+    def clear(c, j, targets):
+        """Clear column c from the rows at the positions ``targets`` with row j."""
+        pivot = rows[j]
+        p = pivot[c]
+        rest = [(k, v) for k, v in pivot.items() if k != c]
+        for i in targets:
+            row = rows[i]
+            f = row.pop(c)
+            g = gcd(p, f)
+            q, f = p // g, f // g
+            if q < 0:
+                q, f = -q, -f
+            if q != 1:
+                for k in row:
+                    row[k] *= q
+            for k, v in rest:
+                s = row.get(k)
+                if s is None:
+                    row[k] = -f * v
+                    index[k].add(i)
+                else:
+                    s -= f * v
+                    if s:
+                        row[k] = s
+                    else:
+                        del row[k]
+                        index[k].discard(i)
+            g = gcd(*row.values()) or 1
+            if g != 1:
+                for k in row:
+                    row[k] //= g
+            if log is not None:
+                log.append((i, j, q, f, g))
+
+    pivots = []
+    for c in range(ncols):
+        targets = index[c]
+        if not targets:
+            continue
+        if len(targets) == 1:
+            (j,) = targets
         else:
-            scale = None
-        ops = []
-        for _, p in pivots:
-            f = rows[p].get(col)
-            if f is not None:
-                _axpy(rows[p], piv, -f)
-                ops.append((p, f))
-        survivors = []
-        for i in live:
-            r = rows[i]
-            f = r.get(col)
-            if f is not None:
-                _axpy(r, piv, -f)
-                ops.append((i, f))
-            if r:
-                survivors.append(i)
-        live = survivors
-        pivots.append((col, best))
-        if log is not None:
-            targets, factors = zip(*ops) if ops else ((), ())
-            log.append((col, best, scale, targets, factors))
-    return [(c, rows[i]) for c, i in pivots]
+            j = min(targets, key=lambda i: (len(rows[i]), i))
+        for k in rows[j]:
+            index[k].discard(j)
+        clear(c, j, targets)
+        targets.clear()
+        pivots.append((c, j))
+    if log is not None:
+        # every row left outside the pivots is zero now, so the index is empty
+        for c, j in pivots:
+            for k in rows[j]:
+                index[k].add(j)
+        for c, j in reversed(pivots):
+            index[c].discard(j)
+            clear(c, j, index[c])
+    return pivots
 
 
 @dataclass(frozen=True)
@@ -234,21 +306,24 @@ class LinearSolution:
 
 
 def _nullspace(A):
-    """Free columns of A and the canonical basis of ker A, one vector per free column."""
+    """Free columns of A and the canonical basis of ker A, one vector per free column.
+
+    The vector of free column f has 1 at f and minus the RREF entries of
+    column f at the pivot columns.
+    """
     ncols = A.ncols
-    pivots = _reduce(A.rows_as_dicts(), ncols)
-    pivot_set = {c for c, _ in pivots}
+    _, pivots = A._factor()
+    pivot_set = {c for c, _, _ in pivots}
     free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
+    basis = {f: [_ZERO] * ncols for f in free}
     for f in free:
-        vec = [_ZERO] * ncols
-        vec[f] = _ONE
-        for pc, prow in pivots:
-            v = prow.get(f)
-            if v is not None:
-                vec[pc] = -v
-        basis.append(tuple(vec))
-    return tuple(free), tuple(basis)
+        basis[f][f] = _ONE
+    for c, _, row in pivots:
+        p = row[c]
+        for k, v in row.items():
+            if k != c:
+                basis[k][c] = Rational(-v, p)
+    return tuple(free), tuple(tuple(basis[f]) for f in free)
 
 
 def solve_linear(A, b):
@@ -389,10 +464,6 @@ class CohomologyProfile:
         if 0 <= i < len(self.ranks):
             return self.ranks[i]
         return 0
-
-    @property
-    def max_degree(self):
-        return len(self.ranks) - 2
 
     def items(self):
         return tuple((d - 1, r) for d, r in enumerate(self.ranks))

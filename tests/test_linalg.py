@@ -263,17 +263,18 @@ def test_cohomology_basis_matches_greedy_scan(K):
 # -- replayed solves (one recorded elimination per matrix) against one-shot solves ---
 
 
-def reference_solution(A, b):
-    """Canonical solution of A x = b (free variables zero) from the dense RREF of [A | b]."""
-    rows = [[Fraction(A.entry(r, c)) for c in range(A.ncols)] + [Fraction(b[r])]
-            for r in range(A.nrows)]
+def reference_rref(A, b=None):
+    """Pivot columns and rows of the dense RREF of A (or of [A | b]) over Fraction."""
+    width = A.ncols + (b is not None)
+    rows = [[Fraction(A.entry(r, c)) for c in range(A.ncols)] for r in range(A.nrows)]
+    if b is not None:
+        for row, v in zip(rows, b):
+            row.append(Fraction(v))
     pivots = []
-    for c in range(A.ncols + 1):
+    for c in range(width):
         piv = next((r for r in range(len(pivots), len(rows)) if rows[r][c]), None)
         if piv is None:
             continue
-        if c == A.ncols:
-            return None  # a pivot in the augmented column: inconsistent
         top = len(pivots)
         rows[top], rows[piv] = rows[piv], rows[top]
         rows[top] = [x / rows[top][c] for x in rows[top]]
@@ -282,23 +283,56 @@ def reference_solution(A, b):
                 f = rows[r][c]
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[top])]
         pivots.append(c)
+    return tuple(pivots), rows[: len(pivots)]
+
+
+def reference_solution(A, b):
+    """Canonical solution of A x = b (free variables zero) from the dense RREF of [A | b]."""
+    pivots, rows = reference_rref(A, b)
+    if pivots and pivots[-1] == A.ncols:
+        return None  # a pivot in the augmented column: inconsistent
     x = [Fraction(0)] * A.ncols
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][-1]
+    for row, c in zip(rows, pivots):
+        x[c] = row[-1]
     return tuple(x)
 
 
-sparse_rationals = st.sampled_from(
-    [0, 0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+def reference_nullspace(A):
+    """Canonical kernel basis: per free column f, 1 at f and -RREF[., f] at the pivots."""
+    pivots, rows = reference_rref(A)
+    basis = []
+    for f in range(A.ncols):
+        if f not in pivots:
+            vec = [Fraction(0)] * A.ncols
+            vec[f] = Fraction(1)
+            for row, c in zip(rows, pivots):
+                vec[c] = -row[f]
+            basis.append(tuple(vec))
+    return tuple(basis)
+
+
+sparse_rationals = st.one_of(
+    st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3]),
+    st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(7, 5)]),
+    st.sampled_from([10**20 + 1, -(3**40), Fraction(10**15, 7)]),
 )
 
 
 @st.composite
 def matrices_with_rhs(draw):
-    """A sparse rational matrix and right-hand sides: images A x and arbitrary vectors."""
-    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    """A sparse rational matrix and right-hand sides: images A x and arbitrary vectors.
+
+    Entries mix small and large ints with non-integer fractions; rows may be
+    repeated (possibly rescaled) or zero, and the shape may be wide or tall.
+    """
+    nrows, ncols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
     rows = draw(st.lists(st.lists(sparse_rationals, min_size=ncols, max_size=ncols),
                          min_size=nrows, max_size=nrows))
+    for _ in range(draw(st.integers(0, 2))):
+        source = rows[draw(st.integers(0, len(rows) - 1))]
+        scale = draw(st.sampled_from([0, 1, -2, Fraction(3, 2)]))
+        rows.insert(draw(st.integers(0, len(rows))), [scale * v for v in source])
+    nrows = len(rows)
     A = dense(rows)
     rhs = []
     for _ in range(draw(st.integers(1, 4))):
@@ -312,19 +346,45 @@ def fresh(A):
     return SparseMatrix(A.nrows, A.ncols, A.entries)
 
 
-@settings(max_examples=200, deadline=None)
+def all_rational(vectors):
+    return all(type(v) is Rational for vec in vectors for v in vec)
+
+
+@settings(max_examples=300, deadline=None)
 @given(matrices_with_rhs(), st.booleans())
 def test_replayed_solves_match_one_shot_solves(case, rank_first):
     A, rhs = case
+    pivots, _ = reference_rref(A)
     if rank_first:
-        A.rank()  # pivots cached without a log: the first solve must still record one
+        # pivots cached by the forward pass alone: the first solve must still record a log
+        assert A.rank() == len(pivots)
     for _ in range(2):
         for b in rhs:
             expected = reference_solution(A, b)
             one_shot = solve_linear(fresh(A), b)
             assert (None if one_shot is None else one_shot.vector) == expected
-            assert A.solve(b) == expected
-    assert A.pivot_columns() == fresh(A).pivot_columns()
+            x = A.solve(b)
+            assert x == expected
+            assert x is None or all_rational([x])
+    assert A.pivot_columns() == fresh(A).pivot_columns() == pivots
+    expected = reference_nullspace(A)
+    first = fresh(A)
+    for B in (A, first):  # after solves, and before anything else is read
+        basis = nullspace_basis(B)
+        assert basis == expected and all_rational(basis)
+    assert first.pivot_columns() == pivots
+
+
+def test_int_entries_stay_ints():
+    A = SparseMatrix(2, 3, {(0, 0): 3, (0, 1): True, (1, 1): Fraction(1, 2), (1, 2): 0})
+    assert type(A.entry(0, 0)) is int
+    assert type(A.entry(0, 1)) is Rational and A.entry(0, 1) == 1
+    assert type(A.entry(1, 1)) is Rational
+    assert (1, 2) not in A.entries
+    K = polygon_nerve(5)
+    assert all(type(v) is int for v in coboundary_matrix(K, 0).entries.values())
+    comp = component_basis(K, (1, 2, 3), 4)
+    assert all(type(v) is int for v in comp.matrix_from_below().entries.values())
 
 
 def test_concurrent_first_solves_agree():
