@@ -6,8 +6,8 @@ elapsed milliseconds) and a ``result`` block whose content is deterministic,
 so identical inputs always produce byte-identical result blocks.  Vertices
 are 1-indexed in all documents.
 
-Exit codes: 0 success, 1 invalid input, 2 capacity exceeded (the guard that
-fired is named in the error message).
+Exit codes: 0 success, 1 invalid input (command-line usage errors included),
+2 capacity exceeded (the guard that fired is named in the error message).
 """
 
 import argparse
@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import __version__
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _as_list, _mask_of
 from .errors import CapacityError, InputError
 from .families import FamilySpec, family_complex
 from .graphs import Graph, associahedron_nerve, formality_classify
@@ -195,9 +195,11 @@ def _cmd_massey(args):
         raise InputError("massey needs --supports (or --family / --search-triples)")
     try:
         supports = json.loads(args.supports)
-        supports = [tuple(int(v) for v in s) for s in supports]
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"--supports must be a JSON list of vertex lists: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"--supports is not valid JSON: {exc}") from exc
+    supports = [tuple(_as_list(s, "a support")) for s in _as_list(supports, "--supports")]
+    for s in supports:
+        _mask_of(s, K.m)  # every vertex an int (not a bool) in 1..m
     degrees = _int_list(args.degrees, "--degrees") if args.degrees else [0] * len(supports)
     if len(degrees) != len(supports):
         raise InputError("--degrees must match the number of supports")
@@ -241,8 +243,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become input errors: exit 1 with one JSON line, like any bad input."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="moment-angle",
         description="Exact cohomology of moment-angle complexes and Massey products",
     )
@@ -302,10 +311,9 @@ def _digest(args, parsed_input):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        args = build_parser().parse_args(argv)
         parsed_input = _load_input(args)
         result = _COMMANDS[args.command](args)
     except InputError as exc:

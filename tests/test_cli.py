@@ -307,3 +307,36 @@ def test_multidegree_on_a_large_complex(capsys):
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert json.loads(out)["result"]["bigraded"] == [[6, 12, 1]]
+
+
+@pytest.mark.parametrize(
+    "supports",
+    # read as vertex 1 (true, 1.5) these would be the valid [[1,4],[2,5],[3,6]]
+    ['[[true,4],[2,5],[3,6]]', '[[1.5,4],[2,5],[3,6]]', '{"a":1}'],
+)
+def test_malformed_supports_are_an_input_error(capsys, supports):
+    argv = ["massey", "--inline", HEXAGON, "--supports", supports]
+    code, out, err = run(capsys, argv)
+    assert out == ""
+    assert "invalid literal" not in assert_one_input_error(code, err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["betti", "--bogus", "--inline", HEXAGON],
+        [],
+        ["family", "--name", "polygon", "--n", "x"],
+    ],
+)
+def test_usage_errors_are_input_errors(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert out == ""
+    assert_one_input_error(code, err)
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["betti", "--help"])
+    assert exc.value.code == 0
+    assert "--multidegree" in capsys.readouterr().out
