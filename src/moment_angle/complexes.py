@@ -402,9 +402,6 @@ class SimplicialComplex:
 
     # -- 1-skeleton helpers ---------------------------------------------------
 
-    def graph_edges(self):
-        return self.faces(2)
-
     def component_count(self, vertices=None):
         """Connected components of the 1-skeleton (isolated vertices count)."""
         if vertices is None:

@@ -123,13 +123,6 @@ class MasseyInput:
         """d(start, end) = d(start) + ... + d(end) + 1."""
         return sum(cl.reduced_degree for cl in self.classes[start - 1 : end]) + 1
 
-    def value_component(self):
-        return component_basis(
-            self.complex,
-            self.window_support(1, self.k),
-            self.window_total_degree(1, self.k),
-        )
-
 
 def canonical_class(K, support, reduced_degree=0):
     """The class input with the deterministic first generator as representative."""
