@@ -29,7 +29,7 @@ def dense(rows):
     for r, row in enumerate(rows):
         for c, v in enumerate(row):
             if v:
-                entries[(r, c)] = Rational(v)
+                entries[(r, c)] = v
     return SparseMatrix(len(rows), len(rows[0]) if rows else 0, entries)
 
 
