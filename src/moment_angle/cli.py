@@ -311,9 +311,9 @@ def _digest(args, parsed_input):
 
 
 def main(argv=None):
-    started = time.perf_counter()
     try:
         args = build_parser().parse_args(argv)
+        started = time.perf_counter()
         parsed_input = _load_input(args)
         result = _COMMANDS[args.command](args)
     except InputError as exc:
