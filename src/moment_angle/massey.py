@@ -492,7 +492,10 @@ def search_triple_products(K, profile=None, capacity=SEARCH_TRIPLE_CAPACITY,
     triple whose value set misses zero is returned; with ``require_strict``
     the value set must in addition be a single class (zero indeterminacy).
     ``capacity`` bounds both the supports scanned for each class size and
-    the candidate triples examined.
+    the candidate triples examined.  A triple whose target has no cohomology
+    (by Hochster's formula, H~^1 of K on J1 u J2 u J3 is zero) can never be
+    a witness: it is skipped before any class or cochain is built, but it
+    still counts toward ``capacity``.
     """
     if profile is None:
         profile = (3, 3, 3)
@@ -536,6 +539,9 @@ def search_triple_products(K, profile=None, capacity=SEARCH_TRIPLE_CAPACITY,
                         "triple-search",
                         f"examined more than {capacity} candidate triples",
                     )
+                # the value lies in reduced degree d(1, 3) = 1 on J1 u J2 u J3
+                if _window_rank(K, tuple(sorted(s12.union(J3))), 1) == 0:
+                    continue
                 c1, c2, c3 = cls(J1, sizes[0]), cls(J2, sizes[1]), cls(J3, sizes[2])
                 cell13 = cup_cell(c1, c2)
                 if cell13 is None:

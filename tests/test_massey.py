@@ -1,10 +1,19 @@
+import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from moment_angle import massey
+from moment_angle.cli import _massey_report_dict
 
 from moment_angle.complexes import SimplicialComplex, stellar_vertex_cut
 from moment_angle.errors import CapacityError, InputError, VerificationError
 from moment_angle.families import polygon_nerve
+from moment_angle.graphs import Graph, associahedron_nerve
 from moment_angle.koszul import KoszulCochain, component_basis
 from moment_angle.massey import (
     CellFailure,
@@ -23,6 +32,12 @@ from moment_angle.massey import (
     verify_family_massey,
 )
 from moment_angle.rational_linalg import reduced_cohomology_rank
+
+from conftest import small_complexes
+
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.json"
+CORPUS_GRAPHS = json.loads(CORPUS.read_text())["graphs"]
+SEARCH_PROFILES = [(3, 3, 3), (3, 4, 3), (5, 3, 5)]
 
 
 def hexagon_input():
@@ -282,8 +297,6 @@ def test_degree_prescribed_instances():
 
 
 def test_search_on_path4_associahedron():
-    from moment_angle.graphs import Graph, associahedron_nerve
-
     nerve = associahedron_nerve(Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)]))
     witness = search_triple_products(nerve)
     assert witness is not None
@@ -298,8 +311,6 @@ def test_search_none_on_pentagon_and_hexagon():
 
 
 def test_search_capacity_guard():
-    from moment_angle.graphs import Graph, associahedron_nerve
-
     nerve = associahedron_nerve(Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)]))
     with pytest.raises(CapacityError):
         search_triple_products(nerve, capacity=1)
@@ -313,6 +324,76 @@ def test_search_candidate_scan_is_bounded():
     # with room for the 45 supports of the 10-gon, the triple guard fires instead
     with pytest.raises(CapacityError, match="examined more than 45 candidate triples"):
         search_triple_products(polygon_nerve(10), capacity=45)
+
+
+def reference_search(K, profile):
+    """Unpruned search: the first witness and the first strict witness, or None.
+
+    The same lexicographic enumeration as ``search_triple_products``, with
+    ``canonical_class`` and ``triple_value_set`` run on every disjoint triple.
+    """
+    sizes = [d - 1 for d in profile]
+    candidates = {
+        size: [
+            J
+            for J in itertools.combinations(range(1, K.m + 1), size)
+            if K.component_count(J) == 2
+        ]
+        for size in set(sizes)
+    }
+    found = {False: None, True: None}  # keyed by require_strict
+    for J1, J2, J3 in itertools.product(*(candidates[size] for size in sizes)):
+        if len(set(J1 + J2 + J3)) < len(J1 + J2 + J3):
+            continue
+        inp = MasseyInput(K, [canonical_class(K, J) for J in (J1, J2, J3)])
+        ds = build_defining_system(inp)
+        if isinstance(ds, CellFailure):
+            continue
+        triple = triple_value_set(inp, ds)
+        if not triple.nontrivial:
+            continue
+        for strict in (False, True):
+            if found[strict] is None and (triple.strictly_defined or not strict):
+                found[strict] = ((J1, J2, J3), _massey_report_dict(massey_product(inp)))
+        if found[True] is not None:
+            break
+    return found
+
+
+def assert_search_matches_reference(K, profile):
+    expected = reference_search(K, profile)
+    for strict in (False, True):
+        witness = search_triple_products(K, profile, require_strict=strict)
+        if expected[strict] is None:
+            assert witness is None
+        else:
+            assert witness is not None
+            assert (witness.supports, _massey_report_dict(witness.report)) == expected[strict]
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_complexes(max_m=7), st.sampled_from(SEARCH_PROFILES))
+def test_pruned_search_matches_unpruned_search(K, profile):
+    assert_search_matches_reference(K, profile)
+
+
+@pytest.mark.parametrize("profile", SEARCH_PROFILES, ids=lambda p: ",".join(map(str, p)))
+@pytest.mark.parametrize("name", sorted(CORPUS_GRAPHS))
+def test_pruned_search_matches_unpruned_search_on_corpus_nerves(name, profile):
+    # the K4 nerve with (3, 3, 3) has 60,450 disjoint triples and no witness
+    nerve = associahedron_nerve(Graph.from_edges(**CORPUS_GRAPHS[name]))
+    assert_search_matches_reference(nerve, profile)
+
+
+def test_search_prunes_empty_targets_before_building_classes(monkeypatch):
+    # every one of the 9,150 triples of the 10-gon has H~^1(K_J) = 0
+    calls = []
+    real = massey.canonical_class
+    monkeypatch.setattr(
+        massey, "canonical_class", lambda *args: calls.append(args) or real(*args)
+    )
+    assert search_triple_products(polygon_nerve(10)) is None
+    assert calls == []
 
 
 def test_canonical_class_requires_nonzero_group():
@@ -329,8 +410,6 @@ def test_defining_system_relations_reverified():
 
 
 def test_witness_persists_under_stellar_cuts():
-    from moment_angle.graphs import Graph, associahedron_nerve
-
     nerve = associahedron_nerve(Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)]))
     assert search_triple_products(nerve) is not None
     cut = stellar_vertex_cut(nerve, nerve.maximal_faces()[0])
