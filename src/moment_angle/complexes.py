@@ -41,10 +41,13 @@ def _mask_of(vertices, m):
 
 
 def _as_list(value, what):
-    try:
-        return list(value)
-    except TypeError:
-        raise InputError(f"{what} must be a list, got {value!r}") from None
+    # a JSON string or object is iterable, but never a list of items
+    if not isinstance(value, (str, bytes, dict)):
+        try:
+            return list(value)
+        except TypeError:
+            pass
+    raise InputError(f"{what} must be a list, got {value!r}")
 
 
 def _check_vertex_count(m):

@@ -324,6 +324,22 @@ def test_malformed_supports_are_an_input_error(capsys, supports):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["homology", "--inline", '{"m":3,"maximal_faces":[[1,2,3]],"labels":"abc"}'],
+        ["homology", "--inline", '{"m":3,"minimal_nonfaces":{"12":1}}'],
+        ["graphassoc", "--inline", '{"n":3,"edges":"12"}'],
+        ["massey", "--inline", HEXAGON, "--supports", '"14"'],
+    ],
+)
+def test_json_strings_and_objects_are_not_lists(capsys, argv):
+    # both are iterable: "abc" used to pass as the three labels a, b, c
+    code, out, err = run(capsys, argv)
+    assert out == ""
+    assert "must be a list" in assert_one_input_error(code, err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["betti", "--bogus", "--inline", HEXAGON],
         [],
         ["family", "--name", "polygon", "--n", "x"],
