@@ -32,6 +32,19 @@ K4 = '{"n":4,"edges":[[1,2],[1,3],[1,4],[2,3],[2,4],[3,4]]}'
 P4_NERVE = json.dumps(
     associahedron_nerve(Graph.from_json_dict(json.loads(P4))).to_json_dict(include_maximal=True)
 )
+K4_NERVE = json.dumps(
+    associahedron_nerve(Graph.from_json_dict(json.loads(K4))).to_json_dict(include_maximal=True)
+)
+POLYGON_13 = json.dumps(
+    {
+        "m": 13,
+        "minimal_nonfaces": [
+            [a, b] for a in range(1, 14) for b in range(a + 2, 14) if (a, b) != (1, 13)
+        ],
+    }
+)
+# dense and not flag: nearly every induced subcomplex is close to a full simplex
+DENSE_12 = '{"m":12,"minimal_nonfaces":[[1,2,3],[3,6,9],[4,8,12],[2,7,11],[5,10,12]]}'
 
 GOLDEN = (
     ("homology-square", ["homology", "--inline", SQUARE],
@@ -40,6 +53,12 @@ GOLDEN = (
      "1bfa2e322a8e743ecb8bba54f2443c3108b212fca4f44242f06efeb9053b0761"),
     ("betti-hexagon", ["betti", "--inline", HEXAGON],
      "acad7089daa5a2b0d4bb35c26064706bc291c9941ec1fe4b7c460e9666adf01b"),
+    ("betti-polygon-13", ["betti", "--inline", POLYGON_13],
+     "f93d2c7762bfe28f13537aaa914b58e4f6a21a546978f5998c5c8a2bdbc240e2"),
+    ("betti-k4-nerve", ["betti", "--inline", K4_NERVE],
+     "7fa0a6c0f561bae671c4ced6840a72930ae08ce7b7391a72da710a3526579b4d"),
+    ("betti-dense-12", ["betti", "--inline", DENSE_12],
+     "de216cf8afc2cef298295a91bffb38e43fde48c47ade2d255fc2fe0fc76d31df"),
     ("betti-hexagon-multidegree", ["betti", "--inline", HEXAGON, "--multidegree", "1,3"],
      "9e4037169a24c0cdd52ca04cd38f90ce9e3c975081541d263f719d39ec4dffe7"),
     ("multiwedge", ["multiwedge", "--inline", '{"m":2,"minimal_nonfaces":[[1,2]]}',
