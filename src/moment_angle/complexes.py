@@ -267,6 +267,56 @@ class SimplicialComplex:
             self._cache["nonface_rests"] = list(zip(pairs, rests))
         return self._cache["nonface_rests"]
 
+    def _nonface_stars(self):
+        """Minimal non-faces through each vertex w (cached).
+
+        Entry w is a pair: the bitmask of the vertices u with {u, w} a
+        minimal non-face, and the list of the larger minimal non-faces that
+        contain w.
+        """
+        if "nonface_stars" not in self._cache:
+            pairs = [0] * (self.m + 1)
+            larger = [[] for _ in range(self.m + 1)]
+            for nf in self._mf_masks:
+                a, b = nf & -nf, nf & (nf - 1)
+                if b & (b - 1) == 0:
+                    pairs[a.bit_length()] |= b
+                    pairs[b.bit_length()] |= a
+                    continue
+                for w in _tuple_of(nf):
+                    larger[w].append(nf)
+            self._cache["nonface_stars"] = list(zip(pairs, larger))
+        return self._cache["nonface_stars"]
+
+    def dominated_vertex(self, mask):
+        """The lowest vertex v dominated in K_J, J given by the bitmask ``mask``; 0 if none.
+
+        v is dominated by a vertex w != v of J when every maximal face of
+        K_J through v contains w, i.e. the link of v in K_J is a cone with
+        apex w.  Read off the minimal non-faces: {v, w} is a face, and for
+        every minimal non-face N inside J with w in N, (N - w) + v is a
+        non-face.  A pair N = {w, u} asks that {u, v} be a minimal non-face,
+        so the pairs are one bitmask test.
+        """
+        stars = self._nonface_stars()
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            apart = stars[low.bit_length()][0]  # the u with {u, v} a non-face
+            candidates = mask & ~apart & ~low
+            while candidates:
+                apex = candidates & -candidates
+                candidates ^= apex
+                pairs, larger = stars[apex.bit_length()]
+                if pairs & mask & ~apart:
+                    continue
+                if not any(
+                    nf & mask == nf and self.is_face_mask(nf ^ apex | low) for nf in larger
+                ):
+                    return low.bit_length()
+        return 0
+
     @staticmethod
     def _grow(level, mask, rests):
         """The next face level: each face of ``level`` gains a vertex of ``mask`` above its top.

@@ -48,6 +48,37 @@ class BettiTable:
         return sorted((i, j, r) for (i, j), r in self.bigraded.items())
 
 
+def _full_table_profiles(K):
+    """(|J|, profile of K_J) for every vertex subset J, by size and then lex order.
+
+    The profiles of the previous size are kept by bitmask: when a vertex v
+    is dominated in K_J, K_J collapses onto K_{J - v} and shares its profile.
+    """
+    previous = {}
+    for size in range(K.m + 1):
+        current = {}
+        for J in itertools.combinations([1 << v for v in range(K.m)], size):
+            mask = sum(J)
+            v = K.dominated_vertex(mask)
+            if v:
+                profile = previous[mask ^ (1 << (v - 1))]
+            else:
+                profile = cohomology_profile(K.induced_face_levels(mask))
+            current[mask] = profile
+            yield size, profile
+        previous = current
+
+
+def _listed_profiles(K, multidegrees):
+    """(|J|, profile of K_J) for each listed J, computed on K_J stripped of dominated vertices."""
+    for J in multidegrees:
+        mask = _mask_of(J, K.m)
+        size = bin(mask).count("1")
+        while v := K.dominated_vertex(mask):
+            mask ^= 1 << (v - 1)
+        yield size, cohomology_profile(K.induced_face_levels(mask))
+
+
 def bigraded_betti_table(K, multidegrees=None, capacity=FULL_TABLE_CAPACITY):
     """Full bigraded Betti table plus Z_K and R_K Poincare vectors.
 
@@ -62,18 +93,14 @@ def bigraded_betti_table(K, multidegrees=None, capacity=FULL_TABLE_CAPACITY):
                 f"full table needs 2^{K.m} subsets; capacity is m <= {capacity} "
                 "(pass an explicit multidegree filter for targeted queries)",
             )
-        subsets = itertools.chain.from_iterable(
-            itertools.combinations(range(1, K.m + 1), size) for size in range(K.m + 1)
-        )
+        profiles = _full_table_profiles(K)
     else:
-        subsets = [tuple(sorted(set(J))) for J in multidegrees]
+        profiles = _listed_profiles(K, multidegrees)
 
     bigraded = {}
     zk = {}
     rk = {}
-    for J in subsets:
-        profile = cohomology_profile(K.induced_face_levels(_mask_of(J, K.m)))
-        size = len(J)
+    for size, profile in profiles:
         for d, r in profile.items():
             if not r:
                 continue

@@ -141,6 +141,70 @@ def test_face_levels_grow_only_as_asked():
     assert len(SimplicialComplex.full_simplex(40).faces(2)) == 780
 
 
+def _mask(vertices):
+    return sum(1 << (v - 1) for v in vertices)
+
+
+def brute_dominated(K, J):
+    """Vertices v of J with a w != v in every maximal face of K_J through v, by brute force."""
+    J = sorted(J)
+    local = brute_maximal_faces(len(J), K.induced(J).minimal_nonfaces)
+    facets = [{J[i - 1] for i in f} for f in local]
+    return [
+        v
+        for v in J
+        if any(all(w in f for f in facets if v in f) for w in J if w != v)
+    ]
+
+
+def test_dominated_vertex_of_a_path():
+    # the path 1 - 2 - 3 - 4: each leaf is dominated by its neighbour
+    K = SimplicialComplex(4, [(1, 3), (1, 4), (2, 4)])
+    assert K.dominated_vertex(_mask((1, 2, 3, 4))) == 1
+    assert K.dominated_vertex(_mask((2, 3, 4))) == 2
+    assert K.dominated_vertex(_mask((3, 4))) == 3
+    assert K.dominated_vertex(_mask((1, 3))) == 0  # two points
+    assert K.dominated_vertex(_mask((4,))) == 0
+    assert K.dominated_vertex(0) == 0
+
+
+def test_cone_apex_dominates_every_other_vertex():
+    # the cone over the hexagon with apex 7: the hexagon itself has no
+    # dominated vertex, and every hexagon vertex is dominated by the apex
+    K = SimplicialComplex(7, HEXAGON_MF)
+    apex = 1 << 6
+    assert K.dominated_vertex(_mask(range(1, 7))) == 0
+    for v in range(1, 7):
+        rest = _mask(range(v, 7))
+        assert K.dominated_vertex(rest | apex) == v
+    assert K.dominated_vertex(apex) == 0
+
+
+def test_cycles_have_no_dominated_vertex():
+    for m in range(4, 10):
+        K = polygon_nerve(m)
+        assert K.dominated_vertex(_mask(range(1, m + 1))) == 0
+        assert K.dominated_vertex(_mask(range(1, m))) == 1  # a path
+
+
+def test_hollow_triangle_has_no_dominated_vertex():
+    # no pair is a non-face, so a test that reads pairs only would collapse
+    # vertex 1 onto 2; the 3-vertex non-face {1, 2, 3} forbids it
+    K = SimplicialComplex(3, [(1, 2, 3)])
+    assert K.dominated_vertex(0b111) == 0
+    assert K.dominated_vertex(0b011) == 1  # an edge
+    # the filled triangle: every vertex is dominated
+    assert SimplicialComplex.full_simplex(3).dominated_vertex(0b111) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_complexes(min_m=1, max_m=7), st.data())
+def test_dominated_vertex_matches_maximal_faces(K, data):
+    J = data.draw(st.sets(st.integers(1, K.m)))
+    expected = brute_dominated(K, J) if J else []
+    assert K.dominated_vertex(_mask(J)) == (expected[0] if expected else 0)
+
+
 def test_induced_hexagon_pair():
     K = polygon_nerve(6)
     sub = induced_subcomplex(K, (1, 4))

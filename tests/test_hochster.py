@@ -156,3 +156,21 @@ def test_lattice_sum_matches_induced_complexes(K, rng):
         for i in range(len(J) + 1):
             expected = slow_hochster_sum(K, [J]).get((i, len(J)), 0)
             assert multigraded_betti(K, i, J) == expected
+
+
+def test_collapsed_table_matches_induced_complexes_m9_to_m11():
+    # the full table reuses the profile of K_{J - v} whenever v is dominated
+    # in K_J; here every one of the 2^m subsets is checked against its own
+    # induced complex, on flag and non-flag complexes
+    rng = random.Random(8)
+    cases = [
+        polygon_nerve(9),
+        SimplicialComplex(10, [(1, 2, 3), (3, 6, 9), (4, 8, 10), (2, 7, 10), (1, 5)]),
+        random_complex(rng, 10),
+        SimplicialComplex(
+            11, [(1, 2, 3), (3, 4, 5), (5, 6, 7), (7, 8, 1), (2, 9), (4, 10), (6, 11), (8, 9, 10, 11)]
+        ),
+    ]
+    assert sum(not K.structure_report().is_flag for K in cases) == 3
+    for K in cases:
+        assert bigraded_betti_table(K).bigraded == slow_hochster_sum(K, all_subsets(K.m))
