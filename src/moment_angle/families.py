@@ -17,8 +17,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .complexes import SimplicialComplex
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .multiwedge import j_construction
+
+# a family complex holds up to m^2 / 2 minimal non-faces and its construction
+# reduces them to an antichain in quadratic time: the 120-gon took 2.5 s
+FAMILY_VERTEX_CAPACITY = 128
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,15 @@ def _require_s(spec):
     return spec.s
 
 
+def _check_family_size(name, m):
+    """Raise before any non-face is built when the family would have more than the capacity."""
+    if m > FAMILY_VERTEX_CAPACITY:
+        raise CapacityError(
+            "family-size",
+            f"family {name!r} would have {m} vertices; capacity is m <= {FAMILY_VERTEX_CAPACITY}",
+        )
+
+
 def polygon_nerve(m):
     """The m-cycle: nerve complex of an m-gon (all non-adjacent pairs are non-faces)."""
     if m < 4:
@@ -68,17 +81,21 @@ def family_complex(spec):
     name = spec.name.lower()
     if name == "k":
         n = _require_n(spec)
+        _check_family_size(name, 2 * n)
         return SimplicialComplex(2 * n, _pair_nonfaces(n, n - 2))
     if name == "kbar":
         n = _require_n(spec)
+        _check_family_size(name, 2 * n)
         return SimplicialComplex(2 * n, _pair_nonfaces(n, n - 1))
     if name in ("kns", "kbarns"):
         n, s = _require_n(spec), _require_s(spec)
+        _check_family_size(name, n * s + n)
         base = family_complex(FamilySpec("k" if name == "kns" else "kbar", n=n))
         return j_construction(base, (s,) * n + (1,) * n)
     if name == "polygon":
         if spec.m is None:
             raise InputError("polygon family needs m")
+        _check_family_size(name, spec.m)
         return polygon_nerve(spec.m)
     if name == "degrees":
         return degree_prescribed_complex(spec.degrees)
@@ -98,7 +115,8 @@ def degree_prescribed_complex(odd_degrees):
     if any(k < 3 or k % 2 == 0 for k in ks):
         raise InputError(f"degree list entries must be odd integers >= 3: {ks}")
     n = len(ks)
-    base = family_complex(FamilySpec("k", n=n))
     d = tuple((k - 1) // 2 for k in ks)
+    _check_family_size("degrees", sum(d) + n)
+    base = family_complex(FamilySpec("k", n=n))
     return j_construction(base, d + (1,) * n)
 

@@ -206,6 +206,56 @@ def test_capacity_exit_code(capsys):
     assert json.loads(err)["guard"] == "betti-table"
 
 
+def assert_one_capacity_error(code, err, guard):
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "Traceback" not in err
+    document = json.loads(lines[0])
+    assert document["kind"] == "capacity" and document["guard"] == guard
+    return document
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--name", "kns", "--n", "100000", "--s", "1"],
+        ["--name", "k", "--n", "65"],
+        ["--name", "polygon", "--m", "1000000000"],
+        ["--name", "degrees", "--degrees", "3,1000000001"],
+    ],
+)
+def test_family_size_capacity_exit_code(capsys, flags):
+    # rejected from the vertex count alone: no non-face is built
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, ["family", *flags])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_one_capacity_error(code, err, "family-size")
+    assert peak < 1_000_000
+
+
+def test_family_size_capacity_keeps_input_errors_first(capsys):
+    code, _, err = run(capsys, ["family", "--name", "degrees", "--degrees", "4,1000000001"])
+    assert code == 1
+    code, _, err = run(capsys, ["family", "--name", "polygon", "--m", "3"])
+    assert code == 1
+
+
+def test_maximal_faces_capacity_exit_code(capsys):
+    # vertex 1 wedged 99,999 times: its non-face with 3 has 100,000
+    # vertices, so the dualization would start from 100,000 candidates
+    square = '{"m":4,"minimal_nonfaces":[[1,3],[2,4]]}'
+    code, _, err = run(capsys, ["multiwedge", "--inline", square, "--j", "99999,1,1,1"])
+    document = assert_one_capacity_error(code, err, "maximal-faces")
+    assert "100000 candidate transversals after 0 of 2 sets" in document["error"]
+    code, _, err = run(capsys, ["multiwedge", "--inline", square, "--j", "999,1,1,1"])
+    assert code == 0
+
+
 def test_search_candidate_capacity_exit_code(capsys, monkeypatch):
     import functools
 
