@@ -23,6 +23,10 @@ from typing import Iterable, NamedTuple
 from .errors import CapacityError, GhostVertexError, InputError
 
 ISOMORPHISM_CAPACITY = 9
+# candidate transversals per dualization step; the reduction to the minimal
+# ones is quadratic (an antichain of 4,000 sets took 0.35 s, of 20,000 sets
+# 9 s), while the tests and benchmark workloads stay below 100
+TRANSVERSAL_CAPACITY = 5000
 
 _INT_ONLY = frozenset((int,))
 
@@ -85,14 +89,16 @@ def _antichain_max(masks):
     return kept
 
 
-def _minimal_transversals(edges, m):
+def _minimal_transversals(edges, guard):
     """All inclusion-minimal vertex sets hitting every edge (Berge's method).
 
-    ``edges`` is a list of bitmasks over m vertices.  An empty edge admits no
-    transversal; zero edges admit exactly the empty transversal.
+    ``edges`` is a list of bitmasks.  An empty edge admits no transversal;
+    zero edges admit exactly the empty transversal.  A step that would hold
+    more than ``TRANSVERSAL_CAPACITY`` candidates raises ``CapacityError``
+    named ``guard`` before it builds them.
     """
     trans = [0]
-    for e in edges:
+    for done, e in enumerate(edges):
         if e == 0:
             return []
         hit, miss = [], []
@@ -100,6 +106,13 @@ def _minimal_transversals(edges, m):
             (hit if t & e else miss).append(t)
         if not miss:
             continue
+        candidates = len(hit) + len(miss) * bin(e).count("1")
+        if candidates > TRANSVERSAL_CAPACITY:
+            raise CapacityError(
+                guard,
+                f"dualization needs {candidates} candidate transversals after "
+                f"{done} of {len(edges)} sets; capacity is {TRANSVERSAL_CAPACITY}",
+            )
         new = list(hit)
         verts = _tuple_of(e)
         for t in miss:
@@ -170,7 +183,7 @@ class SimplicialComplex:
         face_masks = _antichain_max(face_masks)
         full = (1 << m) - 1
         complements = [full ^ f for f in face_masks]
-        mf = _minimal_transversals(complements, m)
+        mf = _minimal_transversals(complements, "minimal-nonfaces")
         K = cls(m, [_tuple_of(x) for x in mf], labels)
         K._cache["maximal_faces"] = tuple(sorted(face_masks))
         return K
@@ -386,7 +399,7 @@ class SimplicialComplex:
 
     def _max_face_masks(self):
         if "maximal_faces" not in self._cache:
-            trans = _minimal_transversals(self._mf_masks, self.m)
+            trans = _minimal_transversals(self._mf_masks, "maximal-faces")
             self._cache["maximal_faces"] = tuple(
                 sorted(self._full_mask ^ t for t in trans)
             )

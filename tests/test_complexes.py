@@ -17,7 +17,7 @@ from moment_angle.complexes import (
     stellar_vertex_cut,
     structure_report,
 )
-from moment_angle.errors import GhostVertexError, InputError
+from moment_angle.errors import CapacityError, GhostVertexError, InputError
 from moment_angle.families import polygon_nerve
 
 from conftest import (
@@ -315,6 +315,23 @@ def test_stellar_cut_preserves_old_graph():
             else:
                 assert set(old.faces(2)) == set(K.faces(2)) - {f}
             assert old.faces(1) == K.faces(1)
+
+
+def test_dualization_capacity():
+    # maximal faces "all but the pair {2i - 1, 2i}" for i = 1..13: the
+    # minimal non-faces pick one vertex of each pair, 2^13 of them
+    facets = [[v for v in range(1, 27) if (v + 1) // 2 != i] for i in range(1, 14)]
+    with pytest.raises(CapacityError) as err:
+        from_maximal_faces(26, facets)
+    assert err.value.guard == "minimal-nonfaces"
+    assert "8192 candidate transversals after 12 of 13 sets" in str(err.value)
+    assert len(from_maximal_faces(24, [f[:-2] for f in facets[:12]]).minimal_nonfaces) == 4096
+    # and dually: the cross-polytope on 26 vertices has 2^13 maximal faces
+    K = SimplicialComplex(26, [(2 * i - 1, 2 * i) for i in range(1, 14)])
+    with pytest.raises(CapacityError) as err:
+        K.maximal_faces()
+    assert err.value.guard == "maximal-faces"
+    assert len(SimplicialComplex(24, K.minimal_nonfaces[:12]).maximal_faces()) == 4096
 
 
 def test_equality_ignores_labels():
