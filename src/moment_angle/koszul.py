@@ -16,13 +16,18 @@ u's are odd, so merging two u-blocks contributes the parity of the shuffle,
 and dropping u_i from position k (0-based) of a u-block contributes (-1)^k.
 """
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import AmbientMismatchError, InputError, NotACocycleError
+from .errors import AmbientMismatchError, CapacityError, InputError, NotACocycleError
 from .rational_linalg import Rational, SparseMatrix, nullspace_basis
 
 _ONE = Rational(1)
+
+# the full table builds and keeps every component, up to 3^m monomials: on the
+# full simplex, m = 11 took 4.8 s and 204 MB, m = 12 took 16 s and 360 MB
+KOSZUL_TABLE_CAPACITY = 12
 
 
 def shuffle_sign(a, b):
@@ -384,10 +389,17 @@ def cohomology_class(cochain):
     return component_of(cochain).class_vector(cochain)
 
 
-def koszul_bigraded_ranks(K):
-    """Cohomology ranks of the model by bidegree (i, j): the Hochster cross-oracle."""
-    import itertools
+def koszul_bigraded_ranks(K, capacity=KOSZUL_TABLE_CAPACITY):
+    """Cohomology ranks of the model by bidegree (i, j): the Hochster cross-oracle.
 
+    Enumerates all 2^m vertex subsets; the enumeration is guarded by
+    ``capacity`` and fails loudly rather than truncating.
+    """
+    if K.m > capacity:
+        raise CapacityError(
+            "koszul-table",
+            f"full Koszul table needs 2^{K.m} subsets; capacity is m <= {capacity}",
+        )
     out = {}
     for size in range(K.m + 1):
         for J in itertools.combinations(range(1, K.m + 1), size):

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 
 from moment_angle.complexes import SimplicialComplex
-from moment_angle.errors import AmbientMismatchError, InputError, NotACocycleError
+from moment_angle.errors import (
+    AmbientMismatchError,
+    CapacityError,
+    InputError,
+    NotACocycleError,
+)
 from moment_angle.families import polygon_nerve
 from moment_angle.hochster import multigraded_betti
 from moment_angle.koszul import (
@@ -178,6 +183,18 @@ def test_bigraded_ranks_match_hochster_table():
         K = random_complex(rng, rng.randint(1, 5))
         table = bigraded_betti_table(K)
         assert koszul_bigraded_ranks(K) == table.bigraded
+
+
+def test_koszul_table_capacity():
+    big = SimplicialComplex(13, [(1, 2)])
+    with pytest.raises(CapacityError) as err:
+        koszul_bigraded_ranks(big)
+    assert err.value.guard == "koszul-table"
+    assert "capacity is m <= 12" in str(err.value)
+    small = SimplicialComplex(3, [(1, 2)])
+    with pytest.raises(CapacityError):
+        koszul_bigraded_ranks(small, capacity=2)
+    assert koszul_bigraded_ranks(small, capacity=3) == {(0, 0): 1, (1, 2): 1}
 
 
 def test_join_product_compatibility():
