@@ -11,6 +11,17 @@ by level from the minimal non-faces inside J, using vertices of J only, so a
 subset costs the faces of K_J however large K is.  The faces come in the
 same lexicographic order as the faces of the relabeled K_J, so each subset
 gets exactly the coboundary matrices of K_J.
+
+Most subsets need no elimination at all.  A vertex v of K_J is dominated
+by a vertex w != v when every maximal face of K_J through v contains w, i.e.
+the link of v is a cone with apex w.  Deleting a dominated vertex is a
+strong collapse, so K_J is homotopy equivalent to K_{J - v} and has the same
+reduced cohomology (Barmak and Minian, "Strong homotopy types, nerves and
+collapses", Discrete Comput. Geom. 47 (2012)).  The full table walks the
+subsets by size and keeps the profiles of the previous size by bitmask;
+a subset with a dominated vertex takes the profile of K_{J - v}, and only
+the others grow faces and eliminate coboundaries.  A listed multidegree
+strips dominated vertices one at a time before it eliminates.
 """
 
 import itertools
