@@ -389,16 +389,17 @@ def cohomology_class(cochain):
     return component_of(cochain).class_vector(cochain)
 
 
-def koszul_bigraded_ranks(K, capacity=KOSZUL_TABLE_CAPACITY):
+def koszul_bigraded_ranks(K):
     """Cohomology ranks of the model by bidegree (i, j): the Hochster cross-oracle.
 
-    Enumerates all 2^m vertex subsets; the enumeration is guarded by
-    ``capacity`` and fails loudly rather than truncating.
+    Enumerates all 2^m vertex subsets; above KOSZUL_TABLE_CAPACITY vertices
+    it fails loudly rather than truncating.
     """
-    if K.m > capacity:
+    if K.m > KOSZUL_TABLE_CAPACITY:
         raise CapacityError(
             "koszul-table",
-            f"full Koszul table needs 2^{K.m} subsets; capacity is m <= {capacity}",
+            f"full Koszul table needs 2^{K.m} subsets; "
+            f"capacity is m <= {KOSZUL_TABLE_CAPACITY}",
         )
     out = {}
     for size in range(K.m + 1):

@@ -191,10 +191,6 @@ def test_koszul_table_capacity():
         koszul_bigraded_ranks(big)
     assert err.value.guard == "koszul-table"
     assert "capacity is m <= 12" in str(err.value)
-    small = SimplicialComplex(3, [(1, 2)])
-    with pytest.raises(CapacityError):
-        koszul_bigraded_ranks(small, capacity=2)
-    assert koszul_bigraded_ranks(small, capacity=3) == {(0, 0): 1, (1, 2): 1}
 
 
 def test_join_product_compatibility():
