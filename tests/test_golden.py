@@ -43,6 +43,14 @@ POLYGON_13 = json.dumps(
         ],
     }
 )
+NINE_GON = json.dumps(
+    {
+        "m": 9,
+        "minimal_nonfaces": [
+            [a, b] for a in range(1, 10) for b in range(a + 2, 10) if (a, b) != (1, 9)
+        ],
+    }
+)
 # dense and not flag: nearly every induced subcomplex is close to a full simplex
 DENSE_12 = '{"m":12,"minimal_nonfaces":[[1,2,3],[3,6,9],[4,8,12],[2,7,11],[5,10,12]]}'
 
@@ -51,6 +59,11 @@ GOLDEN = (
      "f692038f71f950d8401dd6fb1f37227d54a80bfc8b27b1009e986cd799a2ff19"),
     ("real-betti-square", ["real-betti", "--inline", SQUARE],
      "1bfa2e322a8e743ecb8bba54f2443c3108b212fca4f44242f06efeb9053b0761"),
+    # both at the m = 9 real-ranks cap
+    ("real-betti-p4-nerve", ["real-betti", "--inline", P4_NERVE],
+     "db255fc9088c53bef5421443fb3ac2f873237fa52230e0b83232ebe1655878b2"),
+    ("real-betti-9-gon", ["real-betti", "--inline", NINE_GON],
+     "eab54489e49910e873485da7d74bed5501399d9b2f48c1a6e017ade92b847d94"),
     ("betti-hexagon", ["betti", "--inline", HEXAGON],
      "acad7089daa5a2b0d4bb35c26064706bc291c9941ec1fe4b7c460e9666adf01b"),
     ("betti-polygon-13", ["betti", "--inline", POLYGON_13],
@@ -82,6 +95,8 @@ GOLDEN = (
      "64ffa8081033def5d07e7d94733b99d7eb7f6cd591218359cc01138566a054a3"),
     ("massey-family-2-2", ["massey", "--family", "2,2"],
      "a82b81003a9072b1b2328bfce9ba8d45e82def1ecaed550d92d033f354b37b3f"),
+    ("massey-family-4-2", ["massey", "--family", "4,2"],
+     "f9de7f7af84c062fd36358b960c229518491731d8e6aa65582800990d734da04"),
     ("graphassoc-p4", ["graphassoc", "--inline", P4],
      "544f9bde5424a3b13da77fb02e62c25a8ccd2b2c92539822d9f9cb2b2ae573cd"),
     ("search-p4-nerve", ["massey", "--inline", P4_NERVE, "--search-triples"],
