@@ -70,21 +70,23 @@ def _tuple_of(mask):
     return tuple(out)
 
 
-def _antichain_min(masks):
-    """Inclusion-minimal elements of a collection of bitmasks."""
-    masks = sorted(set(masks), key=lambda x: (bin(x).count("1"), x))
-    kept = []
-    for m in masks:
-        if not any(k & m == k for k in kept):
-            kept.append(m)
-    return kept
+def _antichain(masks, minimal):
+    """Inclusion-minimal (or -maximal) elements of a collection of bitmasks.
 
-
-def _antichain_max(masks):
-    masks = sorted(set(masks), key=lambda x: (-bin(x).count("1"), x))
+    Masks are visited by size, smallest (largest) first.  Distinct masks of
+    one size never contain each other, so each mask is compared only against
+    the kept masks of strictly smaller (larger) size, which it can only
+    contain (lie in): equal-sized masks make no comparison at all.
+    """
+    sign = 1 if minimal else -1
+    masks = sorted(set(masks), key=lambda x: (sign * bin(x).count("1"), x))
     kept = []
+    size = earlier = None  # kept[:earlier] are the kept masks of other sizes
     for m in masks:
-        if not any(k & m == m for k in kept):
+        s = bin(m).count("1")
+        if s != size:
+            size, earlier = s, len(kept)
+        if not any(k & m in (k, m) for k in itertools.islice(kept, earlier)):
             kept.append(m)
     return kept
 
@@ -117,7 +119,7 @@ def _minimal_transversals(edges, guard):
         verts = _tuple_of(e)
         for t in miss:
             new.extend(t | (1 << (v - 1)) for v in verts)
-        trans = _antichain_min(new)
+        trans = _antichain(new, minimal=True)
     return trans
 
 
@@ -146,7 +148,7 @@ class SimplicialComplex:
                     f"non-face {tuple(nf)!r} has size {size}; singletons must be faces"
                 )
             masks.append(mask)
-        self._mf_masks = tuple(sorted(_antichain_min(masks)))
+        self._mf_masks = tuple(sorted(_antichain(masks, minimal=True)))
         if labels is None:
             labels = tuple(str(i) for i in range(1, m + 1))
         else:
@@ -180,7 +182,7 @@ class SimplicialComplex:
         if covered != (1 << m) - 1:
             missing = _tuple_of(((1 << m) - 1) ^ covered)
             raise GhostVertexError(f"vertices {missing} lie in no maximal face")
-        face_masks = _antichain_max(face_masks)
+        face_masks = _antichain(face_masks, minimal=False)
         full = (1 << m) - 1
         complements = [full ^ f for f in face_masks]
         mf = _minimal_transversals(complements, "minimal-nonfaces")

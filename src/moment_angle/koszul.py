@@ -8,7 +8,8 @@ differential preserves the multidegree S u T, so everything decomposes into
 tiny components indexed by (vertex subset, total degree).  Per-component
 bases, coboundary matrices, and deterministic class coordinates live in
 ``ComponentBasis``.  ``Cochain`` and ``differential_matrix`` are shared
-with Cai's real model in ``real_cochains``.
+with Cai's real model in ``real_cochains``; both read the signs of a
+model's differential from its one static ``differential_terms``.
 
 Normal form and signs: u-variables first in ascending order, then
 v-variables ascending.  v's are even (degree 2) and contribute no signs;
@@ -69,8 +70,10 @@ class Cochain:
     """Rational linear combination of normal-form monomials over a fixed complex.
 
     The arithmetic both cochain models share.  A model sets ``Monomial`` (its
-    unit is ``Monomial((), ())``) and defines ``monomial``, ``differential``
-    and ``__mul__``; cochains of two models never combine or compare equal.
+    unit is ``Monomial((), ())``) and defines ``monomial``, ``__mul__`` and
+    ``differential_terms(K, mono)``, the (monomial, +-1) terms of d(mono);
+    cochains of two models never combine or compare equal, and a
+    ``Rational`` coefficient is stored as it is.
     """
 
     __slots__ = ("complex", "terms")
@@ -78,11 +81,11 @@ class Cochain:
     def __init__(self, complex, terms=None):
         self.complex = complex
         clean = {}
-        if terms:
-            for mono, coeff in terms.items():
+        for mono, coeff in (terms or {}).items():
+            if type(coeff) is not Rational:
                 coeff = Rational(coeff)
-                if coeff:
-                    clean[mono] = coeff
+            if coeff:
+                clean[mono] = coeff
         self.terms = clean
 
     @classmethod
@@ -95,6 +98,14 @@ class Cochain:
 
     def is_zero(self):
         return not self.terms
+
+    def _differential(self):
+        """d of every term, summed from the signs of ``differential_terms``."""
+        out = {}
+        for mono, coeff in self.terms.items():
+            for target, sign in self.differential_terms(self.complex, mono):
+                out[target] = out.get(target, 0) + (coeff if sign == 1 else -coeff)
+        return type(self)(self.complex, out)
 
     def _check_ambient(self, other):
         if type(self) is not type(other):
@@ -150,14 +161,14 @@ class Cochain:
 def differential_matrix(cochain_type, K, source, target_index):
     """Matrix of the differential of a cochain model on monomial bases.
 
-    Column j is d of the monomial ``source[j]`` as a ``cochain_type`` over K;
-    ``target_index`` maps every monomial the images reach to its row.  The
-    entries are the integer signs of the differential.
+    Column j holds the signs of ``cochain_type.differential_terms`` of the
+    monomial ``source[j]`` over K, with no cochain built; ``target_index``
+    maps every monomial the images reach to its row.
     """
     entries = {}
     for col, mono in enumerate(source):
-        for m, c in cochain_type(K, {mono: _ONE}).differential().terms.items():
-            entries[(target_index[m], col)] = int(c)
+        for target, sign in cochain_type.differential_terms(K, mono):
+            entries[(target_index[target], col)] = sign
     return SparseMatrix(len(target_index), len(source), entries)
 
 
@@ -193,19 +204,19 @@ class KoszulCochain(Cochain):
             return self
         return self.scaled(-1) if d & 1 else self
 
+    @staticmethod
+    def differential_terms(K, mono):
+        """Terms of d(u_S v_T): dropping u_i from 0-based position k of the
+        u-block and adding v_i contributes (-1)^k, where T + i is a face."""
+        u, v = mono.u_vertices, mono.v_vertices
+        for pos, i in enumerate(u):
+            new_v = tuple(sorted(v + (i,)))
+            if K.is_face(new_v):
+                yield KoszulMonomial(u[:pos] + u[pos + 1 :], new_v), -1 if pos & 1 else 1
+
     def differential(self):
-        """d(u_S v_T) = sum over i in S of +-   u_{S-i} v_{T+i}, faces only."""
-        out = {}
-        K = self.complex
-        for mono, coeff in self.terms.items():
-            u, v = mono.u_vertices, mono.v_vertices
-            for pos, i in enumerate(u):
-                new_v = tuple(sorted(v + (i,)))
-                if not K.is_face(new_v):
-                    continue
-                new_mono = KoszulMonomial(u[:pos] + u[pos + 1 :], new_v)
-                out[new_mono] = out.get(new_mono, 0) + (-coeff if pos & 1 else coeff)
-        return KoszulCochain(K, out)
+        """d(u_S v_T) = sum over i in S of +- u_{S-i} v_{T+i}, faces only."""
+        return self._differential()
 
     def __mul__(self, other):
         """Product: zero on overlapping multidegrees or non-face v-parts,

@@ -16,11 +16,13 @@ differential graded algebras inducing an isomorphism on cohomology.
 
 ``RealCochain`` inherits its linear arithmetic (sums, scaling, degree,
 equality, printing) from ``koszul.Cochain``, the core both cochain models
-share, and defines only the model's product and differential; the
-matrices of that differential come from ``koszul.differential_matrix``.
+share, and defines only the model's product and ``differential_terms``,
+the signed terms of d of one monomial, which both ``differential`` and
+``koszul.differential_matrix`` read.
 """
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import CapacityError, InputError
@@ -92,24 +94,20 @@ class RealCochain(Cochain):
                 out[mono] = out.get(mono, 0) + c1 * c2 * sign
         return RealCochain(K, out)
 
-    def differential(self):
-        """Derivation with d(t_i) = u_i: each t-vertex moves into the u-part.
+    @staticmethod
+    def differential_terms(K, mono):
+        """Terms of d(u_S t_T): moving t_i into the u-part, at 0-based position
+        k of the new u-block, contributes (-1)^k, where S + i is a face."""
+        u, t = mono.u_vertices, mono.t_vertices
+        for j, i in enumerate(t):
+            pos = bisect_left(u, i)
+            new_u = u[:pos] + (i,) + u[pos:]
+            if K.is_face(new_u):
+                yield RealMonomial(new_u, t[:j] + t[j + 1 :]), -1 if pos & 1 else 1
 
-        Inserting u_i at 0-based position k of the new u-block contributes
-        (-1)^k; terms whose new u-part is not a face are dropped.
-        """
-        K = self.complex
-        out = {}
-        for mono, coeff in self.terms.items():
-            u, t = mono.u_vertices, mono.t_vertices
-            for i in t:
-                new_u = tuple(sorted(u + (i,)))
-                if not K.is_face(new_u):
-                    continue
-                pos = new_u.index(i)
-                new_mono = RealMonomial(new_u, tuple(x for x in t if x != i))
-                out[new_mono] = out.get(new_mono, 0) + (-coeff if pos & 1 else coeff)
-        return RealCochain(K, out)
+    def differential(self):
+        """Derivation with d(t_i) = u_i and d(u_i) = 0."""
+        return self._differential()
 
 
 def _degree_basis(K, p):

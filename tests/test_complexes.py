@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from moment_angle.complexes import (
     SimplicialComplex,
+    _antichain,
     are_isomorphic,
     from_maximal_faces,
     from_minimal_nonfaces,
@@ -73,6 +74,28 @@ def test_from_maximal_faces_requires_covering():
 def test_antichain_reduction_on_construction():
     K = SimplicialComplex(4, [(1, 2), (1, 2, 3)])
     assert K.minimal_nonfaces == ((1, 2),)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=(1 << 7) - 1), max_size=40))
+def test_antichain_matches_brute_force(masks):
+    distinct = set(masks)
+    for minimal in (True, False):
+        def beaten(x, y):  # y keeps x out of the antichain
+            return x != y and (x & y == y if minimal else x & y == x)
+
+        expected = {x for x in distinct if not any(beaten(x, y) for y in distinct)}
+        kept = _antichain(masks, minimal)
+        assert len(kept) == len(set(kept)) and set(kept) == expected
+
+
+def test_all_pairs_300_gon_builds():
+    # 44,550 equal-sized non-faces: the reduction compares none of them
+    m = 300
+    pairs = [(a, b) for a in range(1, m + 1) for b in range(a + 2, m + 1) if (a, b) != (1, m)]
+    K = SimplicialComplex(m, pairs)
+    assert len(K.minimal_nonfaces) == len(pairs) == 44550
+    assert K.is_face((1, 2)) and not K.is_face((1, 3)) and K.is_face((1, m))
 
 
 def test_round_trip_all_complexes_small():

@@ -20,6 +20,8 @@ from moment_angle.koszul import (
     component_basis,
     koszul_bigraded_ranks,
 )
+from moment_angle.rational_linalg import Rational
+from moment_angle.real_cochains import RealCochain, RealMonomial
 
 from conftest import homogeneous_pieces, random_complex, random_koszul_cochain, small_complexes
 
@@ -82,6 +84,31 @@ def test_multiply_kills_nonface_v_union():
     hexn = polygon_nerve(6)
     # v-parts {1} and {3} merge to the non-face {1,3}
     assert (mono(hexn, (4,), (1,)) * mono(hexn, (6,), (3,))).is_zero()
+
+
+def test_cochain_coefficients():
+    K = polygon_nerve(6)
+    half = Rational(-1, 2)
+    c = KoszulCochain(
+        K,
+        {
+            KoszulMonomial((1,), (4,)): half,
+            KoszulMonomial((1, 4), ()): 3,
+            KoszulMonomial((), (2,)): 0,
+            KoszulMonomial((4,), (1,)): True,
+        },
+    )
+    # ints and bools become Rationals, zeros are dropped, a Rational is kept as is
+    assert set(c.terms) == {KoszulMonomial((1,), (4,)), KoszulMonomial((1, 4), ()),
+                            KoszulMonomial((4,), (1,))}
+    assert all(type(x) is Rational for x in c.terms.values())
+    assert c.terms[KoszulMonomial((1,), (4,))] is half
+    assert c.terms[KoszulMonomial((4,), (1,))] == 1
+    assert repr(c) == "-1/2*u1v4 + 3*u1u4 + u4v1"
+    assert repr(KoszulCochain(K, {KoszulMonomial((1,), ()): Rational(0)})) == "0"
+    assert repr(KoszulCochain.unit(K)) == "1"
+    r = RealCochain(K, {RealMonomial((1,), (2,)): -1, RealMonomial((), ()): Rational(2, 3)})
+    assert repr(r) == "2/3*1 + -1*u1t2"
 
 
 def test_ambient_mismatch():

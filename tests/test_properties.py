@@ -1,16 +1,20 @@
 """Cross-cutting property suites, runnable standalone.
 
-Each test here re-checks one structural law end to end: differentials
+Each test here re-checks one structural law end to end: the differential
+matrices of both cochain models agree with the Leibniz rule, differentials
 square to zero, Leibniz and graded commutativity hold, defining systems
 satisfy their relations exactly, the multiwedge respects joins, and greedy
 choices do not move strictly defined values.
 """
 
+import itertools
 import random
+
+import pytest
 
 from moment_angle.complexes import SimplicialComplex
 from moment_angle.families import FamilySpec, family_complex, polygon_nerve
-from moment_angle.koszul import component_basis
+from moment_angle.koszul import KoszulCochain, component_basis, differential_matrix
 from moment_angle.massey import (
     CellFailure,
     build_defining_system,
@@ -19,6 +23,7 @@ from moment_angle.massey import (
 )
 from moment_angle.multiwedge import j_construction
 from moment_angle.rational_linalg import coboundary_matrix
+from moment_angle.real_cochains import RealCochain
 
 from conftest import (
     homogeneous_pieces,
@@ -34,6 +39,60 @@ def test_simplicial_delta_squared_zero():
         K = random_complex(rng, rng.randint(1, 6))
         for d in range(-1, K.dim):
             assert coboundary_matrix(K, d).matmul(coboundary_matrix(K, d + 1)).is_zero()
+
+
+def _generator_word(model, K, mono):
+    """mono as a word of generators (x, dx, degree x), with dx hard-coded here:
+    du_i = v_i, dv_i = 0 in the Koszul model; du_i = 0, dt_i = u_i in the real one."""
+    def gen(u, other=()):
+        return model.monomial(K, u, other)
+
+    zero = model.zero(K)
+    if model is KoszulCochain:
+        return [(gen((i,)), gen((), (i,)), 1) for i in mono.u_vertices] + [
+            (gen((), (i,)), zero, 2) for i in mono.v_vertices
+        ]
+    return [(gen((i,)), zero, 1) for i in mono.u_vertices] + [
+        (gen((), (i,)), gen((i,)), 0) for i in mono.t_vertices
+    ]
+
+
+def _leibniz_differential(model, K, word):
+    """d(x_1 ... x_n) = sum over k of (-1)^(deg x_1 + ... + deg x_{k-1}) x_1 ... dx_k ... x_n,
+    every product taken by the model's own multiplication."""
+    out = model.zero(K)
+    for k, (_, dx, _) in enumerate(word):
+        term = model.unit(K)
+        for j, (x, _, _) in enumerate(word):
+            term = term * (dx if j == k else x)
+        out = out + term.scaled((-1) ** sum(deg for _, _, deg in word[:k]))
+    return out
+
+
+@pytest.mark.parametrize("model", [KoszulCochain, RealCochain], ids=["koszul", "real"])
+def test_differential_matrix_matches_leibniz_expansion(model):
+    rng = random.Random(137)
+    for _ in range(12):
+        K = random_complex(rng, rng.randint(1, 6))
+        # every normal-form monomial: each vertex in neither part, the first or the second
+        basis = []
+        for parts in itertools.product((0, 1, 2), repeat=K.m):
+            first = tuple(v for v, p in zip(range(1, K.m + 1), parts) if p == 1)
+            second = tuple(v for v, p in zip(range(1, K.m + 1), parts) if p == 2)
+            if K.is_face(second if model is KoszulCochain else first):
+                basis.append(model.Monomial(first, second))
+        index = {mono: i for i, mono in enumerate(basis)}
+        D = differential_matrix(model, K, basis, index)
+        columns = [{} for _ in basis]
+        for (r, c), sign in D.entries.items():
+            columns[c][basis[r]] = sign
+        for col, mono in enumerate(basis):
+            word = _generator_word(model, K, mono)
+            product = model.unit(K)
+            for x, _, _ in word:
+                product = product * x
+            assert product.terms == {mono: 1}
+            assert _leibniz_differential(model, K, word).terms == columns[col]
 
 
 def test_koszul_differential_squares_to_zero():
