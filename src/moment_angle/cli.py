@@ -3,8 +3,9 @@
 Every command reads one input document (``--input FILE`` or ``--inline JSON``)
 and writes one JSON document: a ``meta`` block (tool version, input digest,
 elapsed milliseconds) and a ``result`` block whose content is deterministic,
-so identical inputs always produce byte-identical result blocks.  Vertices
-are 1-indexed in all documents.
+so identical inputs always produce byte-identical result blocks.  The input
+is read and parsed once, so the digest describes the document the command
+computed on.  Vertices are 1-indexed in all documents.
 
 Exit codes: 0 success, 1 invalid input (command-line usage errors included),
 2 capacity exceeded (the guard that fired is named in the error message).
@@ -121,14 +122,14 @@ def _massey_report_dict(report):
     return out
 
 
-def _cmd_homology(args):
-    K = SimplicialComplex.from_json_dict(_require_input(args))
+def _cmd_homology(args, data):
+    K = SimplicialComplex.from_json_dict(_require_input(data))
     profile = reduced_cohomology_ranks(K)
     return {"m": K.m, "ranks": [[d, r] for d, r in profile.items()]}
 
 
-def _cmd_betti(args):
-    K = SimplicialComplex.from_json_dict(_require_input(args))
+def _cmd_betti(args, data):
+    K = SimplicialComplex.from_json_dict(_require_input(data))
     multidegrees = None
     if args.multidegree:
         multidegrees = [_int_list(args.multidegree, "--multidegree")]
@@ -140,20 +141,20 @@ def _cmd_betti(args):
     }
 
 
-def _cmd_multiwedge(args):
-    K = SimplicialComplex.from_json_dict(_require_input(args))
+def _cmd_multiwedge(args, data):
+    K = SimplicialComplex.from_json_dict(_require_input(data))
     if not args.j:
         raise InputError("multiwedge needs --j with the copy counts")
     J = _int_list(args.j, "--j")
     return _complex_result(j_construction(K, J))
 
 
-def _cmd_real_betti(args):
-    K = SimplicialComplex.from_json_dict(_require_input(args))
+def _cmd_real_betti(args, data):
+    K = SimplicialComplex.from_json_dict(_require_input(data))
     return {"m": K.m, "ranks": list(real_cohomology_ranks(K))}
 
 
-def _cmd_family(args):
+def _cmd_family(args, data):
     if not args.name:
         raise InputError("family needs --name")
     degrees = _int_list(args.degrees, "--degrees") if args.degrees else None
@@ -161,7 +162,7 @@ def _cmd_family(args):
     return _complex_result(family_complex(spec))
 
 
-def _cmd_massey(args):
+def _cmd_massey(args, data):
     if args.family:
         family = _int_list(args.family, "--family")
         if len(family) != 2:
@@ -181,7 +182,7 @@ def _cmd_massey(args):
         ]
         return out
 
-    K = SimplicialComplex.from_json_dict(_require_input(args))
+    K = SimplicialComplex.from_json_dict(_require_input(data))
     if args.search_triples:
         profile = tuple(_int_list(args.profile, "--profile")) if args.profile else None
         witness = search_triple_products(K, profile=profile)
@@ -207,8 +208,8 @@ def _cmd_massey(args):
     return _massey_report_dict(massey_product(MasseyInput(K, classes)))
 
 
-def _cmd_graphassoc(args):
-    G = Graph.from_json_dict(_require_input(args))
+def _cmd_graphassoc(args, data):
+    G = Graph.from_json_dict(_require_input(data))
     if args.formality:
         verdict = formality_classify(G)
         out = {
@@ -225,8 +226,7 @@ def _cmd_graphassoc(args):
     return _complex_result(associahedron_nerve(G))
 
 
-def _require_input(args):
-    data = _load_input(args)
+def _require_input(data):
     if data is None:
         raise InputError("this command needs --input FILE or --inline JSON")
     return data
@@ -315,7 +315,7 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         started = time.perf_counter()
         parsed_input = _load_input(args)
-        result = _COMMANDS[args.command](args)
+        result = _COMMANDS[args.command](args, parsed_input)
     except InputError as exc:
         print(json.dumps({"error": str(exc), "kind": "input"}), file=sys.stderr)
         return 1

@@ -18,14 +18,16 @@ the link of v is a cone with apex w.  Deleting a dominated vertex is a
 strong collapse, so K_J is homotopy equivalent to K_{J - v} and has the same
 reduced cohomology (Barmak and Minian, "Strong homotopy types, nerves and
 collapses", Discrete Comput. Geom. 47 (2012)).  The full table walks the
-subsets by size and keeps the profiles of two adjacent sizes by bitmask,
-the previous one and the current one (at m = 22, C(22, 10) + C(22, 11),
-about 1.35 million entries); a subset with a dominated vertex takes the
-profile of K_{J - v}, and only the others grow faces and eliminate
-coboundaries.  A listed multidegree is computed on its own K_J.
+subsets as bitmasks in increasing order and keeps one rank tuple per mask
+(at m = 22, 2^22 entries, most of them shared tuples); since J - v < J as a
+mask, a subset with a dominated vertex v takes the ranks of K_{J - v}, and
+only the others grow faces and eliminate coboundaries.  A listed
+multidegree is computed on its own K_J.  The table counts each distinct
+(|J|, ranks) pair and expands the counts once.
 """
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .complexes import _mask_of
@@ -60,72 +62,54 @@ class BettiTable:
         return sorted((i, j, r) for (i, j), r in self.bigraded.items())
 
 
-def _full_table_profiles(K):
-    """(|J|, profile of K_J) for every vertex subset J, by size and then lex order.
+def _profile_counts(K, multidegrees):
+    """Counter of (|J|, reduced cohomology ranks of K_J) over the listed J, or over all J.
 
-    The profiles of the previous size and of the current one are kept by
-    bitmask: when a vertex v is dominated in K_J, K_J collapses onto
-    K_{J - v} and shares its profile.
+    The full walk takes the subsets as bitmasks in increasing order and keeps
+    one rank tuple per mask: when a vertex v is dominated in K_J, K_J
+    collapses onto K_{J - v}, whose smaller mask was walked already.
     """
-    previous = {}
-    for size in range(K.m + 1):
-        current = {}
-        for J in itertools.combinations([1 << v for v in range(K.m)], size):
-            mask = sum(J)
+    if multidegrees is not None:
+        masks = [_mask_of(J, K.m) for J in multidegrees]
+        ranks = [cohomology_profile(K.induced_face_levels(mask)).ranks for mask in masks]
+    else:
+        masks = range(1 << K.m)
+        ranks = []
+        for mask in masks:
             v = K.dominated_vertex(mask)
             if v:
-                profile = previous[mask ^ (1 << (v - 1))]
+                ranks.append(ranks[mask ^ (1 << (v - 1))])
             else:
-                profile = cohomology_profile(K.induced_face_levels(mask))
-            current[mask] = profile
-            yield size, profile
-        previous = current
+                ranks.append(cohomology_profile(K.induced_face_levels(mask)).ranks)
+    return Counter(zip(map(int.bit_count, masks), ranks))
 
 
-def _listed_profiles(K, multidegrees):
-    """(|J|, profile of K_J) for each listed J."""
-    for J in [tuple(sorted(set(J))) for J in multidegrees]:
-        yield len(J), cohomology_profile(K.induced_face_levels(_mask_of(J, K.m)))
-
-
-def bigraded_betti_table(K, multidegrees=None, capacity=FULL_TABLE_CAPACITY):
+def bigraded_betti_table(K, multidegrees=None):
     """Full bigraded Betti table plus Z_K and R_K Poincare vectors.
 
     Enumerates all 2^m vertex subsets unless an explicit iterable of
-    multidegrees is supplied; the enumeration is guarded by ``capacity`` and
-    fails loudly rather than truncating.
+    multidegrees is supplied, each counted once per listing; the enumeration
+    is guarded by ``FULL_TABLE_CAPACITY`` and fails loudly rather than
+    truncating.
     """
-    if multidegrees is None:
-        if K.m > capacity:
-            raise CapacityError(
-                "betti-table",
-                f"full table needs 2^{K.m} subsets; capacity is m <= {capacity} "
-                "(pass an explicit multidegree filter for targeted queries)",
-            )
-        profiles = _full_table_profiles(K)
-    else:
-        profiles = _listed_profiles(K, multidegrees)
-
-    bigraded = {}
-    zk = {}
-    rk = {}
-    for size, profile in profiles:
-        for d, r in profile.items():
-            if not r:
-                continue
-            i = size - d - 1
-            key = (i, size)
-            bigraded[key] = bigraded.get(key, 0) + r
-            p_zk = d + size + 1
-            zk[p_zk] = zk.get(p_zk, 0) + r
-            p_rk = d + 1
-            rk[p_rk] = rk.get(p_rk, 0) + r
+    if multidegrees is None and K.m > FULL_TABLE_CAPACITY:
+        raise CapacityError(
+            "betti-table",
+            f"full table needs 2^{K.m} subsets; capacity is m <= {FULL_TABLE_CAPACITY} "
+            "(pass an explicit multidegree filter for targeted queries)",
+        )
+    bigraded, zk, rk = Counter(), Counter(), Counter()
+    for (size, ranks), count in _profile_counts(K, multidegrees).items():
+        for d, r in enumerate(ranks, -1):
+            if r:
+                bigraded[size - d - 1, size] += r * count
+                zk[d + size + 1] += r * count
+                rk[d + 1] += r * count
 
     def to_vector(data):
-        top = max(data) if data else 0
-        return tuple(data.get(p, 0) for p in range(top + 1))
+        return tuple(data[p] for p in range(max(data, default=0) + 1))
 
-    return BettiTable(bigraded, to_vector(zk), to_vector(rk))
+    return BettiTable(dict(bigraded), to_vector(zk), to_vector(rk))
 
 
 def component_count_betti(K, i):

@@ -622,14 +622,14 @@ class FamilyMasseyReport:
     subproducts: tuple  # SubproductReport for every proper consecutive window
 
 
-def verify_family_massey(n, s, capacity=FAMILY_ORDER_CAPACITY):
+def verify_family_massey(n, s):
     """Certify the n-fold product on K(n,s): strictly defined, value nonzero,
     with every proper consecutive sub-product strictly zero.
 
     Raises VerificationError if any certified fact fails to hold.
     """
-    if n > capacity:
-        raise CapacityError("family-order", f"n = {n} exceeds capacity {capacity}")
+    if n > FAMILY_ORDER_CAPACITY:
+        raise CapacityError("family-order", f"n = {n} exceeds capacity {FAMILY_ORDER_CAPACITY}")
     input = family_massey_input(n, s)
     report = massey_product(input)
     if report.status != STATUS_DEFINED_STRICT:

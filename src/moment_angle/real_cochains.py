@@ -111,7 +111,7 @@ class RealCochain(Cochain):
 
 
 def _degree_basis(K, p):
-    """All normal-form monomials of degree p, sorted."""
+    """All normal-form monomials of degree p, sorted by (u-part, t-part)."""
     monos = []
     rest = range(1, K.m + 1)
     for u in K.faces(p):
@@ -119,21 +119,21 @@ def _degree_basis(K, p):
         for r in range(len(others) + 1):
             for t in itertools.combinations(others, r):
                 monos.append(RealMonomial(u, t))
-    monos.sort()
+    monos.sort(key=lambda mono: (mono.u_vertices, mono.t_vertices))
     return monos
 
 
-def real_cohomology_ranks(K, capacity=REAL_RANKS_CAPACITY):
+def real_cohomology_ranks(K):
     """Cohomology ranks of the model by degree, 0 .. dim K + 1.
 
     Must match the Hochster-type sum: rank H^p = sum over J of reduced
     H^{p-1}(K_J) with the {emptyset} convention.  Degrees are read up to the
     first empty basis, the degree one above the largest face size.
     """
-    if K.m > capacity:
+    if K.m > REAL_RANKS_CAPACITY:
         raise CapacityError(
             "real-ranks",
-            f"full model on m={K.m} vertices exceeds capacity m <= {capacity}",
+            f"full model on m={K.m} vertices exceeds capacity m <= {REAL_RANKS_CAPACITY}",
         )
     bases = list(itertools.takewhile(bool, (_degree_basis(K, p) for p in itertools.count())))
     dranks = [

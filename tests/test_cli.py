@@ -271,6 +271,34 @@ def test_search_candidate_capacity_exit_code(capsys, monkeypatch):
     assert "3 of the 15 candidate supports" in document["error"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["homology"],
+        ["betti", "--multidegree", "1,3"],
+        ["real-betti"],
+        ["massey", "--supports", "[[1,4],[2,5],[3,6]]"],
+        ["family", "--name", "polygon", "--m", "5"],
+    ],
+)
+def test_input_is_parsed_once_per_request(capsys, monkeypatch, tmp_path, argv):
+    from moment_angle import cli
+
+    calls = []
+
+    def counted(args):
+        calls.append(args)
+        return load(args)
+
+    load = cli._load_input
+    monkeypatch.setattr(cli, "_load_input", counted)
+    path = tmp_path / "hexagon.json"
+    path.write_text(HEXAGON)
+    code, _, _ = run(capsys, [*argv, "--input", str(path)])
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_missing_input_is_an_error(capsys):
     code, _, err = run(capsys, ["homology"])
     assert code == 1

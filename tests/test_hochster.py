@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moment_angle.complexes import SimplicialComplex
@@ -13,6 +13,7 @@ from moment_angle.hochster import (
     component_count_betti,
     multigraded_betti,
 )
+from moment_angle.multiwedge import j_construction
 from moment_angle.rational_linalg import reduced_cohomology_ranks
 
 from conftest import random_complex, small_complexes
@@ -102,6 +103,9 @@ def test_multidegree_filter_restricts_sums():
     K = polygon_nerve(6)
     table = bigraded_betti_table(K, multidegrees=[(1, 3), (2, 4), (1, 2)])
     assert table.rank(1, 2) == 2  # only the two listed non-faces contribute
+    # each listing counts once per occurrence, in whatever vertex order
+    table = bigraded_betti_table(K, multidegrees=[(3, 1), (1, 3), (2, 4), (1, 2)])
+    assert table.rank(1, 2) == 3
 
 
 def test_table_invariants():
@@ -174,3 +178,45 @@ def test_collapsed_table_matches_induced_complexes_m9_to_m11():
     assert sum(not K.structure_report().is_flag for K in cases) == 3
     for K in cases:
         assert bigraded_betti_table(K).bigraded == slow_hochster_sum(K, all_subsets(K.m))
+
+
+def wedge_poincare_sums(K, J):
+    """Poincare vectors of Z_{K(J)} and R_{K(J)} from the induced complexes of K alone.
+
+    rank H^p(Z_{K(J)}) sums rank H~^{p - 1 - sum_{k in I} (2 j_k - 1)}(K_I) over
+    I in [m]; rank H^p(R_{K(J)}) sums rank H~^{p - 1 - sum_{k in I} (j_k - 1)}(K_I).
+    """
+    zk, rk = {}, {}
+    for I in all_subsets(K.m):
+        for d, r in reduced_cohomology_ranks(K.induced(I)).items():
+            if r:
+                p = d + 1 + sum(2 * J[k - 1] - 1 for k in I)
+                zk[p] = zk.get(p, 0) + r
+                p = d + 1 + sum(J[k - 1] - 1 for k in I)
+                rk[p] = rk.get(p, 0) + r
+
+    def vector(data):
+        return tuple(data.get(p, 0) for p in range(max(data) + 1))
+
+    return vector(zk), vector(rk)
+
+
+@st.composite
+def wedge_inputs(draw):
+    m = draw(st.integers(2, 5))
+    nonfaces = draw(
+        st.lists(st.sets(st.integers(1, m), min_size=2, max_size=min(3, m)), max_size=m + 2)
+    )
+    J = tuple(draw(st.lists(st.integers(1, 3), min_size=m, max_size=m)))
+    return SimplicialComplex(m, [tuple(sorted(f)) for f in nonfaces]), J
+
+
+@settings(max_examples=60, deadline=None)
+@given(wedge_inputs())
+# 13 vertices, past the m <= 11 range of the subset-by-subset oracle
+@example((SimplicialComplex(5, [(1, 3), (2, 4), (1, 2, 5), (3, 4, 5)]), (3, 3, 3, 2, 2)))
+def test_multiwedge_table_matches_transfer_sums(case):
+    # the full table of K(J) walks up to 2^15 subsets; the sums read only K's
+    K, J = case
+    table = bigraded_betti_table(j_construction(K, J))
+    assert (table.zk_poincare, table.rk_poincare) == wedge_poincare_sums(K, J)
