@@ -55,9 +55,10 @@ def _load_input(args):
 
 
 def _int_list(text, flag):
+    """The comma-separated integers of a flag; a blank entry is an input error."""
     try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError as exc:
+        return [int(x) for x in text.split(",")]
+    except ValueError as exc:  # int() rejects a blank entry too
         raise InputError(f"{flag} expects comma-separated integers: {text!r}") from exc
 
 
@@ -132,7 +133,10 @@ def _cmd_betti(args, data):
     K = SimplicialComplex.from_json_dict(_require_input(data))
     multidegrees = None
     if args.multidegree:
-        multidegrees = [_int_list(args.multidegree, "--multidegree")]
+        J = _int_list(args.multidegree, "--multidegree")
+        if len(set(J)) != len(J):
+            raise InputError(f"--multidegree repeats a vertex: {args.multidegree!r}")
+        multidegrees = [J]
     table = bigraded_betti_table(K, multidegrees=multidegrees)
     return {
         "bigraded": [[i, j, r] for i, j, r in table.sorted_entries()],

@@ -24,6 +24,7 @@ from functools import lru_cache
 from .errors import AmbientMismatchError, CapacityError, InputError, NotACocycleError
 from .rational_linalg import Rational, SparseMatrix, nullspace_basis
 
+_ZERO = Rational(0)
 _ONE = Rational(1)
 
 # the full table builds and keeps every component, up to 3^m monomials: on the
@@ -250,11 +251,13 @@ class ComponentBasis:
     degree, sorted by u-part; since |S| + 2|T| is the degree and S u T = J,
     they are the faces T of K inside J with |T| = degree - |J|.
 
-    Each matrix is built once and cached in ``_cache``: the differential
-    from below and the matrix [coboundaries | cohomology basis].  Each is
-    eliminated once, with its row operations recorded on the first solve,
-    so every later ``primitive`` or ``class_vector`` replays that record on
-    the coordinates of its cochain instead of eliminating again.
+    The differential from below is built once and cached in ``_cache``,
+    with the cocycles, the cohomology dimension and basis.  It is
+    eliminated forward once, with its row operations logged, and that one
+    pass serves its rank, ``primitive`` (which adds the backward pass) and
+    cohomology read modulo the coboundaries: ``cohomology_basis`` and
+    ``class_vector`` work on residuals under that matrix (see
+    ``SparseMatrix.residual``), with no matrix of cocycle or class columns.
     """
 
     __slots__ = (
@@ -317,16 +320,33 @@ class ComponentBasis:
 
         Canonical cocycle basis vectors are kept greedily, in their canonical
         order, when independent of the coboundary space and of the vectors
-        kept before them: the cocycle columns that are pivots of
-        [matrix_from_below | cocycle_basis].
+        kept before them (the cocycle columns that are pivots of
+        [matrix_from_below | cocycle_basis]), until there are
+        ``cohomology_dimension`` of them.  A cocycle is read modulo the
+        coboundaries as its residual under ``matrix_from_below``, and the
+        kept residuals are held as an echelon (see ``_reduce_residual``).
         """
+        return self._classes()[0]
+
+    def _classes(self):
+        """(cohomology basis, echelon of its residuals)."""
         if "hbasis" not in self._cache:
-            below = self.matrix_from_below()
-            cocycles = self.cocycle_basis()
-            pivots = below.with_columns(cocycles).pivot_columns()
-            self._cache["hbasis"] = tuple(
-                cocycles[c - below.ncols] for c in pivots if c >= below.ncols
-            )
+            basis, echelon = [], []
+            hdim = self.cohomology_dimension()
+            if hdim:
+                below = self.matrix_from_below()
+                for z in self.cocycle_basis():
+                    rest, x = _reduce_residual(echelon, below.residual(z))
+                    if rest:
+                        p = min(rest)
+                        a = rest[p]
+                        combo = {k: -v / a for k, v in x.items()}
+                        combo[len(basis)] = _ONE / a
+                        echelon.append((p, {k: v / a for k, v in rest.items()}, combo))
+                        basis.append(z)
+                        if len(basis) == hdim:
+                            break
+            self._cache["hbasis"] = (tuple(basis), tuple(echelon))
         return self._cache["hbasis"]
 
     def coordinates(self, cochain):
@@ -357,19 +377,53 @@ class ComponentBasis:
         return self._neighbor(-1).cochain_from_coordinates(x)
 
     def class_vector(self, cochain):
-        """Coordinates of [cochain] in the cohomology basis (zero iff coboundary)."""
+        """Coordinates of [cochain] in the cohomology basis (zero iff coboundary).
+
+        The residual of the cochain modulo the coboundaries is reduced by the
+        echelon of the basis residuals, which are independent, so the
+        coordinates are unique.
+        """
         if not cochain.differential().is_zero():
             raise NotACocycleError(f"d({cochain!r}) != 0")
-        below = self.matrix_from_below()
-        if "classes" not in self._cache:  # [coboundaries | cohomology basis]
-            self._cache["classes"] = below.with_columns(self.cohomology_basis())
-        x = self._cache["classes"].solve(self.coordinates(cochain))
-        if x is None:  # cannot happen for a cocycle of this component
+        basis, echelon = self._classes()
+        if not basis:
+            return ()
+        residual = self.matrix_from_below().residual(self.coordinates(cochain))
+        rest, x = _reduce_residual(echelon, residual)
+        if rest:  # cannot happen for a cocycle of this component
             raise NotACocycleError("cocycle not in span of coboundaries + cohomology basis")
-        return x[below.ncols :]
+        return tuple(x.get(k, _ZERO) for k in range(len(basis)))
 
     def key(self):
         return (self.multidegree, self.total_degree)
+
+
+def _reduce_residual(echelon, residual):
+    """Reduce a residual vector by an echelon of kept residuals.
+
+    ``echelon`` holds (position, row, combination) triples: the row (a dict
+    position -> value) is 1 at its position and 0 at the positions of the
+    rows before it, and it equals the sum of combination[k] times the
+    residual of basis vector k.  Returns (rest, x) with residual = rest +
+    sum of x[k] times the residual of basis vector k, where rest (a dict of
+    its nonzero entries) is 0 at every position of the echelon; it is empty
+    exactly when the residual lies in the span of the kept ones.
+    """
+    rest = {i: v for i, v in enumerate(residual) if v}
+    x = {}
+    for p, row, combo in echelon:
+        a = rest.get(p)
+        if not a:
+            continue
+        for k, v in row.items():
+            s = rest.get(k, 0) - a * v
+            if s:
+                rest[k] = s
+            else:
+                del rest[k]
+        for k, v in combo.items():
+            x[k] = x.get(k, 0) + a * v
+    return rest, x
 
 
 @lru_cache(maxsize=None)

@@ -16,19 +16,26 @@ its pivot entry), a nullspace vector or a solution.
 
 The determinism convention lives here: the answers are those of the
 canonical reduced row echelon form with the fixed left-to-right column
-order.  Every basis choice (cohomology representatives, independent
-indeterminacy vectors) is read from ``SparseMatrix.pivot_columns`` of a
-matrix whose columns are the candidates in order: a column is a pivot
-exactly when it is independent of the columns before it.  The RREF is
-canonical, so the answers do not depend on pivot-row choices (which are
+order.  Every basis choice keeps the candidates, in order, that are
+independent of the ones before them: the independent indeterminacy vectors
+are read from ``SparseMatrix.pivot_columns`` of a matrix whose columns are
+the candidates (a column is a pivot exactly when it is independent of the
+columns before it), and the cohomology representatives from the residuals
+of the cocycles modulo the coboundary matrix (see ``residual``).  The RREF
+is canonical, so the answers do not depend on pivot-row choices (which are
 made to limit fill-in).
 
-Each matrix caches its elimination.  Reading its rank or pivot columns runs
-the forward pass alone.  The first solve or nullspace read runs the forward
-pass and the backward pass to the RREF with a log of the integer row
-operations; every solve replays that log on its right-hand side in exact
-rationals and reads the particular solution (free variables zero) from the
-pivot rows, and the nullspace is read from the RREF rows.
+Each matrix runs its forward pass once, with a log of the integer row
+operations, and keeps the pivots, that log and the pivot rows.  Its rank and
+pivot columns are read off the pivots; ``residual`` replays the forward log
+on a vector, which leaves it nonzero only at the positions holding no pivot.
+The first solve or nullspace read adds the backward pass to the RREF, on a
+copy of the pivot rows, with its own log; every solve replays both logs on
+its right-hand side in exact rationals and reads the particular solution
+(free variables zero) from the pivot rows, and the nullspace is read from
+the RREF rows.  The stored state is never mutated, so threads may race to
+compute it.
+
 ``rank_mod_p`` is a separate GF(p) elimination, kept on purpose as an
 independent oracle for the rational path.
 
@@ -55,12 +62,14 @@ class SparseMatrix:
     """Immutable sparse matrix over the rationals; no explicit zeros stored.
 
     Int entries stay ints; every other entry (a bool included) becomes a
-    Rational.  The elimination is cached: the pivot columns once a rank is
-    read, and the row-operation log with the RREF rows once the matrix is
-    solved against or its nullspace is read.
+    Rational.  The elimination is cached in two stages.  The first read of
+    the rank, the pivot columns or a residual runs the forward pass once,
+    with its log, and keeps the pivots, the log and the pivot rows; the
+    first solve or nullspace read adds the backward pass on a copy of those
+    rows.  Neither stage is changed once stored.
     """
 
-    __slots__ = ("nrows", "ncols", "entries", "_pivots", "_factors")
+    __slots__ = ("nrows", "ncols", "entries", "_forward", "_factors")
 
     def __init__(self, nrows, ncols, entries=None):
         self.nrows = nrows
@@ -75,7 +84,7 @@ class SparseMatrix:
                 if v:
                     clean[(r, c)] = v
         self.entries = clean
-        self._pivots = None
+        self._forward = None
         self._factors = None
 
     def entry(self, r, c):
@@ -114,6 +123,22 @@ class SparseMatrix:
                     out.pop(key, None)
         return SparseMatrix(self.nrows, other.ncols, out)
 
+    def _forward_pass(self):
+        """(columns, positions, log, rows) of the logged forward pass.
+
+        The pivots are read in column order: their columns, the positions of
+        their rows, the log of the forward row operations (see ``_reduce``)
+        and the integer pivot rows.  Every other row is zero afterwards.
+        """
+        if self._forward is None:
+            rows = self.rows_as_dicts()
+            log = []
+            pivots = _reduce(rows, self.ncols, log)
+            columns = tuple(c for c, _ in pivots)
+            positions = tuple(j for _, j in pivots)
+            self._forward = (columns, positions, tuple(log), tuple(rows[j] for j in positions))
+        return self._forward
+
     def pivot_columns(self):
         """Pivot columns of the canonical RREF, ascending.
 
@@ -121,52 +146,60 @@ class SparseMatrix:
         0..c-1, so these are the columns a greedy left-to-right scan keeps.
         Only the forward pass of the elimination runs for them.
         """
-        if self._pivots is None:
-            self._pivots = tuple(c for c, _ in _reduce(self.rows_as_dicts(), self.ncols))
-        return self._pivots
+        return self._forward_pass()[0]
 
     def rank(self):
-        return len(self.pivot_columns())
+        return len(self._forward_pass()[0])
 
     def _factor(self):
-        """(log, RREF rows): the logged elimination down to the integer RREF.
+        """(backward log, RREF rows): the backward pass down to the integer RREF.
 
-        The RREF rows are (column, position, integer row) in pivot order;
-        the canonical RREF row is the integer row divided by its entry in
-        the pivot column.
+        The RREF rows are in pivot order; the canonical RREF row is the
+        integer row divided by its entry in the pivot column.  A pivot row
+        the backward pass does not change is shared with the forward pass.
         """
         if self._factors is None:
-            rows = self.rows_as_dicts()
-            log = []
-            pivots = _reduce(rows, self.ncols, log)
-            self._pivots = tuple(c for c, _ in pivots)
-            self._factors = (tuple(log), tuple((c, i, rows[i]) for c, i in pivots))
+            columns, positions, _, rows = self._forward_pass()
+            back = []
+            rref = _back_substitute(columns, positions, rows, self.ncols, back)
+            self._factors = (tuple(back), rref)
         return self._factors
+
+    def _rhs(self, b):
+        if len(b) != self.nrows:
+            raise InputError(f"right-hand side has length {len(b)}, expected {self.nrows}")
+        return [Rational(v) if v else _ZERO for v in b]
+
+    def residual(self, b):
+        """``b`` reduced by the forward pass: zero exactly when self x = b is solvable.
+
+        The forward log is replayed on ``b`` alone, in rationals, and the
+        positions of the pivot rows are set to zero.  The result is linear
+        in ``b``, its kernel is the column space, and every entry at a pivot
+        position is zero.
+        """
+        b = self._rhs(b)
+        _, positions, log, _ = self._forward_pass()
+        _replay(b, log)
+        for j in positions:
+            b[j] = _ZERO
+        return tuple(b)
 
     def solve(self, b):
         """The particular solution of self x = b (free variables zero), or None.
 
-        The first call records the row operations of this matrix's
-        elimination; every call replays them on ``b`` alone, in rationals.
-        Afterwards x_c is the entry at the position of pivot c divided by
-        that row's pivot entry, and b is inconsistent exactly when some
-        position that holds no pivot is nonzero.
+        Both logs of this matrix's elimination are replayed on ``b`` alone,
+        in rationals.  Afterwards x_c is the entry at the position of pivot
+        c divided by that row's pivot entry, and b is inconsistent exactly
+        when some position that holds no pivot is nonzero.
         """
-        if len(b) != self.nrows:
-            raise InputError(f"right-hand side has length {len(b)}, expected {self.nrows}")
-        log, pivots = self._factor()
-        b = [Rational(v) if v else _ZERO for v in b]
-        for i, j, q, f, g in log:
-            u, v = b[i], b[j]
-            if f and v:
-                u = (q * u if q != 1 else u) - (v if f == 1 else f * v)
-            elif not u:
-                continue
-            elif q != 1:
-                u = q * u
-            b[i] = u / g if g != 1 else u
+        b = self._rhs(b)
+        columns, positions, log, _ = self._forward_pass()
+        back, rref = self._factor()
+        _replay(b, log)
+        _replay(b, back)
         x = [_ZERO] * self.ncols
-        for c, i, row in pivots:
+        for c, i, row in zip(columns, positions, rref):
             v = b[i]
             if v:
                 p = row[c]
@@ -189,27 +222,37 @@ class SparseMatrix:
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={len(self.entries)})"
 
 
-def _reduce(rows, ncols, log=None):
-    """Fraction-free elimination over the integers: the pivots of the canonical RREF.
+def _replay(b, log):
+    """Apply logged row operations (i, j, q, f, g) to the rational vector ``b`` in place."""
+    for i, j, q, f, g in log:
+        u, v = b[i], b[j]
+        if f and v:
+            u = (q * u if q != 1 else u) - (v if f == 1 else f * v)
+        elif not u:
+            continue
+        elif q != 1:
+            u = q * u
+        b[i] = u / g if g != 1 else u
+
+
+def _reduce(rows, ncols, log):
+    """Fraction-free forward elimination over the integers: the pivots of the canonical RREF.
 
     ``rows`` is a list of dicts (column -> nonzero int or Rational), one per
     row; each is replaced in place by an integer row, and rows keep their
     positions.  Returns the pivots as (column, position) pairs in increasing
     column order; the pivot columns are those of the canonical RREF,
-    whichever rows are chosen as pivots.
+    whichever rows are chosen as pivots.  Every row that is not a pivot is
+    zero afterwards.
 
     Each row is first made primitive: scaled by the lcm of its denominators
-    and divided by the gcd of its entries.  The forward pass then takes each
-    column in turn.  Its pivot is the shortest row (the lowest position among
-    equals) that holds the column and is not yet a pivot, read from a column
-    index.  Every other such row r becomes (q r - f p) / g, where p is the
-    pivot row, q / f is p's entry over r's entry in the column in lowest
-    terms (q > 0), and g is the content of the result.  That is all a rank
-    needs.
+    and divided by the gcd of its entries.  Then each column is taken in
+    turn.  Its pivot is the shortest row (the lowest position among equals)
+    that holds the column and is not yet a pivot, read from a column index.
+    Every other such row r becomes (q r - f p) / g, where p is the pivot
+    row, q / f is p's entry over r's entry in the column in lowest terms
+    (q > 0), and g is the content of the result.
 
-    With a list ``log``, a backward pass follows: each pivot column is
-    cleared, the same way, from the pivot rows above it, so the row at each
-    pivot's position becomes its canonical RREF row times an integer.
     ``log`` receives every row operation in order as (i, j, q, f, g): the
     row at position i became (q * row i - f * row j) / g.  The initial
     scaling of row i is logged as (i, i, q, 0, g).
@@ -227,46 +270,11 @@ def _reduce(rows, ncols, log=None):
             g = gcd(*row.values())
         if g != 1:
             row = {c: v // g for c, v in row.items()}
-        if log is not None and (den != 1 or g != 1):
+        if den != 1 or g != 1:
             log.append((i, i, den, 0, g))
         rows[i] = row
         for c in row:
             index[c].add(i)
-
-    def clear(c, j, targets):
-        """Clear column c from the rows at the positions ``targets`` with row j."""
-        pivot = rows[j]
-        p = pivot[c]
-        rest = [(k, v) for k, v in pivot.items() if k != c]
-        for i in targets:
-            row = rows[i]
-            f = row.pop(c)
-            g = gcd(p, f)
-            q, f = p // g, f // g
-            if q < 0:
-                q, f = -q, -f
-            if q != 1:
-                for k in row:
-                    row[k] *= q
-            for k, v in rest:
-                s = row.get(k)
-                if s is None:
-                    row[k] = -f * v
-                    index[k].add(i)
-                else:
-                    s -= f * v
-                    if s:
-                        row[k] = s
-                    else:
-                        del row[k]
-                        index[k].discard(i)
-            g = gcd(*row.values()) or 1
-            if g != 1:
-                for k in row:
-                    row[k] //= g
-            if log is not None:
-                log.append((i, j, q, f, g))
-
     pivots = []
     for c in range(ncols):
         targets = index[c]
@@ -278,18 +286,73 @@ def _reduce(rows, ncols, log=None):
             j = min(targets, key=lambda i: (len(rows[i]), i))
         for k in rows[j]:
             index[k].discard(j)
-        clear(c, j, targets)
+        _clear(rows, index, log, c, j, targets)
         targets.clear()
         pivots.append((c, j))
-    if log is not None:
-        # every row left outside the pivots is zero now, so the index is empty
-        for c, j in pivots:
-            for k in rows[j]:
-                index[k].add(j)
-        for c, j in reversed(pivots):
-            index[c].discard(j)
-            clear(c, j, index[c])
     return pivots
+
+
+def _back_substitute(columns, positions, rows, ncols, log):
+    """The backward pass: clear each pivot column from the pivot rows above it.
+
+    ``columns``, ``positions`` and ``rows`` are the pivots of the forward
+    pass and their integer rows, which stay unchanged: a row is copied
+    before its first change.  Returns the rows, in pivot order, with the
+    row of each pivot now its canonical RREF row times an integer; ``log``
+    receives the row operations as ``_reduce`` logs them.
+    """
+    rows = dict(zip(positions, rows))
+    index = [set() for _ in range(ncols)]
+    for j, row in rows.items():
+        for k in row:
+            index[k].add(j)
+    copied = set()
+    for c, j in zip(reversed(columns), reversed(positions)):
+        targets = index[c]
+        targets.discard(j)
+        for i in targets - copied:
+            rows[i] = dict(rows[i])
+        copied |= targets
+        _clear(rows, index, log, c, j, targets)
+    return tuple(rows[j] for j in positions)
+
+
+def _clear(rows, index, log, c, j, targets):
+    """Clear column c from the rows at the positions ``targets`` with row j.
+
+    Each target row r becomes (q r - f p) / g (see ``_reduce``); ``index``
+    (column -> positions of the rows holding it) is kept current.
+    """
+    pivot = rows[j]
+    p = pivot[c]
+    rest = [(k, v) for k, v in pivot.items() if k != c]
+    for i in targets:
+        row = rows[i]
+        f = row.pop(c)
+        g = gcd(p, f)
+        q, f = p // g, f // g
+        if q < 0:
+            q, f = -q, -f
+        if q != 1:
+            for k in row:
+                row[k] *= q
+        for k, v in rest:
+            s = row.get(k)
+            if s is None:
+                row[k] = -f * v
+                index[k].add(i)
+            else:
+                s -= f * v
+                if s:
+                    row[k] = s
+                else:
+                    del row[k]
+                    index[k].discard(i)
+        g = gcd(*row.values()) or 1
+        if g != 1:
+            for k in row:
+                row[k] //= g
+        log.append((i, j, q, f, g))
 
 
 @dataclass(frozen=True)
@@ -312,13 +375,14 @@ def _nullspace(A):
     column f at the pivot columns.
     """
     ncols = A.ncols
-    _, pivots = A._factor()
-    pivot_set = {c for c, _, _ in pivots}
+    columns = A.pivot_columns()
+    rref = A._factor()[1]
+    pivot_set = set(columns)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = {f: [_ZERO] * ncols for f in free}
     for f in free:
         basis[f][f] = _ONE
-    for c, _, row in pivots:
+    for c, row in zip(columns, rref):
         p = row[c]
         for k, v in row.items():
             if k != c:

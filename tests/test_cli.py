@@ -378,6 +378,25 @@ def test_multidegree_vertex_out_of_range(capsys):
     assert message == "vertex 0 out of range 1..3"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    # each was read as a shorter list: [], [1], [1, 2], [3, 1], [3, 3]
+    [
+        ["betti", "--multidegree", ","],
+        ["betti", "--multidegree", "1,1"],
+        ["multiwedge", "--j", "1,,2"],
+        ["massey", "--family", "3,1,"],
+        ["family", "--name", "degrees", "--degrees", "3, ,3"],
+    ],
+)
+def test_blank_or_repeated_integers_are_an_input_error(capsys, argv):
+    if argv[0] in ("betti", "multiwedge"):
+        argv = [*argv, "--inline", '{"m":2,"minimal_nonfaces":[[1,2]]}']
+    code, out, err = run(capsys, argv)
+    assert out == ""
+    assert_one_input_error(code, err)
+
+
 def test_multidegree_on_a_large_complex(capsys):
     nonfaces = [[2 * k - 1, 2 * k] for k in range(1, 7)]
     complex_json = json.dumps({"m": 40, "minimal_nonfaces": nonfaces})

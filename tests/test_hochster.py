@@ -220,3 +220,28 @@ def test_multiwedge_table_matches_transfer_sums(case):
     K, J = case
     table = bigraded_betti_table(j_construction(K, J))
     assert (table.zk_poincare, table.rk_poincare) == wedge_poincare_sums(K, J)
+
+
+def convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for p, x in enumerate(a):
+        for q, y in enumerate(b):
+            out[p + q] += x * y
+    return tuple(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_complexes(min_m=1, max_m=4), small_complexes(min_m=1, max_m=4))
+def test_join_table_matches_kunneth_products(K1, K2):
+    # Z_{K1 * K2} = Z_{K1} x Z_{K2} and R_{K1 * K2} = R_{K1} x R_{K2}; the
+    # Stanley-Reisner ring of a join is the tensor product of the factors' rings
+    t1, t2 = bigraded_betti_table(K1), bigraded_betti_table(K2)
+    table = bigraded_betti_table(K1.join(K2))
+    assert table.zk_poincare == convolve(t1.zk_poincare, t2.zk_poincare)
+    assert table.rk_poincare == convolve(t1.rk_poincare, t2.rk_poincare)
+    bigraded = {}
+    for (i1, j1), r1 in t1.bigraded.items():
+        for (i2, j2), r2 in t2.bigraded.items():
+            key = (i1 + i2, j1 + j2)
+            bigraded[key] = bigraded.get(key, 0) + r1 * r2
+    assert table.bigraded == bigraded

@@ -3,13 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moment_angle.complexes import SimplicialComplex
 from moment_angle.errors import InputError, NotACocycleError
 from moment_angle.families import polygon_nerve
-from moment_angle.koszul import component_basis
+from moment_angle.koszul import ComponentBasis, component_basis
 from moment_angle.rational_linalg import (
     Rational,
     SparseMatrix,
@@ -245,8 +245,17 @@ def test_pivot_columns_match_greedy_rank_scan(columns):
     assert A.rank() == reference_rank(columns)
 
 
+# three isolated vertices: the component J = {1, 2, 3} in degree 4 has dimension 2
+THREE_POINTS = SimplicialComplex(3, [(1, 2), (1, 3), (2, 3)])
+
+
+def test_three_points_pin_a_two_dimensional_component():
+    assert component_basis(THREE_POINTS, (1, 2, 3), 4).cohomology_dimension() == 2
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_complexes())
+@example(THREE_POINTS)
 def test_cohomology_basis_matches_greedy_scan(K):
     for size in range(1, K.m + 1):
         for J in itertools.combinations(range(1, K.m + 1), size):
@@ -375,6 +384,30 @@ def test_replayed_solves_match_one_shot_solves(case, rank_first):
     assert first.pivot_columns() == pivots
 
 
+@settings(max_examples=150, deadline=None)
+@given(matrices_with_rhs(), st.sampled_from([1, -2, Fraction(3, 2)]))
+def test_residual_reads_the_column_space(case, scale):
+    A, rhs = case
+    zero = (Rational(0),) * A.nrows
+    for b in rhs:
+        r = A.residual(b)
+        assert len(r) == A.nrows and all_rational([r])
+        assert (r == zero) == (fresh(A).solve(b) is not None)
+    # linear in b
+    b1, b2 = rhs[0], rhs[-1]
+    combined = [scale * u + v for u, v in zip(b1, b2)]
+    expected = tuple(scale * u + v for u, v in zip(A.residual(b1), A.residual(b2)))
+    assert A.residual(combined) == expected
+    # every column of A is in the column space
+    for c in range(A.ncols):
+        assert A.residual([A.entry(r, c) for r in range(A.nrows)]) == zero
+    # a stored forward pass leaves the solve unchanged
+    first = fresh(A)
+    first.rank()
+    for b in rhs:
+        assert first.solve(b) == fresh(A).solve(b)
+
+
 def test_int_entries_stay_ints():
     A = SparseMatrix(2, 3, {(0, 0): 3, (0, 1): True, (1, 1): Fraction(1, 2), (1, 2): 0})
     assert type(A.entry(0, 0)) is int
@@ -388,7 +421,8 @@ def test_int_entries_stay_ints():
 
 
 def test_concurrent_first_solves_agree():
-    # threads racing to record one matrix's log must all read correct solutions
+    # threads racing to store one matrix's elimination, or one component's basis,
+    # must all read correct answers; the forward pass may be stored already
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
@@ -397,14 +431,32 @@ def test_concurrent_first_solves_agree():
     for _ in range(20):
         rows = [[rng.choice([0, 0, 1, -1, 2]) for _ in range(5)] for _ in range(5)]
         cases.append((dense(rows), [[rng.randint(-2, 2) for _ in range(5)] for _ in range(8)]))
+    components = [(THREE_POINTS, (1, 2, 3), 4), (polygon_nerve(6), (1, 2, 3, 4, 5, 6), 8)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            for A, rhs in cases:
-                futures = [pool.submit(A.solve, b) for b in rhs]
+            for rank_first in (False, True):
+                for A, rhs in cases:
+                    A = fresh(A)
+                    if rank_first:
+                        A.rank()
+                    futures = [pool.submit(A.solve, b) for b in rhs]
+                    got = [f.result(timeout=60) for f in futures]
+                    assert got == [reference_solution(A, b) for b in rhs]
+            for K, J, degree in components:
+                comp = ComponentBasis(K, J, degree)  # not the memoized component
+                B = comp.matrix_from_below()
+                classes = B.with_columns(component_basis(K, J, degree).cohomology_basis())
+                cocycles = component_basis(K, J, degree).cocycle_basis()
+                cocycles += tuple(tuple(x + y for x, y in zip(z, cocycles[0])) for z in cocycles)
+                futures = [
+                    pool.submit(comp.class_vector, comp.cochain_from_coordinates(z))
+                    for z in cocycles
+                ]
                 got = [f.result(timeout=60) for f in futures]
-                assert got == [reference_solution(A, b) for b in rhs]
+                assert got == [solve_linear(classes, z).vector[B.ncols :] for z in cocycles]
+                assert len(comp.cohomology_basis()) == comp.cohomology_dimension() > 0
     finally:
         sys.setswitchinterval(interval)
 
@@ -420,6 +472,7 @@ def unit_vectors(n):
 
 @settings(max_examples=30, deadline=None)
 @given(small_complexes())
+@example(THREE_POINTS)
 def test_component_reads_match_one_shot_solves(K):
     for size in range(1, K.m + 1):
         for J in itertools.combinations(range(1, K.m + 1), size):
