@@ -251,8 +251,8 @@ class ComponentBasis:
     degree, sorted by u-part; since |S| + 2|T| is the degree and S u T = J,
     they are the faces T of K inside J with |T| = degree - |J|.
 
-    The differential from below is built once and cached in ``_cache``,
-    with the cocycles, the cohomology dimension and basis.  It is
+    The differential from below is built once and cached in ``_cache``, as
+    are the cocycles and the cohomology dimension and basis.  The matrix is
     eliminated forward once, with its row operations logged, and that one
     pass serves its rank, ``primitive`` (which adds the backward pass) and
     cohomology read modulo the coboundaries: ``cohomology_basis`` and

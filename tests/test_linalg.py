@@ -246,11 +246,8 @@ def test_pivot_columns_match_greedy_rank_scan(columns):
 
 
 # three isolated vertices: the component J = {1, 2, 3} in degree 4 has dimension 2
+# (checked in test_concurrent_first_solves_agree)
 THREE_POINTS = SimplicialComplex(3, [(1, 2), (1, 3), (2, 3)])
-
-
-def test_three_points_pin_a_two_dimensional_component():
-    assert component_basis(THREE_POINTS, (1, 2, 3), 4).cohomology_dimension() == 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -431,7 +428,7 @@ def test_concurrent_first_solves_agree():
     for _ in range(20):
         rows = [[rng.choice([0, 0, 1, -1, 2]) for _ in range(5)] for _ in range(5)]
         cases.append((dense(rows), [[rng.randint(-2, 2) for _ in range(5)] for _ in range(8)]))
-    components = [(THREE_POINTS, (1, 2, 3), 4), (polygon_nerve(6), (1, 2, 3, 4, 5, 6), 8)]
+    components = [(THREE_POINTS, (1, 2, 3), 4, 2), (polygon_nerve(6), (1, 2, 3, 4, 5, 6), 8, 1)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -444,7 +441,7 @@ def test_concurrent_first_solves_agree():
                     futures = [pool.submit(A.solve, b) for b in rhs]
                     got = [f.result(timeout=60) for f in futures]
                     assert got == [reference_solution(A, b) for b in rhs]
-            for K, J, degree in components:
+            for K, J, degree, hdim in components:
                 comp = ComponentBasis(K, J, degree)  # not the memoized component
                 B = comp.matrix_from_below()
                 classes = B.with_columns(component_basis(K, J, degree).cohomology_basis())
@@ -456,7 +453,7 @@ def test_concurrent_first_solves_agree():
                 ]
                 got = [f.result(timeout=60) for f in futures]
                 assert got == [solve_linear(classes, z).vector[B.ncols :] for z in cocycles]
-                assert len(comp.cohomology_basis()) == comp.cohomology_dimension() > 0
+                assert len(comp.cohomology_basis()) == comp.cohomology_dimension() == hdim
     finally:
         sys.setswitchinterval(interval)
 
