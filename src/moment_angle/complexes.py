@@ -5,7 +5,8 @@ corresponding squarefree monomial ideal); the maximal faces are derived
 lazily by hypergraph dualization and cached.  The faces themselves form a
 bitmask lattice that is grown one level (face size) at a time, only as far
 as a caller asks, and cached; the lattice of an induced subcomplex is grown
-the same way inside its vertex set; face tests by vertex tuple are
+the same way inside its vertex set, and kept per vertex set for callers that
+read it many times; face tests by vertex tuple are
 memoized in the same cache.  Every singleton {i} is required
 to be a face, so complexes carry no ghost vertices.  All values are
 canonicalized and immutable after construction; equality and hashing use the
@@ -383,6 +384,21 @@ class SimplicialComplex:
         while level:
             yield level
             level = self._grow(level, mask, rests)
+
+    def kept_face_levels(self, mask):
+        """The face levels of K_J (see ``induced_face_levels``) as a tuple, kept in ``_cache``.
+
+        For callers that read the levels of one J many times, such as the
+        Koszul components (J, t) of every degree t; a walk over all 2^m
+        subsets uses ``induced_face_levels``, which keeps nothing.  The
+        levels are grown into a local tuple and stored whole, so threads
+        racing on a first read each store an equal tuple.
+        """
+        memo = self._cache.setdefault("induced_face_levels", {})
+        levels = memo.get(mask)
+        if levels is None:
+            levels = memo[mask] = tuple(self.induced_face_levels(mask))
+        return levels
 
     def faces(self, size):
         """All faces with ``size`` vertices, as sorted tuples in lex order."""

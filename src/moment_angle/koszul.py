@@ -11,6 +11,17 @@ bases, coboundary matrices, and deterministic class coordinates live in
 with Cai's real model in ``real_cochains``; both read the signs of a
 model's differential from its one static ``differential_terms``.
 
+By Hochster's isomorphism the component (J, t) is a sign-twisted copy of
+the cochains of the induced subcomplex K_J: its basis is the level of K_J's
+faces T with t - |J| vertices, held as bitmasks in reverse lex order of T
+(which is the order of the monomials u_{J-T} v_T by u-part).  The levels of
+each K_J are grown once and kept in K's own cache for all the degrees of J
+(``SimplicialComplex.kept_face_levels``).
+A component's matrix is written from the masks alone: the entry at (row of
+T + i, column of T) is (-1)^k, k the number of vertices of J - T below i,
+wherever T + i is a face; the monomial objects are built only for the
+components whose cochains are read or written.
+
 Normal form and signs: u-variables first in ascending order, then
 v-variables ascending.  v's are even (degree 2) and contribute no signs;
 u's are odd, so merging two u-blocks contributes the parity of the shuffle,
@@ -21,14 +32,16 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .complexes import _mask_of, _tuple_of
 from .errors import AmbientMismatchError, CapacityError, InputError, NotACocycleError
 from .rational_linalg import Rational, SparseMatrix, nullspace_basis
 
 _ZERO = Rational(0)
 _ONE = Rational(1)
 
-# the full table builds and keeps every component, up to 3^m monomials: on the
-# full simplex, m = 11 took 4.8 s and 204 MB, m = 12 took 16 s and 360 MB
+# the full table builds and keeps every component, up to 3^m basis faces: on the
+# full simplex (2-vCPU Xeon, Python 3.11.7, Fraction backend) m = 11 took 2.8-3.0 s
+# and 167 MB peak RSS, m = 12 took 8.1-8.5 s and 498 MB, most of it the matrices
 KOSZUL_TABLE_CAPACITY = 12
 
 
@@ -249,7 +262,11 @@ class ComponentBasis:
 
     Monomials are all u_S v_T with S u T = J, T a face, of the given total
     degree, sorted by u-part; since |S| + 2|T| is the degree and S u T = J,
-    they are the faces T of K inside J with |T| = degree - |J|.
+    they are the faces T of K inside J with |T| = degree - |J|.  The basis
+    is kept as that level of the face masks of K_J (``_faces``), in reverse
+    lex order of T: for subsets of J of equal size, the lex order of the
+    u-parts J - T is the reverse of the lex order of the faces T.  The
+    ``monomials`` and their ``index`` are built only when read.
 
     The differential from below is built once and cached in ``_cache``, as
     are the cocycles and the cohomology dimension and basis.  The matrix is
@@ -260,44 +277,65 @@ class ComponentBasis:
     ``SparseMatrix.residual``), with no matrix of cocycle or class columns.
     """
 
-    __slots__ = (
-        "complex",
-        "multidegree",
-        "total_degree",
-        "monomials",
-        "index",
-        "_cache",
-    )
+    __slots__ = ("complex", "multidegree", "total_degree", "_mask", "_faces", "_cache")
 
     def __init__(self, complex, multidegree, total_degree):
         self.complex = complex
         self.multidegree = multidegree
         self.total_degree = total_degree
-        J = set(multidegree)
+        self._mask = mask = _mask_of(multidegree, complex.m)
         t_size = total_degree - len(multidegree)
-        monos = []
-        if 0 <= t_size <= len(multidegree):
-            for tau in complex.faces(t_size):
-                if set(tau) <= J:
-                    sigma = tuple(sorted(J - set(tau)))
-                    monos.append(KoszulMonomial(sigma, tau))
-        monos.sort()
-        self.monomials = tuple(monos)
-        self.index = {mono: i for i, mono in enumerate(monos)}
+        levels = complex.kept_face_levels(mask)
+        self._faces = levels[t_size][::-1] if 0 <= t_size < len(levels) else ()
         self._cache = {}
 
+    @property
+    def monomials(self):
+        """The basis monomials u_{J - T} v_T, in the order of ``_faces``."""
+        if "monomials" not in self._cache:
+            J = self._mask
+            self._cache["monomials"] = tuple(
+                KoszulMonomial(_tuple_of(J ^ T), _tuple_of(T)) for T in self._faces
+            )
+        return self._cache["monomials"]
+
+    @property
+    def index(self):
+        """Row of each basis monomial."""
+        if "index" not in self._cache:
+            self._cache["index"] = {mono: i for i, mono in enumerate(self.monomials)}
+        return self._cache["index"]
+
     def __len__(self):
-        return len(self.monomials)
+        return len(self._faces)
 
     def _neighbor(self, offset):
         return component_basis(self.complex, self.multidegree, self.total_degree + offset)
 
     def matrix_from_below(self):
-        """Differential (degree-1 component) -> (this component), target rows."""
+        """Differential (degree-1 component) -> (this component), target rows.
+
+        Column j is d(u_{J - T} v_T) for the face T = ``below._faces[j]``:
+        dropping u_i, at 0-based position k of the u-block J - T, gives the
+        entry (-1)^k in the row of T + i, when T + i is a face, which is
+        exactly when it is a face of this component's basis (the signs of
+        ``KoszulCochain.differential_terms``).
+        """
         if "from_below" not in self._cache:
-            self._cache["from_below"] = differential_matrix(
-                KoszulCochain, self.complex, self._neighbor(-1).monomials, self.index
-            )
+            rows = {T: r for r, T in enumerate(self._faces)}
+            below = self._neighbor(-1)._faces
+            J = self._mask
+            entries = {}
+            for col, T in enumerate(below):
+                rest, k = J ^ T, 0
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    r = rows.get(T | low)
+                    if r is not None:
+                        entries[r, col] = -1 if k & 1 else 1
+                    k += 1
+            self._cache["from_below"] = SparseMatrix(len(rows), len(below), entries)
         return self._cache["from_below"]
 
     def matrix_to_above(self):

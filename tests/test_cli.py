@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -453,3 +457,93 @@ def test_help_still_exits_zero(capsys):
         main(["betti", "--help"])
     assert exc.value.code == 0
     assert "--multidegree" in capsys.readouterr().out
+
+
+def strict_loads(text):
+    """json.loads that rejects NaN and the infinities, which JSON does not allow."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["homology", "--inline", HEXAGON],
+        ["betti", "--inline", HEXAGON],
+        ["real-betti", "--inline", HEXAGON],
+        ["multiwedge", "--inline", HEXAGON, "--j", "2,1,1,1,1,1"],
+        ["family", "--name", "polygon", "--m", "5"],
+        ["massey", "--inline", HEXAGON, "--supports", "[[1,4],[2,5],[3,6]]"],
+        ["graphassoc", "--inline", '{"n":3,"edges":[[1,2],[2,3]]}'],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_stdout_is_exactly_one_json_document(capsys, argv):
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert set(strict_loads(out)) == {"meta", "result"}
+    with pytest.raises(ValueError):
+        strict_loads(out + out)
+
+
+def test_library_calls_write_nothing_to_stdout(capsys):
+    from moment_angle.massey import verify_family_massey
+
+    verify_family_massey(2, 1)
+    assert capsys.readouterr().out == ""
+
+
+def quiet_main(argv):
+    """(exit code, parsed stdout or None) of one request, with stdout and stderr captured."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, (strict_loads(out.getvalue()) if code == 0 else None)
+
+
+@st.composite
+def relabelled_inputs(draw):
+    """A complex on m <= 7 vertices, a vertex permutation, and, for m >= 6, three supports.
+
+    Each support is a pair made a non-face, so its degree-0 classes span a
+    line: the canonical class, the first basis class in the vertex order,
+    then follows the relabelling up to a sign.
+    """
+    m = draw(st.integers(3, 7))
+    nonfaces = draw(st.lists(st.sets(st.integers(1, m), min_size=2, max_size=m), max_size=m))
+    nonfaces += draw(st.lists(st.sets(st.integers(1, m), min_size=2, max_size=2), max_size=m))
+    nonfaces = [sorted(nf) for nf in nonfaces]
+    perm = draw(st.permutations(range(1, m + 1)))  # vertex v becomes perm[v - 1]
+    supports = None
+    if m >= 6:
+        order = draw(st.permutations(range(1, m + 1)))
+        supports = [sorted(order[k : k + 2]) for k in (0, 2, 4)]
+        nonfaces += supports
+    return m, nonfaces, perm, supports
+
+
+@settings(max_examples=40, deadline=None)
+@given(relabelled_inputs())
+def test_results_are_invariant_under_relabelling(case):
+    m, nonfaces, perm, supports = case
+
+    def moved(vertices):
+        return sorted(perm[v - 1] for v in vertices)
+
+    original = json.dumps({"m": m, "minimal_nonfaces": nonfaces})
+    relabelled = json.dumps({"m": m, "minimal_nonfaces": [moved(nf) for nf in nonfaces]})
+    for command in ("betti", "real-betti", "homology"):
+        (code, first), (_, second) = (quiet_main([command, "--inline", doc])
+                                      for doc in (original, relabelled))
+        assert code == 0
+        assert first["result"] == second["result"]
+    if supports:
+        (code, first), (_, second) = (
+            quiet_main(["massey", "--inline", doc, "--supports", json.dumps(sups)])
+            for doc, sups in ((original, supports), (relabelled, [moved(s) for s in supports]))
+        )
+        assert code == 0
+        assert first["result"]["status"] == second["result"]["status"]

@@ -99,6 +99,17 @@ def test_targeted_queries_cost_only_the_subset():
     assert multigraded_betti(SimplicialComplex(40, [(1, 2)]), 0, J) == 0
 
 
+def test_betti_paths_keep_no_face_levels():
+    # the Koszul components keep the face levels of each K_J in K's cache
+    # (kept_face_levels); a full table would then keep 2^m entries, so the
+    # Hochster paths must not
+    K = polygon_nerve(7)
+    bigraded_betti_table(K)
+    bigraded_betti_table(K, multidegrees=[(1, 3, 5)])
+    multigraded_betti(K, 1, (1, 3, 5))
+    assert "induced_face_levels" not in K._cache
+
+
 def test_multidegree_filter_restricts_sums():
     K = polygon_nerve(6)
     table = bigraded_betti_table(K, multidegrees=[(1, 3), (2, 4), (1, 2)])

@@ -18,8 +18,10 @@ from moment_angle.koszul import (
     KoszulMonomial,
     cohomology_class,
     component_basis,
+    differential_matrix,
     koszul_bigraded_ranks,
 )
+from moment_angle.massey import family_massey_input
 from moment_angle.rational_linalg import Rational
 from moment_angle.real_cochains import RealCochain, RealMonomial
 
@@ -118,6 +120,21 @@ def test_ambient_mismatch():
         mono(K1, (1,), ()) * mono(K2, (1,), ())
 
 
+def check_component_build(K, J, degree):
+    """The mask-built basis and matrix of (J, degree) against the tuple-built ones."""
+    comp = component_basis(K, J, degree)
+    lower = component_basis(K, J, degree - 1)
+    assert comp.monomials == tuple(sorted(comp.monomials))
+    faces = [T for T in K.faces(degree - len(J)) if set(T) <= set(J)]
+    assert comp.monomials == tuple(
+        sorted(KoszulMonomial(tuple(sorted(set(J) - set(T))), T) for T in faces)
+    )
+    assert len(comp) == len(faces)
+    slow = differential_matrix(KoszulCochain, K, lower.monomials, comp.index)
+    fast = comp.matrix_from_below()
+    assert (fast.nrows, fast.ncols, fast.entries) == (slow.nrows, slow.ncols, slow.entries)
+
+
 @settings(max_examples=30, deadline=None)
 @given(small_complexes())
 def test_matrix_to_above_is_the_differential_of_each_monomial(K):
@@ -132,6 +149,19 @@ def test_matrix_to_above_is_the_differential_of_each_monomial(K):
                     image = KoszulCochain(K, {m: 1}).differential()
                     column = tuple(A.entry(r, col) for r in range(A.nrows))
                     assert column == above.coordinates(image)
+                check_component_build(K, J, degree)
+            check_component_build(K, J, 2 * size + 1)
+
+
+def test_mask_build_matches_tuple_build_on_wide_masks():
+    # the 16-vertex complex of K(4, 3): every degree of each union of consecutive supports
+    inp = family_massey_input(4, 3)
+    assert inp.complex.m == 16
+    supports = [c.support for c in inp.classes]
+    for start, end in itertools.combinations(range(len(supports) + 1), 2):
+        J = tuple(sorted(set().union(*supports[start:end])))
+        for degree in range(len(J) - 1, 2 * len(J) + 2):
+            check_component_build(inp.complex, J, degree)
 
 
 def test_cohomology_class_hexagon_generator():

@@ -418,9 +418,11 @@ def test_int_entries_stay_ints():
 
 
 def test_concurrent_first_solves_agree():
-    # threads racing to store one matrix's elimination, or one component's basis,
-    # must all read correct answers; the forward pass may be stored already
+    # threads racing to store one matrix's elimination, one component's basis, or
+    # the face levels of one K_J, must all read correct answers; the forward pass
+    # may be stored already
     import sys
+    import threading
     from concurrent.futures import ThreadPoolExecutor
 
     rng = random.Random(5)
@@ -454,6 +456,34 @@ def test_concurrent_first_solves_agree():
                 got = [f.result(timeout=60) for f in futures]
                 assert got == [solve_linear(classes, z).vector[B.ncols :] for z in cocycles]
                 assert len(comp.cohomology_basis()) == comp.cohomology_dimension() == hdim
+            # a fresh complex, so its face-level memo starts empty, raced on every degree
+            # of each J; the same non-faces with a cone vertex added give the same components
+            nonfaces = [(1, 5), (2, 6), (3, 7, 8), (1, 4, 8), (2, 3), (4, 9, 10)]
+            K = SimplicialComplex(10, nonfaces)
+            cone = SimplicialComplex(11, nonfaces)
+            assert "induced_face_levels" not in K._cache
+            start = threading.Barrier(8, timeout=60)
+
+            def build(K, J, order, barrier=None):
+                if barrier:
+                    barrier.wait()
+                matrices = {}
+                for t in order:
+                    A = component_basis(K, J, t).matrix_from_below()
+                    matrices[t] = (A.nrows, A.ncols, A.entries)
+                return matrices
+
+            levels = {}
+            for J in itertools.combinations(range(1, 11), 9):
+                degrees = list(range(len(J) - 1, 2 * len(J) + 2))
+                expected = build(cone, J, degrees)
+                futures = [
+                    pool.submit(build, K, J, degrees[i:] + degrees[:i], start) for i in range(8)
+                ]
+                assert all(f.result(timeout=60) == expected for f in futures)
+                mask = sum(1 << (v - 1) for v in J)
+                levels[mask] = tuple(K.induced_face_levels(mask))
+            assert K._cache["induced_face_levels"] == levels
     finally:
         sys.setswitchinterval(interval)
 
