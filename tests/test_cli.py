@@ -485,8 +485,6 @@ def test_stdout_is_exactly_one_json_document(capsys, argv):
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert set(strict_loads(out)) == {"meta", "result"}
-    with pytest.raises(ValueError):
-        strict_loads(out + out)
 
 
 def test_library_calls_write_nothing_to_stdout(capsys):
@@ -536,14 +534,14 @@ def test_results_are_invariant_under_relabelling(case):
     original = json.dumps({"m": m, "minimal_nonfaces": nonfaces})
     relabelled = json.dumps({"m": m, "minimal_nonfaces": [moved(nf) for nf in nonfaces]})
     for command in ("betti", "real-betti", "homology"):
-        (code, first), (_, second) = (quiet_main([command, "--inline", doc])
-                                      for doc in (original, relabelled))
-        assert code == 0
+        (code, first), (code2, second) = (quiet_main([command, "--inline", doc])
+                                          for doc in (original, relabelled))
+        assert code == code2 == 0
         assert first["result"] == second["result"]
     if supports:
-        (code, first), (_, second) = (
+        (code, first), (code2, second) = (
             quiet_main(["massey", "--inline", doc, "--supports", json.dumps(sups)])
             for doc, sups in ((original, supports), (relabelled, [moved(s) for s in supports]))
         )
-        assert code == 0
+        assert code == code2 == 0
         assert first["result"]["status"] == second["result"]["status"]
