@@ -7,9 +7,9 @@ disjoint and T a face of K; its cohomology is the cohomology of Z_K, and the
 differential preserves the multidegree S u T, so everything decomposes into
 tiny components indexed by (vertex subset, total degree).  Per-component
 bases, coboundary matrices, and deterministic class coordinates live in
-``ComponentBasis``.  ``Cochain`` and ``differential_matrix`` are shared
-with Cai's real model in ``real_cochains``; both read the signs of a
-model's differential from its one static ``differential_terms``.
+``ComponentBasis``.  ``Cochain`` is shared with Cai's real model in
+``real_cochains``: it sums a model's differential from the signs of that
+model's one static ``differential_terms``.
 
 By Hochster's isomorphism the component (J, t) is a sign-twisted copy of
 the cochains of the induced subcomplex K_J: its basis is the level of K_J's
@@ -44,6 +44,18 @@ _ONE = Rational(1)
 # and 167 MB peak RSS, m = 12 took 8.1-8.5 s and 498 MB; at m = 10, 80 % of the
 # memory kept is the matrices' entries and forward eliminations (tracemalloc)
 KOSZUL_TABLE_CAPACITY = 12
+
+
+def normal_part(vertices, m, what):
+    """One part of a normal-form monomial as an ascending tuple of vertices 1..m.
+
+    A vertex out of range, or one given twice (u_i u_i = 0, v_i v_i = 0 and
+    t_i t_i = t_i, so no normal-form monomial repeats one), is an error.
+    """
+    part = tuple(sorted(vertices))
+    if _mask_of(part, m).bit_count() != len(part):
+        raise InputError(f"{what} {part} repeats a vertex")
+    return part
 
 
 def shuffle_sign(a, b):
@@ -86,8 +98,9 @@ class Cochain:
 
     The arithmetic both cochain models share.  A model sets ``Monomial`` (its
     unit is ``Monomial((), ())``) and defines ``monomial``, ``__mul__`` and
-    ``differential_terms(K, mono)``, the (monomial, +-1) terms of d(mono);
-    cochains of two models never combine or compare equal, and a
+    ``differential_terms(K, mono)``, the (monomial, +-1) terms of d(mono),
+    which ``_differential`` sums (each model writes its matrices from masks
+    on its own); cochains of two models never combine or compare equal, and a
     ``Rational`` coefficient is stored as it is.
     """
 
@@ -173,20 +186,6 @@ class Cochain:
         return " + ".join(parts)
 
 
-def differential_matrix(cochain_type, K, source, target_index):
-    """Matrix of the differential of a cochain model on monomial bases.
-
-    Column j holds the signs of ``cochain_type.differential_terms`` of the
-    monomial ``source[j]`` over K, with no cochain built; ``target_index``
-    maps every monomial the images reach to its row.
-    """
-    entries = {}
-    for col, mono in enumerate(source):
-        for target, sign in cochain_type.differential_terms(K, mono):
-            entries[(target_index[target], col)] = sign
-    return SparseMatrix(len(target_index), len(source), entries)
-
-
 class KoszulCochain(Cochain):
     """Rational linear combination of Koszul monomials over a fixed complex."""
 
@@ -196,8 +195,8 @@ class KoszulCochain(Cochain):
 
     @classmethod
     def monomial(cls, complex, u_vertices, v_vertices, coeff=1):
-        u = tuple(sorted(u_vertices))
-        v = tuple(sorted(v_vertices))
+        u = normal_part(u_vertices, complex.m, "u-part")
+        v = normal_part(v_vertices, complex.m, "v-part")
         if set(u) & set(v):
             raise InputError(f"u-part {u} and v-part {v} overlap")
         if not complex.is_face(v):

@@ -17,8 +17,14 @@ differential graded algebras inducing an isomorphism on cohomology.
 ``RealCochain`` inherits its linear arithmetic (sums, scaling, degree,
 equality, printing) from ``koszul.Cochain``, the core both cochain models
 share, and defines only the model's product and ``differential_terms``,
-the signed terms of d of one monomial, which both ``differential`` and
-``koszul.differential_matrix`` read.
+the signed terms of d of one monomial, which ``differential`` reads.
+
+The ranks are computed on bases of integer mask pairs (S, T) for u_S t_T,
+with no monomial object: degree p takes S from the face masks with p
+vertices and T from the subsets of the other vertices, and its matrix is
+written from the bits with the sign rule of ``differential_terms``.  As the
+independent oracle for Hochster's sum, this build shares only the face
+masks and the elimination kernel with it.
 """
 
 import itertools
@@ -26,9 +32,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import CapacityError, InputError
-from .koszul import Cochain, differential_matrix, shuffle_sign
+from .koszul import Cochain, normal_part, shuffle_sign
 from .multiwedge import j_construction, wedge_vertex_map
-from .rational_linalg import Rational, cohomology_ranks
+from .rational_linalg import Rational, SparseMatrix, cohomology_ranks
 
 REAL_RANKS_CAPACITY = 9
 
@@ -59,8 +65,8 @@ class RealCochain(Cochain):
 
     @classmethod
     def monomial(cls, complex, u_vertices, t_vertices, coeff=1):
-        u = tuple(sorted(u_vertices))
-        t = tuple(sorted(t_vertices))
+        u = normal_part(u_vertices, complex.m, "u-part")
+        t = normal_part(t_vertices, complex.m, "t-part")
         if set(u) & set(t):
             raise InputError(f"u-part {u} and t-part {t} overlap")
         if not complex.is_face(u):
@@ -110,17 +116,44 @@ class RealCochain(Cochain):
         return self._differential()
 
 
+def _lex_subsets(bits):
+    """Every subset of the single-bit masks ``bits`` (ascending), in lex order of tuples."""
+    subsets = [0]
+    for bit in reversed(bits):
+        subsets = [0] + [bit | T for T in subsets] + subsets[1:]
+    return subsets
+
+
 def _degree_basis(K, p):
-    """All normal-form monomials of degree p, sorted by (u-part, t-part)."""
-    monos = []
-    rest = range(1, K.m + 1)
-    for u in K.faces(p):
-        others = [v for v in rest if v not in u]
-        for r in range(len(others) + 1):
-            for t in itertools.combinations(others, r):
-                monos.append(RealMonomial(u, t))
-    monos.sort(key=lambda mono: (mono.u_vertices, mono.t_vertices))
-    return monos
+    """The monomials u_S t_T of degree p as mask pairs (S, T), sorted by (u-part, t-part).
+
+    S runs over the faces with p vertices and T over the subsets of the
+    vertices outside S, both in lex order of their tuples.
+    """
+    bits = [1 << v for v in range(K.m)]
+    return [(S, T) for S in K.face_masks(p) for T in _lex_subsets([b for b in bits if not b & S])]
+
+
+def _differential_matrix(K, lower, upper):
+    """Matrix of d from the mask basis ``lower`` of one degree to ``upper``, the next.
+
+    Column (S, T) holds, for each vertex i of T with S + i a face, the entry
+    (-1)^k in the row of (S + i, T - i), k the number of vertices of S below
+    i (the signs of ``RealCochain.differential_terms``).  ``upper`` holds
+    every pair with a face S + i, so the row lookup is the face test.
+    """
+    m = K.m
+    rows = {S << m | T: r for r, (S, T) in enumerate(upper)}
+    entries = {}
+    for col, (S, T) in enumerate(lower):
+        rest = T
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            r = rows.get((S | low) << m | T ^ low)
+            if r is not None:
+                entries[r, col] = -1 if (S & (low - 1)).bit_count() & 1 else 1
+    return SparseMatrix(len(upper), len(lower), entries)
 
 
 def real_cohomology_ranks(K):
@@ -137,8 +170,7 @@ def real_cohomology_ranks(K):
         )
     bases = list(itertools.takewhile(bool, (_degree_basis(K, p) for p in itertools.count())))
     dranks = [
-        differential_matrix(RealCochain, K, lower, {m: i for i, m in enumerate(upper)}).rank()
-        for lower, upper in zip(bases, bases[1:])
+        _differential_matrix(K, lower, upper).rank() for lower, upper in zip(bases, bases[1:])
     ]
     return cohomology_ranks(map(len, bases), dranks)
 

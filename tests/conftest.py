@@ -12,7 +12,23 @@ from hypothesis import strategies as st
 
 from moment_angle.complexes import SimplicialComplex
 from moment_angle.koszul import KoszulCochain
+from moment_angle.rational_linalg import SparseMatrix
 from moment_angle.real_cochains import RealCochain
+
+
+def differential_matrix(cochain_type, K, source, target_index):
+    """Slow-path matrix of a cochain model's differential on monomial bases.
+
+    Column j holds the signs of ``cochain_type.differential_terms`` of the
+    monomial ``source[j]`` over K; ``target_index`` maps every monomial the
+    images reach to its row.  The mask builds of both models are compared
+    with it.
+    """
+    entries = {}
+    for col, mono in enumerate(source):
+        for target, sign in cochain_type.differential_terms(K, mono):
+            entries[(target_index[target], col)] = sign
+    return SparseMatrix(len(target_index), len(source), entries)
 
 
 def brute_faces(m, nonfaces):

@@ -18,14 +18,19 @@ from moment_angle.koszul import (
     KoszulMonomial,
     cohomology_class,
     component_basis,
-    differential_matrix,
     koszul_bigraded_ranks,
 )
 from moment_angle.massey import family_massey_input
 from moment_angle.rational_linalg import Rational
 from moment_angle.real_cochains import RealCochain, RealMonomial
 
-from conftest import homogeneous_pieces, random_complex, random_koszul_cochain, small_complexes
+from conftest import (
+    differential_matrix,
+    homogeneous_pieces,
+    random_complex,
+    random_koszul_cochain,
+    small_complexes,
+)
 
 
 def mono(K, u, v, c=1):
@@ -267,3 +272,8 @@ def test_monomial_constructor_validation():
         KoszulCochain.monomial(hexn, (1,), (1,))
     with pytest.raises(InputError):
         KoszulCochain.monomial(hexn, (2,), (1, 3))  # v-part must be a face
+    # u_i u_i = 0 and v_i v_i = 0: a repeated vertex names no normal-form monomial;
+    # nor does a vertex outside 1..m
+    for u, v in [((1,), (2, 2)), ((1, 1), ()), ((3, 1, 3), (2,)), ((7,), ()), ((), (True,))]:
+        with pytest.raises(InputError):
+            KoszulCochain.monomial(hexn, u, v)

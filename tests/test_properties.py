@@ -14,7 +14,7 @@ import pytest
 
 from moment_angle.complexes import SimplicialComplex
 from moment_angle.families import FamilySpec, family_complex, polygon_nerve
-from moment_angle.koszul import KoszulCochain, component_basis, differential_matrix
+from moment_angle.koszul import KoszulCochain, component_basis
 from moment_angle.massey import (
     CellFailure,
     build_defining_system,
@@ -26,6 +26,7 @@ from moment_angle.rational_linalg import coboundary_matrix
 from moment_angle.real_cochains import RealCochain
 
 from conftest import (
+    differential_matrix,
     homogeneous_pieces,
     random_complex,
     random_koszul_cochain,

@@ -2,20 +2,31 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
-from moment_angle.complexes import SimplicialComplex
+from moment_angle.complexes import SimplicialComplex, _tuple_of
 from moment_angle.errors import AmbientMismatchError, CapacityError, InputError
 from moment_angle.families import polygon_nerve
+from moment_angle.graphs import Graph, associahedron_nerve
 from moment_angle.koszul import KoszulCochain, component_basis
 from moment_angle.rational_linalg import reduced_cohomology_ranks
 from moment_angle.real_cochains import (
     RealCochain,
+    RealMonomial,
+    _degree_basis,
+    _differential_matrix,
     doubling_cochain,
     doubling_complex,
     real_cohomology_ranks,
 )
 
-from conftest import homogeneous_pieces, random_complex, random_real_cochain
+from conftest import (
+    differential_matrix,
+    homogeneous_pieces,
+    random_complex,
+    random_real_cochain,
+    small_complexes,
+)
 
 
 def mono(K, u, t, c=1):
@@ -67,6 +78,13 @@ def test_monomial_validation():
         RealCochain.monomial(S0, (1, 2), ())  # u-part must be a face
     with pytest.raises(InputError):
         RealCochain.monomial(S0, (1,), (1,))
+    # t1 t1 = t1 and u1 u1 = 0: a repeated vertex names no normal-form monomial;
+    # nor does a vertex outside 1..m
+    K = SimplicialComplex(2, [])
+    bad = [((), (1, 1)), ((1, 1), ()), ((1,), (2, 2)), ((2, 1, 2), ()), ((), (3,)), ((0,), ())]
+    for u, t in bad:
+        with pytest.raises(InputError):
+            RealCochain.monomial(K, u, t)
 
 
 def test_associativity_of_generator_words():
@@ -112,6 +130,43 @@ def test_additive_oracle():
         for p, r in enumerate(ranks):
             assert expected.get(p, 0) == r
         assert all(p < len(ranks) for p in expected)
+
+
+def _tuple_basis(K, p):
+    """Degree p as the sorted normal-form monomials u_S t_T, built from tuples."""
+    monos = []
+    for u in K.faces(p):
+        others = [v for v in range(1, K.m + 1) if v not in u]
+        for r in range(len(others) + 1):
+            monos.extend(RealMonomial(u, t) for t in itertools.combinations(others, r))
+    return sorted(monos)
+
+
+def check_mask_build(K):
+    """The mask bases and matrices of every degree against the tuple-built ones."""
+    p = 0
+    lower = _degree_basis(K, 0)
+    while lower:
+        upper = _degree_basis(K, p + 1)
+        slow_lower, slow_upper = _tuple_basis(K, p), _tuple_basis(K, p + 1)
+        assert [RealMonomial(_tuple_of(S), _tuple_of(T)) for S, T in lower] == slow_lower
+        index = {mono: i for i, mono in enumerate(slow_upper)}
+        slow = differential_matrix(RealCochain, K, slow_lower, index)
+        fast = _differential_matrix(K, lower, upper)
+        assert (fast.nrows, fast.ncols, fast.entries) == (slow.nrows, slow.ncols, slow.entries)
+        p, lower = p + 1, upper
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_complexes(min_m=1, max_m=7))
+def test_mask_build_matches_tuple_build(K):
+    check_mask_build(K)
+
+
+def test_mask_build_matches_tuple_build_on_p4_nerve():
+    K = associahedron_nerve(Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)]))
+    assert K.m == 9
+    check_mask_build(K)
 
 
 def test_capacity_guard():
