@@ -7,8 +7,10 @@ so identical inputs always produce byte-identical result blocks.  The input
 is read and parsed once, so the digest describes the document the command
 computed on.  Vertices are 1-indexed in all documents.
 
-Exit codes: 0 success, 1 invalid input (command-line usage errors included),
-2 capacity exceeded (the guard that fired is named in the error message).
+Exit codes: 0 success, 1 invalid input (command-line usage errors included)
+or an output that cannot be written (an unwritable ``--out``, or a reader
+that closed stdout), 2 capacity exceeded (the guard that fired is named in
+the error message).
 """
 
 import argparse
@@ -37,10 +39,10 @@ from .real_cochains import real_cohomology_ranks
 
 def _load_input(args):
     if getattr(args, "inline", None) is not None:
-        if getattr(args, "input", None):
+        if getattr(args, "input", None) is not None:
             raise InputError("give exactly one of --input and --inline")
         text = args.inline
-    elif getattr(args, "input", None):
+    elif getattr(args, "input", None) is not None:
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -132,7 +134,7 @@ def _cmd_homology(args, data):
 def _cmd_betti(args, data):
     K = SimplicialComplex.from_json_dict(_require_input(data))
     multidegrees = None
-    if args.multidegree:
+    if args.multidegree is not None:
         J = _int_list(args.multidegree, "--multidegree")
         if len(set(J)) != len(J):
             raise InputError(f"--multidegree repeats a vertex: {args.multidegree!r}")
@@ -161,13 +163,13 @@ def _cmd_real_betti(args, data):
 def _cmd_family(args, data):
     if not args.name:
         raise InputError("family needs --name")
-    degrees = _int_list(args.degrees, "--degrees") if args.degrees else None
+    degrees = _int_list(args.degrees, "--degrees") if args.degrees is not None else None
     spec = FamilySpec(name=args.name, n=args.n, s=args.s, m=args.m, degrees=degrees)
     return _complex_result(family_complex(spec))
 
 
 def _cmd_massey(args, data):
-    if args.family:
+    if args.family is not None:
         family = _int_list(args.family, "--family")
         if len(family) != 2:
             raise InputError("--family expects n,s")
@@ -188,7 +190,7 @@ def _cmd_massey(args, data):
 
     K = SimplicialComplex.from_json_dict(_require_input(data))
     if args.search_triples:
-        profile = tuple(_int_list(args.profile, "--profile")) if args.profile else None
+        profile = tuple(_int_list(args.profile, "--profile")) if args.profile is not None else None
         witness = search_triple_products(K, profile=profile)
         if witness is None:
             return {"witness_found": False}
@@ -205,7 +207,9 @@ def _cmd_massey(args, data):
     supports = [tuple(_as_list(s, "a support")) for s in _as_list(supports, "--supports")]
     for s in supports:
         _mask_of(s, K.m)  # every vertex an int (not a bool) in 1..m
-    degrees = _int_list(args.degrees, "--degrees") if args.degrees else [0] * len(supports)
+    degrees = [0] * len(supports)
+    if args.degrees is not None:
+        degrees = _int_list(args.degrees, "--degrees")
     if len(degrees) != len(supports):
         raise InputError("--degrees must match the number of supports")
     classes = [canonical_class(K, s, d) for s, d in zip(supports, degrees)]
@@ -339,16 +343,18 @@ def main(argv=None):
         "result": result,
     }
     text = json.dumps(document, indent=2, sort_keys=True)
-    if getattr(args, "out", None):
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
+    out = getattr(args, "out", None)
+    try:
+        if out is not None:
+            with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
-        except OSError as exc:
-            message = f"cannot write --out: {exc}"
-            print(json.dumps({"error": message, "kind": "input"}), file=sys.stderr)
-            return 1
-    else:
-        print(text)
+        else:
+            print(text)
+            sys.stdout.flush()
+    except OSError as exc:  # an unwritable --out, or a reader that closed stdout
+        message = f"cannot write {'stdout' if out is None else '--out'}: {exc}"
+        print(json.dumps({"error": message, "kind": "input"}), file=sys.stderr)
+        return 1
     return 0
 
 

@@ -210,7 +210,15 @@ class SimplicialComplex:
         m = data["m"]
         labels = data.get("labels")
         if "minimal_nonfaces" in data:
-            return cls(m, data["minimal_nonfaces"], labels)
+            K = cls(m, data["minimal_nonfaces"], labels)
+            if "maximal_faces" not in data:
+                return K
+            other = cls.from_maximal_faces(m, data["maximal_faces"], labels)
+            if other != K:
+                raise InputError(
+                    "\"minimal_nonfaces\" and \"maximal_faces\" describe different complexes"
+                )
+            return other  # it keeps its maximal faces, so they are not recomputed
         if "maximal_faces" in data:
             return cls.from_maximal_faces(m, data["maximal_faces"], labels)
         raise InputError("complex JSON needs \"minimal_nonfaces\" or \"maximal_faces\"")

@@ -34,9 +34,8 @@ from functools import lru_cache
 
 from .complexes import _mask_of, _tuple_of
 from .errors import AmbientMismatchError, CapacityError, InputError, NotACocycleError
-from .rational_linalg import Rational, SparseMatrix, nullspace_basis
+from .rational_linalg import Echelon, Rational, SparseMatrix, nullspace_basis
 
-_ZERO = Rational(0)
 _ONE = Rational(1)
 
 # the full table builds and keeps every component, up to 3^m basis faces: on the
@@ -274,7 +273,8 @@ class ComponentBasis:
     pass serves its rank, ``primitive`` (which adds the backward pass) and
     cohomology read modulo the coboundaries: ``cohomology_basis`` and
     ``class_vector`` work on residuals under that matrix (see
-    ``SparseMatrix.residual``), with no matrix of cocycle or class columns.
+    ``SparseMatrix.residual``), held in an ``Echelon``, with no matrix of
+    cocycle or class columns.
     """
 
     __slots__ = ("complex", "multidegree", "total_degree", "_mask", "_faces", "_cache")
@@ -358,33 +358,25 @@ class ComponentBasis:
 
         Canonical cocycle basis vectors are kept greedily, in their canonical
         order, when independent of the coboundary space and of the vectors
-        kept before them (the cocycle columns that are pivots of
-        [matrix_from_below | cocycle_basis]), until there are
-        ``cohomology_dimension`` of them.  A cocycle is read modulo the
-        coboundaries as its residual under ``matrix_from_below``, and the
-        kept residuals are held as an echelon (see ``_reduce_residual``).
+        kept before them, until there are ``cohomology_dimension`` of them.
+        A cocycle is read modulo the coboundaries as its residual under
+        ``matrix_from_below``, and the residuals are kept by an ``Echelon``.
         """
         return self._classes()[0]
 
     def _classes(self):
-        """(cohomology basis, echelon of its residuals)."""
+        """(cohomology basis, ``Echelon`` of its residuals)."""
         if "hbasis" not in self._cache:
-            basis, echelon = [], []
+            basis, span = [], Echelon()
             hdim = self.cohomology_dimension()
             if hdim:
                 below = self.matrix_from_below()
                 for z in self.cocycle_basis():
-                    rest, x = _reduce_residual(echelon, below.residual(z))
-                    if rest:
-                        p = min(rest)
-                        a = rest[p]
-                        combo = {k: -v / a for k, v in x.items()}
-                        combo[len(basis)] = _ONE / a
-                        echelon.append((p, {k: v / a for k, v in rest.items()}, combo))
+                    if span.add(below.residual(z)):
                         basis.append(z)
                         if len(basis) == hdim:
                             break
-            self._cache["hbasis"] = (tuple(basis), tuple(echelon))
+            self._cache["hbasis"] = (tuple(basis), span)
         return self._cache["hbasis"]
 
     def coordinates(self, cochain):
@@ -423,45 +415,16 @@ class ComponentBasis:
         """
         if not cochain.differential().is_zero():
             raise NotACocycleError(f"d({cochain!r}) != 0")
-        basis, echelon = self._classes()
+        basis, span = self._classes()
         if not basis:
             return ()
-        residual = self.matrix_from_below().residual(self.coordinates(cochain))
-        rest, x = _reduce_residual(echelon, residual)
+        rest, x = span.reduce(self.matrix_from_below().residual(self.coordinates(cochain)))
         if rest:  # cannot happen for a cocycle of this component
             raise NotACocycleError("cocycle not in span of coboundaries + cohomology basis")
-        return tuple(x.get(k, _ZERO) for k in range(len(basis)))
+        return x
 
     def key(self):
         return (self.multidegree, self.total_degree)
-
-
-def _reduce_residual(echelon, residual):
-    """Reduce a residual vector by an echelon of kept residuals.
-
-    ``echelon`` holds (position, row, combination) triples: the row (a dict
-    position -> value) is 1 at its position and 0 at the positions of the
-    rows before it, and it equals the sum of combination[k] times the
-    residual of basis vector k.  Returns (rest, x) with residual = rest +
-    sum of x[k] times the residual of basis vector k, where rest (a dict of
-    its nonzero entries) is 0 at every position of the echelon; it is empty
-    exactly when the residual lies in the span of the kept ones.
-    """
-    rest = {i: v for i, v in enumerate(residual) if v}
-    x = {}
-    for p, row, combo in echelon:
-        a = rest.get(p)
-        if not a:
-            continue
-        for k, v in row.items():
-            s = rest.get(k, 0) - a * v
-            if s:
-                rest[k] = s
-            else:
-                del rest[k]
-        for k, v in combo.items():
-            x[k] = x.get(k, 0) + a * v
-    return rest, x
 
 
 @lru_cache(maxsize=None)

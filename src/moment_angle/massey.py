@@ -38,12 +38,10 @@ from .families import FamilySpec, family_complex
 from .hochster import multigraded_betti
 from .koszul import KoszulCochain, component_basis
 from .multiwedge import wedge_vertex_map
-from .rational_linalg import Rational, SparseMatrix
+from .rational_linalg import Echelon
 
 FAMILY_ORDER_CAPACITY = 5
 SEARCH_TRIPLE_CAPACITY = 2_000_000
-
-_ZERO = Rational(0)
 
 STATUS_DEFINED_STRICT = "defined-strict"
 STATUS_DEFINED = "defined"
@@ -341,14 +339,6 @@ class TripleValueSet:
     nontrivial: bool
 
 
-def _independent_columns(vectors):
-    """The vectors a greedy left-to-right scan keeps as independent."""
-    if not vectors:
-        return ()
-    span = SparseMatrix(len(vectors[0]), 0).with_columns(vectors)
-    return tuple(vectors[c] for c in span.pivot_columns())
-
-
 def triple_value_set(input, ds=None):
     """Representative plus indeterminacy span of a defined triple product.
 
@@ -367,7 +357,7 @@ def triple_value_set(input, ds=None):
     a1 = input.classes[0].representative
     a3 = input.classes[2].representative
 
-    shift_vectors = []
+    basis, span = [], Echelon()
     for start, end, multiplier, on_left in (
         (2, 3, a1, True),
         (1, 2, a3, False),
@@ -381,19 +371,13 @@ def triple_value_set(input, ds=None):
             if prod.is_zero():
                 continue
             vec = target.class_vector(prod)
-            if any(v != 0 for v in vec):
-                shift_vectors.append(vec)
+            if span.add(vec):
+                basis.append(vec)
 
-    basis = _independent_columns(shift_vectors)
-    hdim = len(target.cohomology_basis())
-    if basis:
-        span = SparseMatrix(hdim, 0).with_columns(basis)
-        contains_zero = span.solve(value.class_coordinates) is not None
-    else:
-        contains_zero = value.is_zero
+    contains_zero = not span.reduce(value.class_coordinates)[0]
     return TripleValueSet(
         representative=value,
-        indeterminacy_basis=basis,
+        indeterminacy_basis=tuple(basis),
         contains_zero=contains_zero,
         strictly_defined=not basis,
         nontrivial=not contains_zero,

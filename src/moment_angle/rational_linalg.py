@@ -17,13 +17,13 @@ its pivot entry), a nullspace vector or a solution.
 The determinism convention lives here: the answers are those of the
 canonical reduced row echelon form with the fixed left-to-right column
 order.  Every basis choice keeps the candidates, in order, that are
-independent of the ones before them: the independent indeterminacy vectors
-are read from ``SparseMatrix.pivot_columns`` of a matrix whose columns are
-the candidates (a column is a pivot exactly when it is independent of the
-columns before it), and the cohomology representatives from the residuals
-of the cocycles modulo the coboundary matrix (see ``residual``).  The RREF
-is canonical, so the answers do not depend on pivot-row choices (which are
-made to limit fill-in).
+independent of the ones before them, which are the pivot columns of a
+matrix whose columns are the candidates.  That greedy scan is read through
+one incremental ``Echelon``, never through such a matrix: the independent
+indeterminacy vectors are the ones it keeps, and the cohomology
+representatives are the cocycles whose residuals modulo the coboundary
+matrix (see ``residual``) it keeps.  The RREF is canonical, so the answers
+do not depend on pivot-row choices (which are made to limit fill-in).
 
 Each matrix runs its forward pass once, with a log of the integer row
 operations, and keeps the pivots, that log and the pivot rows.  Its rank and
@@ -353,6 +353,53 @@ def _clear(rows, index, log, c, j, targets):
             for k in row:
                 row[k] //= g
         log.append((i, j, q, f, g))
+
+
+class Echelon:
+    """The span of the vectors kept so far, for greedy left-to-right basis choices.
+
+    Each kept vector is held as one row: its reduction by the rows before
+    it, scaled to 1 at its first nonzero position (zero in every later row),
+    with the combination of kept vectors that the row equals.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self):
+        self._rows = []  # (position, row, combination), both dicts
+
+    def reduce(self, vec):
+        """(rest, x) with vec = rest + sum of x[k] times kept vector k.
+
+        ``rest`` holds the nonzero entries left, none at an echelon position;
+        it is empty exactly when vec lies in the span of the kept vectors.
+        """
+        rest = {i: v for i, v in enumerate(vec) if v}
+        x = [_ZERO] * len(self._rows)
+        for p, row, combo in self._rows:
+            a = rest.get(p)
+            if not a:
+                continue
+            for k, v in row.items():
+                s = rest.get(k, 0) - a * v
+                if s:
+                    rest[k] = s
+                else:
+                    del rest[k]
+            for k, v in combo.items():
+                x[k] += a * v
+        return rest, tuple(x)
+
+    def add(self, vec):
+        """Keep vec if it is independent of the kept vectors; whether it was kept."""
+        rest, x = self.reduce(vec)
+        if rest:
+            p = min(rest)
+            a = Rational(rest[p])
+            combo = {k: -v / a for k, v in enumerate(x) if v}
+            combo[len(self._rows)] = _ONE / a
+            self._rows.append((p, {k: v / a for k, v in rest.items()}, combo))
+        return bool(rest)
 
 
 @dataclass(frozen=True)

@@ -336,6 +336,11 @@ def assert_one_input_error(code, err):
         '{"m":true,"minimal_nonfaces":[]}',
         '{"m":"3","maximal_faces":[[1,2,3]]}',
         '{"m":3,"minimal_nonfaces":[[true,2]]}',
+        # maximal faces beside minimal non-faces were ignored: the second
+        # document computed on the hollow triangle
+        '{"m":3,"minimal_nonfaces":[[1,2,3]],"maximal_faces":"junk"}',
+        '{"m":3,"minimal_nonfaces":[[1,2,3]],"maximal_faces":[[1,2,3]]}',
+        '{"m":3,"minimal_nonfaces":[[1,2,3]],"maximal_faces":[[1,2],[2,3],[1,4]]}',
     ],
 )
 def test_malformed_complex_json_is_an_input_error(capsys, document):
@@ -363,11 +368,20 @@ def test_unwritable_output_path_is_an_input_error(capsys, tmp_path):
     assert out == ""
     assert assert_one_input_error(code, err).startswith("cannot write --out")
     assert not out_path.exists()
+    # a blank path was read as no --out: the document went to stdout
+    code, out, err = run(capsys, [*argv[:-1], ""])
+    assert out == ""
+    assert assert_one_input_error(code, err).startswith("cannot write --out")
 
 
 def test_unreadable_input_file_is_an_input_error(capsys, tmp_path):
     missing = str(tmp_path / "missing.json")
     assert_one_input_error(*run(capsys, ["homology", "--input", missing])[::2])
+    # a blank path was read as no --input, and beside --inline it was ignored
+    message = assert_one_input_error(*run(capsys, ["homology", "--input", ""])[::2])
+    assert message.startswith("cannot read --input")
+    argv = ["homology", "--input", "", "--inline", HEXAGON]
+    assert assert_one_input_error(*run(capsys, argv)[::2]).startswith("give exactly one")
 
 
 def test_family_needs_two_numbers(capsys):
@@ -384,13 +398,20 @@ def test_multidegree_vertex_out_of_range(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    # each was read as a shorter list: [], [1], [1, 2], [3, 1], [3, 3]
+    # each was read as a shorter list: [], [1], [1, 2], [3, 1], [3, 3]; each
+    # blank value after them was read as an absent flag: the full 2^m table,
+    # the default profile, all-zero degrees, no degrees, the --supports path
     [
         ["betti", "--multidegree", ","],
         ["betti", "--multidegree", "1,1"],
         ["multiwedge", "--j", "1,,2"],
         ["massey", "--family", "3,1,"],
         ["family", "--name", "degrees", "--degrees", "3, ,3"],
+        ["betti", "--multidegree", ""],
+        ["massey", "--inline", HEXAGON, "--search-triples", "--profile", ""],
+        ["massey", "--inline", HEXAGON, "--supports", "[[1,4],[2,5],[3,6]]", "--degrees", ""],
+        ["family", "--name", "degrees", "--degrees", ""],
+        ["massey", "--inline", HEXAGON, "--supports", "[[1,4],[2,5],[3,6]]", "--family", ""],
     ],
 )
 def test_blank_or_repeated_integers_are_an_input_error(capsys, argv):
@@ -398,7 +419,35 @@ def test_blank_or_repeated_integers_are_an_input_error(capsys, argv):
         argv = [*argv, "--inline", '{"m":2,"minimal_nonfaces":[[1,2]]}']
     code, out, err = run(capsys, argv)
     assert out == ""
-    assert_one_input_error(code, err)
+    message = assert_one_input_error(code, err)
+    assert "expects comma-separated integers" in message or "repeats a vertex" in message
+
+
+def test_complex_output_reads_back_as_the_same_complex(capsys):
+    # CLI outputs carry both lists, and they agree
+    code, out, _ = run(capsys, ["family", "--name", "kbarns", "--n", "3", "--s", "2"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert {"minimal_nonfaces", "maximal_faces"} <= set(result)
+    identity = ",".join(["1"] * result["m"])
+    code, out, _ = run(capsys, ["multiwedge", "--inline", json.dumps(result), "--j", identity])
+    assert code == 0
+    assert json.loads(out)["result"] == result
+
+
+def test_closed_stdout_is_an_error_without_traceback(capsys, monkeypatch):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    code = main(["homology", "--inline", HEXAGON])
+    monkeypatch.undo()
+    message = assert_one_input_error(code, capsys.readouterr().err)
+    assert message.startswith("cannot write stdout")
 
 
 def test_multidegree_on_a_large_complex(capsys):

@@ -11,6 +11,7 @@ from moment_angle.errors import InputError, NotACocycleError
 from moment_angle.families import polygon_nerve
 from moment_angle.koszul import ComponentBasis, component_basis
 from moment_angle.rational_linalg import (
+    Echelon,
     Rational,
     SparseMatrix,
     coboundary_matrix,
@@ -403,6 +404,45 @@ def test_residual_reads_the_column_space(case, scale):
     first.rank()
     for b in rhs:
         assert first.solve(b) == fresh(A).solve(b)
+
+
+@st.composite
+def vector_lists(draw):
+    """Equal-length rational vectors, some of them combinations of earlier ones, and probes."""
+    n = draw(st.integers(1, 6))
+    vectors = []
+    for _ in range(draw(st.integers(1, 7))):
+        if vectors and draw(st.booleans()):
+            u, v = draw(st.sampled_from(vectors)), draw(st.sampled_from(vectors))
+            s, t = draw(sparse_rationals), draw(sparse_rationals)
+            vectors.append([s * a + t * b for a, b in zip(u, v)])
+        else:
+            vectors.append(draw(st.lists(sparse_rationals, min_size=n, max_size=n)))
+    probes = draw(st.lists(st.lists(sparse_rationals, min_size=n, max_size=n), max_size=3))
+    return vectors, probes
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_lists())
+def test_echelon_matches_pivot_columns_and_solves(case):
+    vectors, probes = case
+    n = len(vectors[0])
+    span = Echelon()
+    kept = [i for i, vec in enumerate(vectors) if span.add(vec)]
+    assert kept == greedy_keep([], vectors)
+    assert tuple(kept) == SparseMatrix(n, 0).with_columns(vectors).pivot_columns()
+    A = SparseMatrix(n, 0).with_columns([vectors[i] for i in kept])
+    for b in vectors + probes:
+        rest, x = span.reduce(b)
+        solution = solve_linear(A, b)
+        assert (not rest) == (solution is not None)
+        assert len(x) == len(kept) and all_rational([x]) and all(rest.values())
+        # b = rest + sum of x[k] times kept vector k
+        for r in range(n):
+            spanned = sum(c * Fraction(vectors[i][r]) for c, i in zip(x, kept))
+            assert Fraction(b[r]) - spanned == rest.get(r, 0)
+        if solution is not None:
+            assert x == solution.vector
 
 
 def test_int_entries_stay_ints():

@@ -31,7 +31,7 @@ from moment_angle.massey import (
     triple_value_set,
     verify_family_massey,
 )
-from moment_angle.rational_linalg import reduced_cohomology_rank
+from moment_angle.rational_linalg import SparseMatrix, reduced_cohomology_rank
 
 from conftest import small_complexes
 
@@ -260,7 +260,7 @@ def test_value_set_is_affine_coset():
     rng = random.Random(73)
     inp = hexagon_input()
     triple = triple_value_set(inp)
-    from moment_angle.rational_linalg import SparseMatrix, solve_linear
+    from moment_angle.rational_linalg import solve_linear
 
     basis = triple.indeterminacy_basis
     hdim = len(triple.representative.class_coordinates)
@@ -438,3 +438,62 @@ def test_witness_persists_under_stellar_cuts():
     assert search_triple_products(nerve) is not None
     cut = stellar_vertex_cut(nerve, nerve.maximal_faces()[0])
     assert search_triple_products(cut) is not None
+
+
+def matrix_path_value_set(inp, ds):
+    """(indeterminacy basis, contains zero) of a triple, read through fresh matrices.
+
+    The reference for ``triple_value_set``: the shift vectors kept are the
+    pivot columns of the matrix whose columns they are, and zero is in the
+    value set when the value's class solves against the kept columns.
+    """
+    value = massey_value(ds)
+    target = component_basis(inp.complex, value.support, value.total_degree)
+    a1, a3 = inp.classes[0].representative, inp.classes[2].representative
+    vectors = []
+    for (start, end), on_left in (((2, 3), True), ((1, 2), False)):
+        support = inp.window_support(start, end)
+        comp = component_basis(inp.complex, support, inp.window_total_degree(start, end) - 1)
+        for coords in comp.cohomology_basis():
+            z = comp.cochain_from_coordinates(coords)
+            vec = target.class_vector(a1 * z if on_left else z * a3)
+            if any(vec):
+                vectors.append(vec)
+    hdim = len(value.class_coordinates)
+    if not vectors:
+        return (), value.is_zero
+    pivots = SparseMatrix(hdim, 0).with_columns(vectors).pivot_columns()
+    basis = tuple(vectors[c] for c in pivots)
+    span = SparseMatrix(hdim, 0).with_columns(basis)
+    return basis, span.solve(value.class_coordinates) is not None
+
+
+def test_hexagon_value_set_matches_the_matrix_path():
+    inp = hexagon_input()
+    ds = build_defining_system(inp)
+    triple = triple_value_set(inp, ds)
+    assert (triple.indeterminacy_basis, triple.contains_zero) == matrix_path_value_set(inp, ds)
+
+
+@pytest.mark.parametrize("name", ["k3", "p4", "star4"])
+def test_value_sets_match_the_matrix_path_on_corpus_nerves(name):
+    # every defined triple of canonical classes on pairs with a nonzero target
+    K = corpus_nerve(name)
+    pairs = [J for J in itertools.combinations(range(1, K.m + 1), 2) if K.component_count(J) == 2]
+    seen = {"defined": 0, "indeterminate": 0, "nonzero value in the span": 0}
+    for supports in itertools.product(pairs, repeat=3):
+        union = tuple(sorted(sum(supports, ())))
+        if len(set(union)) < 6 or _window_rank(K, union, 1) == 0:
+            continue
+        inp = MasseyInput(K, [canonical_class(K, J) for J in supports])
+        ds = build_defining_system(inp)
+        if isinstance(ds, CellFailure):
+            continue
+        triple = triple_value_set(inp, ds)
+        assert (triple.indeterminacy_basis, triple.contains_zero) == matrix_path_value_set(inp, ds)
+        seen["defined"] += 1
+        seen["indeterminate"] += bool(triple.indeterminacy_basis)
+        seen["nonzero value in the span"] += (
+            triple.contains_zero and not triple.representative.is_zero
+        )
+    assert all(seen.values()), seen
