@@ -24,10 +24,23 @@ from typing import Iterable, NamedTuple
 from .errors import CapacityError, GhostVertexError, InputError
 
 ISOMORPHISM_CAPACITY = 9
+# vertices of one complex: every face is a mask of m bits, and a multiwedge
+# builds each inflated non-face one vertex bit at a time, in time quadratic in
+# its size; on the hexagon (2-vCPU Xeon, Python 3.11.7) the wedge vector
+# (99999, 1, ..., 1) took 3.9 s and 47 MB, (131071, 1, ..., 1) 4.9 s and 55 MB,
+# and (10^6, 1, ..., 1) 223 s and 298 MB; the largest complex in the tests has
+# 100,002 vertices
+VERTEX_CAPACITY = 2**17
 # candidate transversals per dualization step; the reduction to the minimal
 # ones is quadratic across sizes (4,000 sets of sizes 4-6 took 0.4 s, 20,000
 # took 7 s), while the tests and benchmark workloads stay below 100
 TRANSVERSAL_CAPACITY = 5000
+# faces of one size in a face lattice; the homology of the full simplex, whose
+# middle level is the largest, took 0.5 s and 31 MB at m = 14 (3,432 faces),
+# 2.4 s and 65 MB at m = 16 (12,870) and 11.4 s and 213 MB at m = 18 (48,620),
+# about 5x the time per two vertices (2-vCPU Xeon, Python 3.11.7); the largest
+# level in the tier-1 tests has 9,832 faces, and in the benchmark workloads 798
+FACE_LEVEL_CAPACITY = 50_000
 
 _INT_ONLY = frozenset((int,))
 
@@ -58,6 +71,10 @@ def _as_list(value, what):
 def _check_vertex_count(m):
     if type(m) is not int or m < 0:  # bool is an int subclass: not a count
         raise InputError(f"vertex count must be a nonnegative integer, got {m!r}")
+    if m > VERTEX_CAPACITY:
+        raise CapacityError(
+            "vertex-count", f"{m} vertices; capacity is {VERTEX_CAPACITY} vertices per complex"
+        )
 
 
 def _tuple_of(mask):
@@ -349,7 +366,9 @@ class SimplicialComplex:
         """The next face level: each face of ``level`` gains a vertex of ``mask`` above its top.
 
         Each face of the next level is reached exactly once, and a level in
-        lex order of its tuples grows into a level in lex order.
+        lex order of its tuples grows into a level in lex order.  A level that
+        grows past ``FACE_LEVEL_CAPACITY`` faces raises ``CapacityError`` as
+        soon as it does.
         """
         grown = []
         for f in level:
@@ -361,6 +380,14 @@ class SimplicialComplex:
                 pairs, larger = rests[low.bit_length()]
                 if not f & pairs and not (larger and any(r & f == r for r in larger)):
                     grown.append(f | low)
+                    if len(grown) > FACE_LEVEL_CAPACITY:
+                        size, done = f.bit_count(), level.index(f) + 1
+                        raise CapacityError(
+                            "face-level",
+                            f"{len(grown)} faces of size {size + 1} grown from {done} of the "
+                            f"{len(level)} faces of size {size}; capacity is "
+                            f"{FACE_LEVEL_CAPACITY} faces per size",
+                        )
         return tuple(grown)
 
     def face_masks(self, size):

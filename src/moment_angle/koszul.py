@@ -34,7 +34,7 @@ from functools import lru_cache
 
 from .complexes import _mask_of, _tuple_of
 from .errors import AmbientMismatchError, CapacityError, InputError, NotACocycleError
-from .rational_linalg import Echelon, Rational, SparseMatrix, nullspace_basis
+from .rational_linalg import Echelon, Rational, SparseMatrix
 
 _ONE = Rational(1)
 
@@ -268,13 +268,14 @@ class ComponentBasis:
     ``monomials`` and their ``index`` are built only when read.
 
     The differential from below is built once and cached in ``_cache``, as
-    are the cocycles and the cohomology dimension and basis.  The matrix is
-    eliminated forward once, with its row operations logged, and that one
-    pass serves its rank, ``primitive`` (which adds the backward pass) and
-    cohomology read modulo the coboundaries: ``cohomology_basis`` and
-    ``class_vector`` work on residuals under that matrix (see
-    ``SparseMatrix.residual``), held in an ``Echelon``, with no matrix of
-    cocycle or class columns.
+    are the cohomology dimension and basis.  The matrix is eliminated once,
+    with its row operations logged, and that one pass serves its rank,
+    ``primitive`` (a back substitution over its pivot rows), the cocycles
+    of the component below (its kernel, built one vector at a time, so the
+    basis scan builds only the cocycles it reads) and cohomology read
+    modulo the coboundaries: ``cohomology_basis`` and ``class_vector`` work
+    on residuals under that matrix (see ``SparseMatrix.residual``), held in
+    an ``Echelon``, with no matrix of cocycle or class columns.
     """
 
     __slots__ = ("complex", "multidegree", "total_degree", "_mask", "_faces", "_cache")
@@ -342,9 +343,8 @@ class ComponentBasis:
         return self._neighbor(+1).matrix_from_below()
 
     def cocycle_basis(self):
-        if "cocycles" not in self._cache:
-            self._cache["cocycles"] = nullspace_basis(self.matrix_to_above())
-        return self._cache["cocycles"]
+        """The canonical cocycles: the kernel of ``matrix_to_above``, built lazily."""
+        return self.matrix_to_above().kernel()
 
     def cohomology_dimension(self):
         if "hdim" not in self._cache:

@@ -7,16 +7,21 @@ that ordering fixes the multidegree supports and sign conventions used
 downstream.
 """
 
-from .complexes import SimplicialComplex
-from .errors import InputError
+from .complexes import VERTEX_CAPACITY, SimplicialComplex
+from .errors import CapacityError, InputError
 
 
 def validate_wedge_vector(K, J):
     J = tuple(J)
     if len(J) != K.m:
         raise InputError(f"wedge vector has length {len(J)}, expected {K.m}")
-    if any((not isinstance(j, int)) or j < 1 for j in J):
+    if any(type(j) is not int or j < 1 for j in J):  # bool is an int subclass: not a count
         raise InputError(f"wedge vector entries must be positive integers: {J}")
+    if sum(J) > VERTEX_CAPACITY:  # checked before any non-face is inflated
+        raise CapacityError(
+            "wedge-size",
+            f"multiwedge would have {sum(J)} vertices; capacity is {VERTEX_CAPACITY}",
+        )
     return J
 
 

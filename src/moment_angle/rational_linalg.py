@@ -11,8 +11,8 @@ the row space, so it keeps the RREF), and a row is cleared by another with
 fraction-free steps r <- (q r - f p) / g that keep it primitive, in the
 sense of Bareiss's integer-preserving elimination.  The pivot row of each
 column is found through an index of the rows holding that column.  Rationals
-appear only when a result is read: an RREF row (an integer row divided by
-its pivot entry), a nullspace vector or a solution.
+appear only when a result is read: a residual, a kernel vector or a
+solution.
 
 The determinism convention lives here: the answers are those of the
 canonical reduced row echelon form with the fixed left-to-right column
@@ -25,16 +25,19 @@ representatives are the cocycles whose residuals modulo the coboundary
 matrix (see ``residual``) it keeps.  The RREF is canonical, so the answers
 do not depend on pivot-row choices (which are made to limit fill-in).
 
-Each matrix runs its forward pass once, with a log of the integer row
-operations, and keeps the pivots, that log and the pivot rows.  Its rank and
-pivot columns are read off the pivots; ``residual`` replays the forward log
-on a vector, which leaves it nonzero only at the positions holding no pivot.
-The first solve or nullspace read adds the backward pass to the RREF, on a
-copy of the pivot rows, with its own log; every solve replays both logs on
-its right-hand side in exact rationals and reads the particular solution
-(free variables zero) from the pivot rows, and the nullspace is read from
-the RREF rows.  The stored state is never mutated, so threads may race to
-compute it.
+Each matrix is eliminated once: its forward pass runs with a log of the
+integer row operations and keeps the pivots, that log and the pivot rows.
+The pivot row of column c holds no column below c (every other row that
+held an earlier column was cleared when that column was taken, and fill-in
+adds only columns above the pivot), so the pivot rows are a row echelon
+form and no backward pass is needed.  Rank and pivot columns are read off
+the pivots.  ``residual`` replays the forward log on a vector, which leaves
+it nonzero only at the positions holding no pivot; ``solve`` does the same
+and then solves the pivot rows by one back substitution, last pivot first,
+with the free variables zero; ``kernel`` yields the canonical kernel
+vectors one free column at a time by the same back substitution.  Exact
+rationals are canonical, so these are the values the RREF would give.  The
+stored state is never mutated, so threads may race to compute it.
 
 ``rank_mod_p`` is a separate GF(p) elimination, kept on purpose as an
 independent oracle for the rational path.
@@ -44,6 +47,7 @@ Coefficients are arbitrary-precision rationals: gmpy2.mpq when available
 """
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd, lcm
 
@@ -62,14 +66,13 @@ class SparseMatrix:
     """Immutable sparse matrix over the rationals; no explicit zeros stored.
 
     Int entries stay ints; every other entry (a bool included) becomes a
-    Rational.  The elimination is cached in two stages.  The first read of
-    the rank, the pivot columns or a residual runs the forward pass once,
-    with its log, and keeps the pivots, the log and the pivot rows; the
-    first solve or nullspace read adds the backward pass on a copy of those
-    rows.  Neither stage is changed once stored.
+    Rational.  The first read of the rank, the pivot columns, a residual, a
+    solution or the kernel runs the forward pass once, with its log, and
+    keeps the pivots, the log and the pivot rows, which are a row echelon
+    form; every later read shares them, and they are never changed.
     """
 
-    __slots__ = ("nrows", "ncols", "entries", "_forward", "_factors")
+    __slots__ = ("nrows", "ncols", "entries", "_forward")
 
     def __init__(self, nrows, ncols, entries=None):
         self.nrows = nrows
@@ -85,7 +88,6 @@ class SparseMatrix:
                     clean[(r, c)] = v
         self.entries = clean
         self._forward = None
-        self._factors = None
 
     def entry(self, r, c):
         return self.entries.get((r, c), _ZERO)
@@ -151,20 +153,6 @@ class SparseMatrix:
     def rank(self):
         return len(self._forward_pass()[0])
 
-    def _factor(self):
-        """(backward log, RREF rows): the backward pass down to the integer RREF.
-
-        The RREF rows are in pivot order; the canonical RREF row is the
-        integer row divided by its entry in the pivot column.  A pivot row
-        the backward pass does not change is shared with the forward pass.
-        """
-        if self._factors is None:
-            columns, positions, _, rows = self._forward_pass()
-            back = []
-            rref = _back_substitute(columns, positions, rows, self.ncols, back)
-            self._factors = (tuple(back), rref)
-        return self._factors
-
     def _rhs(self, b):
         if len(b) != self.nrows:
             raise InputError(f"right-hand side has length {len(b)}, expected {self.nrows}")
@@ -188,26 +176,55 @@ class SparseMatrix:
     def solve(self, b):
         """The particular solution of self x = b (free variables zero), or None.
 
-        Both logs of this matrix's elimination are replayed on ``b`` alone,
-        in rationals.  Afterwards x_c is the entry at the position of pivot
-        c divided by that row's pivot entry, and b is inconsistent exactly
-        when some position that holds no pivot is nonzero.
+        The forward log is replayed on ``b`` alone, in rationals; b is
+        inconsistent exactly when some position that holds no pivot is then
+        nonzero.  Otherwise the pivot rows are solved by back substitution.
         """
         b = self._rhs(b)
         columns, positions, log, _ = self._forward_pass()
-        back, rref = self._factor()
         _replay(b, log)
-        _replay(b, back)
-        x = [_ZERO] * self.ncols
-        for c, i, row in zip(columns, positions, rref):
-            v = b[i]
+        values = [b[j] for j in positions]
+        for j in positions:
+            b[j] = _ZERO
+        if any(b):
+            return None
+        return self._back_substitution(len(columns), values, {})
+
+    def kernel(self):
+        """The canonical basis of the kernel, one vector per free column, ascending.
+
+        The vector of free column f has 1 at f, 0 at the other free columns,
+        and its pivot entries are solved from the pivot rows of the columns
+        below f.  The vectors are built lazily, one per iteration step.
+        """
+        columns = self.pivot_columns()
+        pivots = set(columns)
+        zeros = [_ZERO] * len(columns)
+        for f in range(self.ncols):
+            if f not in pivots:
+                yield self._back_substitution(bisect_left(columns, f), zeros, {f: _ONE})
+
+    def _back_substitution(self, n, values, x):
+        """The dense vector x solving the first n pivot rows, last pivot first.
+
+        Pivot row k (column c) reads row . x = values[k], and x_c is the one
+        unknown left in it; ``x`` holds the columns fixed in advance and
+        every column it is not given stays zero.
+        """
+        columns, _, _, rows = self._forward_pass()
+        for k in reversed(range(n)):
+            c, row, v = columns[k], rows[k], values[k]
+            for i, a in row.items():
+                y = x.get(i)
+                if y:
+                    v -= a * y
             if v:
                 p = row[c]
                 x[c] = v / p if p != 1 else v
-                b[i] = _ZERO
-        if any(b):
-            return None
-        return tuple(x)
+        vec = [_ZERO] * self.ncols
+        for i, v in x.items():
+            vec[i] = v
+        return tuple(vec)
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
@@ -292,36 +309,12 @@ def _reduce(rows, ncols, log):
     return pivots
 
 
-def _back_substitute(columns, positions, rows, ncols, log):
-    """The backward pass: clear each pivot column from the pivot rows above it.
-
-    ``columns``, ``positions`` and ``rows`` are the pivots of the forward
-    pass and their integer rows, which stay unchanged: a row is copied
-    before its first change.  Returns the rows, in pivot order, with the
-    row of each pivot now its canonical RREF row times an integer; ``log``
-    receives the row operations as ``_reduce`` logs them.
-    """
-    rows = dict(zip(positions, rows))
-    index = [set() for _ in range(ncols)]
-    for j, row in rows.items():
-        for k in row:
-            index[k].add(j)
-    copied = set()
-    for c, j in zip(reversed(columns), reversed(positions)):
-        targets = index[c]
-        targets.discard(j)
-        for i in targets - copied:
-            rows[i] = dict(rows[i])
-        copied |= targets
-        _clear(rows, index, log, c, j, targets)
-    return tuple(rows[j] for j in positions)
-
-
 def _clear(rows, index, log, c, j, targets):
-    """Clear column c from the rows at the positions ``targets`` with row j.
+    """Clear column c from the rows at the positions ``targets`` with the pivot row j.
 
-    Each target row r becomes (q r - f p) / g (see ``_reduce``); ``index``
-    (column -> positions of the rows holding it) is kept current.
+    Each target row r becomes (q r - f p) / g (see ``_reduce``) and is
+    logged; ``index`` (column -> positions of the rows holding it) is kept
+    current.  Row j is not changed.
     """
     pivot = rows[j]
     p = pivot[c]
@@ -415,49 +408,27 @@ class LinearSolution:
         return all(v == 0 for v in self.vector)
 
 
-def _nullspace(A):
-    """Free columns of A and the canonical basis of ker A, one vector per free column.
-
-    The vector of free column f has 1 at f and minus the RREF entries of
-    column f at the pivot columns.
-    """
-    ncols = A.ncols
-    columns = A.pivot_columns()
-    rref = A._factor()[1]
-    pivot_set = set(columns)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = {f: [_ZERO] * ncols for f in free}
-    for f in free:
-        basis[f][f] = _ONE
-    for c, row in zip(columns, rref):
-        p = row[c]
-        for k, v in row.items():
-            if k != c:
-                basis[k][c] = Rational(-v, p)
-    return tuple(free), tuple(tuple(basis[f]) for f in free)
-
-
 def solve_linear(A, b):
     """Deterministic particular solution of A x = b, or None if inconsistent.
 
-    The solution is ``A.solve(b)``, read off the RREF with free variables
-    set to zero; the result also carries the canonical nullspace basis so
+    The solution is ``A.solve(b)``, with free variables set to zero; the
+    result also carries the canonical kernel basis (``A.kernel()``) so
     callers can describe the full solution set.
     """
     vector = A.solve(b)
     if vector is None:
         return None
-    free, basis = _nullspace(A)
+    pivots = A.pivot_columns()
     return LinearSolution(
         vector=vector,
-        pivot_columns=A.pivot_columns(),
-        free_columns=free,
-        nullspace=basis,
+        pivot_columns=pivots,
+        free_columns=tuple(sorted(set(range(A.ncols)) - set(pivots))),
+        nullspace=nullspace_basis(A),
     )
 
 
 def nullspace_basis(A):
-    return _nullspace(A)[1]
+    return tuple(A.kernel())
 
 
 CROSS_CHECK_PRIMES = (2, 3)

@@ -1,10 +1,11 @@
 import contextlib
 import io
+import itertools
 import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -258,6 +259,43 @@ def test_maximal_faces_capacity_exit_code(capsys):
     assert "100000 candidate transversals after 0 of 2 sets" in document["error"]
     code, _, err = run(capsys, ["multiwedge", "--inline", square, "--j", "999,1,1,1"])
     assert code == 0
+
+
+def test_wedge_size_capacity_exit_code(capsys):
+    # rejected from the wedge vector alone, before any non-face is inflated
+    import time
+
+    started = time.perf_counter()
+    code, out, err = run(capsys, ["multiwedge", "--inline", HEXAGON, "--j", "1000000,1,1,1,1,1"])
+    assert time.perf_counter() - started < 5
+    assert out == ""
+    document = assert_one_capacity_error(code, err, "wedge-size")
+    assert "1000005 vertices" in document["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["homology"],
+        ["betti", "--multidegree", ",".join(map(str, range(1, 31)))],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_face_level_capacity_exit_code(capsys, argv):
+    # the full 30-simplex: its face levels reach 155 million faces
+    code, out, err = run(capsys, [*argv, "--inline", '{"m":30,"minimal_nonfaces":[]}'])
+    assert out == ""
+    document = assert_one_capacity_error(code, err, "face-level")
+    assert "50001 faces of size 5 grown from" in document["error"]
+
+
+def test_vertex_count_capacity_exit_code(capsys):
+    # rejected before the full mask or the labels of the vertices are built
+    huge = '{"m":1000000000000,"minimal_nonfaces":[]}'
+    code, out, err = run(capsys, ["homology", "--inline", huge])
+    assert out == ""
+    document = assert_one_capacity_error(code, err, "vertex-count")
+    assert "1000000000000 vertices" in document["error"]
 
 
 def test_search_candidate_capacity_exit_code(capsys, monkeypatch):
@@ -557,7 +595,8 @@ def relabelled_inputs(draw):
 
     Each support is a pair made a non-face, so its degree-0 classes span a
     line: the canonical class, the first basis class in the vertex order,
-    then follows the relabelling up to a sign.
+    then follows the relabelling up to a sign.  Also a wedge vector for the
+    complex, and a graph on n <= 4 vertices with a permutation of its own.
     """
     m = draw(st.integers(3, 7))
     nonfaces = draw(st.lists(st.sets(st.integers(1, m), min_size=2, max_size=m), max_size=m))
@@ -569,13 +608,47 @@ def relabelled_inputs(draw):
         order = draw(st.permutations(range(1, m + 1)))
         supports = [sorted(order[k : k + 2]) for k in (0, 2, 4)]
         nonfaces += supports
-    return m, nonfaces, perm, supports
+    wedge = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+    n = draw(st.integers(1, 4))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    graph_perm = draw(st.permutations(range(1, n + 1)))
+    return m, nonfaces, perm, supports, wedge, (n, edges, graph_perm)
+
+
+def label_list(result):
+    return result.get("labels") or [str(v) for v in range(1, result["m"] + 1)]
+
+
+def mapped_complex(result, back):
+    """The complex of a CLI result with vertex p renamed back[p], as comparable sets."""
+    return {
+        key: {frozenset(back[v] for v in face) for face in result[key]}
+        for key in ("minimal_nonfaces", "maximal_faces")
+    }
+
+
+def nerve_vertex_map(relabelled, original, graph_back):
+    """Nerve vertex of the relabelled graph -> nerve vertex of the original graph.
+
+    A nerve vertex is labelled by its building-set element, "{1,2}" say; the
+    element is taken back through the graph relabelling.
+    """
+    def element(label, rename):
+        return frozenset(rename[int(v)] for v in label.strip("{}").split(","))
+
+    identity = {v: v for v in graph_back}
+    position = {element(x, identity): p for p, x in enumerate(label_list(original), start=1)}
+    return {
+        p: position[element(x, graph_back)]
+        for p, x in enumerate(label_list(relabelled), start=1)
+    }
 
 
 @settings(max_examples=40, deadline=None)
 @given(relabelled_inputs())
 def test_results_are_invariant_under_relabelling(case):
-    m, nonfaces, perm, supports = case
+    m, nonfaces, perm, supports, wedge, (n, edges, graph_perm) = case
 
     def moved(vertices):
         return sorted(perm[v - 1] for v in vertices)
@@ -594,3 +667,199 @@ def test_results_are_invariant_under_relabelling(case):
         )
         assert code == code2 == 0
         assert first["result"]["status"] == second["result"]["status"]
+
+    # the multiwedge: copy c of vertex perm[v - 1] goes back to copy c of vertex v,
+    # and the labels travel with the vertices
+    moved_wedge = [0] * m
+    for v, j in enumerate(wedge, start=1):
+        moved_wedge[perm[v - 1] - 1] = j
+    labels = [""] * m
+    for v in range(1, m + 1):
+        labels[perm[v - 1] - 1] = str(v)
+    relabelled = json.dumps(
+        {"m": m, "minimal_nonfaces": [moved(nf) for nf in nonfaces], "labels": labels}
+    )
+    (code, first), (code2, second) = (
+        quiet_main(["multiwedge", "--inline", doc, "--j", ",".join(map(str, j))])
+        for doc, j in ((original, wedge), (relabelled, moved_wedge))
+    )
+    assert code == code2 == 0
+    first, second = first["result"], second["result"]
+    start = list(itertools.accumulate(wedge, initial=1))
+    moved_start = list(itertools.accumulate(moved_wedge, initial=1))
+    back = {
+        moved_start[perm[v - 1] - 1] + c: start[v - 1] + c
+        for v in range(1, m + 1)
+        for c in range(wedge[v - 1])
+    }
+    assert first["m"] == second["m"] == sum(wedge)
+    assert mapped_complex(second, back) == mapped_complex(first, {p: p for p in back})
+    assert {back[p]: x for p, x in enumerate(label_list(second), start=1)} == dict(
+        enumerate(label_list(first), start=1)
+    )
+
+    # the graph-associahedron nerve and the formality verdict name graph vertices
+    graph_back = {graph_perm[v - 1]: v for v in range(1, n + 1)}
+    graphs = (
+        json.dumps({"n": n, "edges": edges}),
+        json.dumps({"n": n, "edges": [[graph_perm[a - 1], graph_perm[b - 1]] for a, b in edges]}),
+    )
+    (code, first), (code2, second) = (quiet_main(["graphassoc", "--inline", g]) for g in graphs)
+    assert code == code2 == 0
+    first, second = first["result"], second["result"]
+    back = nerve_vertex_map(second, first, graph_back)
+    assert mapped_complex(second, back) == mapped_complex(first, {p: p for p in back})
+    (code, first), (code2, second) = (
+        quiet_main(["graphassoc", "--formality", "--inline", g]) for g in graphs
+    )
+    assert code == code2 == 0
+    first, second = first["result"], second["result"]
+
+    def verdicts(result, rename):
+        return sorted(
+            (sorted(rename[v] for v in c["vertices"]), c["kind"], c["factor"] or "")
+            for c in result["components"]
+        )
+
+    assert verdicts(second, graph_back) == verdicts(first, {v: v for v in graph_back})
+    assert sorted(second["diffeo_type"]) == sorted(first["diffeo_type"])
+    assert second["formal"] == first["formal"] == ("witness" not in first)
+    if not first["formal"]:
+        assert first["witness"]["nontrivial"] and second["witness"]["nontrivial"]
+
+
+# -- fuzzing: every request ends in a result or in one JSON error line -----------------
+
+SUBCOMMAND_FLAGS = {
+    "homology": (),
+    "betti": ("--multidegree",),
+    "multiwedge": ("--j",),
+    "real-betti": (),
+    "family": ("--name", "--n", "--s", "--m", "--degrees"),
+    "massey": ("--supports", "--degrees", "--family", "--search-triples", "--profile"),
+    "graphassoc": ("--formality",),
+}
+SWITCHES = ("--search-triples", "--formality")
+FIELDS = ("m", "minimal_nonfaces", "maximal_faces", "labels", "n", "edges")
+
+
+def joined(ints):
+    return ints.map(lambda xs: ",".join(map(str, xs)))
+
+
+# integer entries stay small: a flag like --family 5,3 or a complex like the
+# full 17-simplex is a valid request that runs for seconds
+small_ints = st.integers(-1, 9)
+vertex_lists = st.lists(small_ints, max_size=4)
+flag_values = st.one_of(
+    joined(st.lists(st.integers(-1, 3), max_size=4)),
+    st.text(max_size=6),
+    st.lists(vertex_lists, max_size=4).map(json.dumps),
+    st.sampled_from(["3,,1", "1.5", "-", "[[1,2],[3,4]]"]),
+)
+likely_values = {
+    "--multidegree": joined(st.lists(st.integers(1, 8), min_size=1, max_size=5, unique=True)),
+    "--j": joined(st.lists(st.integers(1, 3), min_size=1, max_size=8)),
+    "--name": st.sampled_from(["k", "kbar", "kns", "kbarns", "polygon", "degrees"]),
+    "--n": st.integers(-1, 9).map(str),
+    "--s": st.integers(-1, 9).map(str),
+    "--m": st.integers(-1, 9).map(str),
+    "--degrees": joined(st.lists(st.integers(-1, 5), min_size=1, max_size=4)),
+    "--supports": st.lists(
+        st.lists(st.integers(1, 8), min_size=1, max_size=3), min_size=3, max_size=3
+    ).map(json.dumps),
+    "--family": joined(st.lists(st.integers(-1, 3), min_size=2, max_size=2)),
+    "--profile": joined(st.lists(st.integers(1, 5), min_size=3, max_size=3)),
+}
+json_documents = st.recursive(
+    st.none()
+    | st.booleans()
+    | small_ints
+    | st.sampled_from([2**64, -(2**64), 10**12, 0.5])
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=3), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def rarely(draw):
+    """True one time in six (hypothesis draws the small end of a range more often)."""
+    return draw(st.integers(0, 5)) == 5
+
+
+@st.composite
+def near_valid_complexes(draw):
+    """A complex document on m <= 8 vertices, now and then with one field gone wrong."""
+    m = draw(st.integers(1, 8))
+    faces = st.lists(st.integers(1, m), min_size=2, max_size=4, unique=True).map(sorted)
+    document = {"m": m, "minimal_nonfaces": draw(st.lists(faces, max_size=6)) if m > 1 else []}
+    if rarely(draw):
+        document["minimal_nonfaces"].append(draw(vertex_lists))
+    if rarely(draw):
+        document["labels"] = draw(st.lists(st.text(max_size=2), min_size=m, max_size=m + 1))
+    if rarely(draw):
+        document[draw(st.sampled_from(FIELDS))] = draw(json_documents)
+    return document
+
+
+@st.composite
+def near_valid_graphs(draw):
+    """A graph document on n <= 4 vertices, now and then with one field gone wrong.
+
+    Larger graphs are left out: the formality witness search on the complete
+    graph on 5 vertices runs for more than 20 s.
+    """
+    n = draw(st.integers(1, 4))
+    edges = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)
+    document = {"n": n, "edges": draw(st.lists(edges, max_size=6)) if n > 1 else []}
+    if rarely(draw):
+        document["edges"].append(draw(vertex_lists))
+    if rarely(draw):
+        document[draw(st.sampled_from(FIELDS))] = draw(json_documents)
+    return document
+
+
+@st.composite
+def fuzzed_requests(draw):
+    command = draw(st.sampled_from(sorted(SUBCOMMAND_FLAGS)))
+    argv = [command]
+    likely = near_valid_graphs() if command == "graphassoc" else near_valid_complexes()
+    if not rarely(draw):
+        document = draw(json_documents if rarely(draw) else likely)
+        argv += ["--inline", json.dumps(document)]
+    for flag in SUBCOMMAND_FLAGS[command]:
+        if draw(st.booleans()):
+            argv.append(flag)
+            if flag in SWITCHES:
+                if rarely(draw):
+                    argv.append(draw(flag_values))
+            else:
+                argv.append(draw(flag_values if rarely(draw) else likely_values[flag]))
+    if rarely(draw) and rarely(draw):
+        argv.append(draw(st.sampled_from(["--bogus", "-x", "--inline"])))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzzed_requests())
+def test_every_request_ends_in_a_result_or_one_json_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help, or a flag value read as -h
+            code = exc.code
+            assert code == 0 and "usage:" in out.getvalue()
+            return
+    err = err.getvalue()
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+        assert set(strict_loads(out.getvalue())) == {"meta", "result"}
+    else:
+        assert out.getvalue() == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and isinstance(strict_loads(lines[0]), dict)

@@ -14,6 +14,7 @@ from moment_angle.errors import (
 from moment_angle.families import polygon_nerve
 from moment_angle.hochster import multigraded_betti
 from moment_angle.koszul import (
+    ComponentBasis,
     KoszulCochain,
     KoszulMonomial,
     cohomology_class,
@@ -21,7 +22,7 @@ from moment_angle.koszul import (
     koszul_bigraded_ranks,
 )
 from moment_angle.massey import family_massey_input
-from moment_angle.rational_linalg import Rational
+from moment_angle.rational_linalg import Rational, SparseMatrix
 from moment_angle.real_cochains import RealCochain, RealMonomial
 
 from conftest import (
@@ -189,6 +190,28 @@ def test_top_class_of_four_cycle():
     product = mono(K, (3,), (1,)) * mono(K, (4,), (2,))
     coords = cohomology_class(product)
     assert len(coords) == 1 and coords[0] != 0
+
+
+def test_top_class_reads_one_of_its_cocycles(monkeypatch):
+    # the value component of the (4, 3) family product has 2,366 canonical cocycles
+    # and one class; the basis scan builds cocycles lazily and stops at the first
+    inp = family_massey_input(4, 3)
+    J, degree = inp.window_support(1, 4), inp.window_total_degree(1, 4)
+    comp = ComponentBasis(inp.complex, J, degree)  # not the memoized component
+    kernel, built = SparseMatrix.kernel, []
+
+    def counted(self):
+        built.append(0)
+        for vec in kernel(self):
+            built[-1] += 1
+            yield vec
+
+    monkeypatch.setattr(SparseMatrix, "kernel", counted)
+    assert len(comp.cohomology_basis()) == comp.cohomology_dimension() == 1
+    above = comp.matrix_to_above()
+    assert above.ncols - above.rank() == 2366
+    assert built == [1]
+    assert comp.cohomology_basis() == component_basis(inp.complex, J, degree).cohomology_basis()
 
 
 def test_d_squared_zero():

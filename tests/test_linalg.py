@@ -261,7 +261,7 @@ def test_cohomology_basis_matches_greedy_scan(K):
                 comp = component_basis(K, J, degree)
                 B = comp.matrix_from_below()
                 coboundaries = [[B.entry(r, c) for r in range(B.nrows)] for c in range(B.ncols)]
-                cocycles = comp.cocycle_basis()
+                cocycles = tuple(comp.cocycle_basis())
                 kept = greedy_keep(coboundaries, cocycles)
                 assert comp.cohomology_basis() == tuple(cocycles[i] for i in kept)
                 assert len(kept) == comp.cohomology_dimension()
@@ -487,7 +487,7 @@ def test_concurrent_first_solves_agree():
                 comp = ComponentBasis(K, J, degree)  # not the memoized component
                 B = comp.matrix_from_below()
                 classes = B.with_columns(component_basis(K, J, degree).cohomology_basis())
-                cocycles = component_basis(K, J, degree).cocycle_basis()
+                cocycles = tuple(component_basis(K, J, degree).cocycle_basis())
                 cocycles += tuple(tuple(x + y for x, y in zip(z, cocycles[0])) for z in cocycles)
                 futures = [
                     pool.submit(comp.class_vector, comp.cochain_from_coordinates(z))
@@ -561,7 +561,7 @@ def test_component_reads_match_one_shot_solves(K):
                     else:
                         assert primitive == below.cochain_from_coordinates(one_shot.vector)
                         assert primitive.differential() == cochain
-                for z in comp.cocycle_basis() + tuple(images):
+                for z in tuple(comp.cocycle_basis()) + tuple(images):
                     classes = B.with_columns(comp.cohomology_basis())  # a fresh matrix
                     expected = solve_linear(classes, z).vector[B.ncols:]
                     assert comp.class_vector(comp.cochain_from_coordinates(z)) == expected

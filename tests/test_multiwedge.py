@@ -50,6 +50,8 @@ def test_length_mismatch_rejected():
         j_construction(K, (1, 2))
     with pytest.raises(InputError):
         j_construction(K, (1, 0, 2))
+    with pytest.raises(InputError):  # a bool is not a copy count
+        j_construction(K, (True, 1, 2))
 
 
 def test_join_preservation():
