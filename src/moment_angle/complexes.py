@@ -368,8 +368,11 @@ class SimplicialComplex:
         Each face of the next level is reached exactly once, and a level in
         lex order of its tuples grows into a level in lex order.  A level that
         grows past ``FACE_LEVEL_CAPACITY`` faces raises ``CapacityError`` as
-        soon as it does.
+        soon as it does; the singletons, one per vertex of ``mask``, are counted first.
         """
+        if level == (0,) and mask.bit_count() > FACE_LEVEL_CAPACITY:
+            per_size = f"capacity is {FACE_LEVEL_CAPACITY} faces per size"
+            raise CapacityError("face-level", f"{mask.bit_count()} faces of size 1; {per_size}")
         grown = []
         for f in level:
             top = f.bit_length()
@@ -525,25 +528,22 @@ class SimplicialComplex:
     # -- 1-skeleton helpers ---------------------------------------------------
 
     def component_count(self, vertices=None):
-        """Connected components of the 1-skeleton (isolated vertices count)."""
-        if vertices is None:
-            vertices = range(1, self.m + 1)
-        verts = sorted(set(vertices))
-        parent = {v: v for v in verts}
+        """Components of the 1-skeleton on ``vertices`` (default all; isolated ones count).
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        vset = set(verts)
-        for a, b in itertools.combinations(verts, 2):
-            if {a, b} <= vset and self.is_face_mask(_mask_of((a, b), self.m)):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-        return len({find(v) for v in verts})
+        A bitmask flood fill: an edge is a face exactly when it is not a
+        minimal non-face, so v reaches each vertex of the set outside its pairs.
+        """
+        rest = self._full_mask if vertices is None else _mask_of(vertices, self.m)
+        stars = self._nonface_stars()
+        count = 0
+        while rest:
+            count += 1
+            frontier = rest & -rest
+            while frontier:  # rest never meets the frontier, so ^ adds what low reaches
+                rest &= ~frontier
+                low = frontier & -frontier
+                frontier ^= low | rest & ~stars[low.bit_length()][0]
+        return count
 
 
 # -- spec-level operation names -----------------------------------------------

@@ -21,9 +21,11 @@ collapses", Discrete Comput. Geom. 47 (2012)).  The full table walks the
 subsets as bitmasks in increasing order and keeps one rank tuple per mask
 (at m = 22, 2^22 entries, most of them shared tuples); since J - v < J as a
 mask, a subset with a dominated vertex v takes the ranks of K_{J - v}, and
-only the others grow faces and eliminate coboundaries.  A listed
-multidegree is computed on its own K_J.  The table counts each distinct
-(|J|, ranks) pair and expands the counts once.
+only the others grow faces and eliminate coboundaries.  A single query
+(``multigraded_betti``) strips dominated vertices from J one at a time and
+reads its rank on the core that is left, which is 0 when the core is one
+vertex; a listed multidegree of the table is computed on its own K_J.  The
+table counts each distinct (|J|, ranks) pair and expands the counts once.
 """
 
 import itertools
@@ -38,13 +40,18 @@ FULL_TABLE_CAPACITY = 22
 
 
 def multigraded_betti(K, i, J):
-    """beta^{-i, 2J}: rank of reduced H^{|J|-i-1} of the induced subcomplex on J."""
+    """beta^{-i, 2J}: rank of reduced H^{|J|-i-1} of K_J, read on the core of J."""
     J = sorted(set(J))
     if i < 0 or i > len(J):
         raise InputError(f"homological degree {i} outside 0..{len(J)}")
+    mask = _mask_of(J, K.m)
+    while v := K.dominated_vertex(mask):
+        mask ^= 1 << (v - 1)
+    if J and mask & (mask - 1) == 0:
+        return 0
     size = len(J) - i  # faces of size d + 1 carry degree d = |J| - i - 1
     # levels[k + 1] holds the faces with k vertices; levels[0] is the empty size -1
-    levels = [(), *itertools.islice(K.induced_face_levels(_mask_of(J, K.m)), size + 2)]
+    levels = [(), *itertools.islice(K.induced_face_levels(mask), size + 2)]
     levels += [()] * (size + 3 - len(levels))
     return cohomology_rank(*levels[size : size + 3])
 

@@ -5,15 +5,55 @@ own algorithms: faces are found by scanning all vertex subsets, so they can
 arbitrate the dualization and induced-subcomplex code paths.
 """
 
+import functools
 import itertools
+import json
 import random
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from moment_angle.complexes import SimplicialComplex
+from moment_angle.graphs import Graph, associahedron_nerve
 from moment_angle.koszul import KoszulCochain
 from moment_angle.rational_linalg import SparseMatrix
 from moment_angle.real_cochains import RealCochain
+
+
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.json"
+CORPUS_GRAPHS = json.loads(CORPUS.read_text())["graphs"]
+
+
+@functools.lru_cache(maxsize=None)
+def corpus_nerve(name):
+    """The graph-associahedron nerve of a benchmark corpus graph."""
+    return associahedron_nerve(Graph.from_edges(**CORPUS_GRAPHS[name]))
+
+
+def union_find_component_count(K, vertices=None):
+    """Slow-path components of the 1-skeleton of K on ``vertices`` (default all).
+
+    Union-find over every vertex pair, each tested as a face of K; the
+    bitmask flood fill of ``SimplicialComplex.component_count`` is compared
+    with it.
+    """
+    if vertices is None:
+        vertices = range(1, K.m + 1)
+    verts = sorted(set(vertices))
+    parent = {v: v for v in verts}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in itertools.combinations(verts, 2):
+        if K.is_face((a, b)):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+    return len({find(v) for v in verts})
 
 
 def differential_matrix(cochain_type, K, source, target_index):

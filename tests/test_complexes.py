@@ -28,6 +28,7 @@ from conftest import (
     brute_minimal_nonfaces,
     random_complex,
     small_complexes,
+    union_find_component_count,
 )
 
 HEXAGON_MF = [(1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (2, 6), (3, 5), (3, 6), (4, 6)]
@@ -164,8 +165,42 @@ def test_face_levels_grow_only_as_asked():
     assert len(SimplicialComplex.full_simplex(40).faces(2)) == 780
 
 
+def test_level_one_is_refused_before_it_is_grown():
+    # 2^17 singletons, counted from the mask instead of grown one by one
+    K = SimplicialComplex(131072, [])
+    with pytest.raises(CapacityError) as err:
+        K.face_masks(1)
+    assert err.value.guard == "face-level"
+    assert "131072 faces of size 1" in str(err.value)
+    with pytest.raises(CapacityError) as err:
+        list(K.induced_face_levels(K._full_mask))
+    assert err.value.guard == "face-level"
+    assert len(K.face_masks(0)) == 1  # the empty face is still there
+
+
 def _mask(vertices):
     return sum(1 << (v - 1) for v in vertices)
+
+
+@st.composite
+def complexes_with_isolated_vertices(draw):
+    """A small complex in which some vertices may form a non-face with every other vertex."""
+    K = draw(small_complexes(min_m=1, max_m=8))
+    isolated = draw(st.sets(st.integers(1, K.m), max_size=3))
+    pairs = [(u, v) for u in isolated for v in range(1, K.m + 1) if u != v]
+    return SimplicialComplex(K.m, [*K.minimal_nonfaces, *pairs])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_complexes(min_m=1, max_m=8), complexes_with_isolated_vertices()), st.data())
+def test_component_count_matches_union_find(K, data):
+    assert K.component_count() == union_find_component_count(K)
+    vertex = st.integers(1, K.m)
+    subset = data.draw(st.sets(vertex))
+    assert K.component_count(subset) == union_find_component_count(K, subset)
+    repeated = data.draw(st.lists(vertex, max_size=2 * K.m))
+    assert K.component_count(repeated) == union_find_component_count(K, repeated)
+    assert K.component_count(iter(repeated)) == union_find_component_count(K, repeated)
 
 
 def brute_dominated(K, J):

@@ -14,9 +14,9 @@ from moment_angle.hochster import (
     multigraded_betti,
 )
 from moment_angle.multiwedge import j_construction
-from moment_angle.rational_linalg import reduced_cohomology_ranks
+from moment_angle.rational_linalg import cohomology_profile, reduced_cohomology_ranks
 
-from conftest import random_complex, small_complexes
+from conftest import CORPUS_GRAPHS, corpus_nerve, random_complex, small_complexes
 
 
 def test_multigraded_examples():
@@ -107,6 +107,49 @@ def test_betti_paths_keep_no_face_levels():
     bigraded_betti_table(K)
     bigraded_betti_table(K, multidegrees=[(1, 3, 5)])
     multigraded_betti(K, 1, (1, 3, 5))
+    assert "induced_face_levels" not in K._cache
+
+
+def assert_core_rank_matches_direct_rank(K, J):
+    """multigraded_betti on the core of J against the profile of K_J itself."""
+    mask = sum(1 << (v - 1) for v in set(J))
+    direct = cohomology_profile(K.induced_face_levels(mask))
+    ranks = [multigraded_betti(K, i, J) for i in range(len(set(J)) + 1)]
+    assert ranks == [direct.rank(len(set(J)) - i - 1) for i in range(len(set(J)) + 1)]
+    core = mask
+    while v := K.dominated_vertex(core):
+        core ^= 1 << (v - 1)
+    if core and core & (core - 1) == 0:  # K_J contracts to a point
+        assert not any(direct.ranks)
+
+
+@st.composite
+def complexes_with_large_nonfaces(draw):
+    """A complex on 3..8 vertices whose non-faces mix pairs with sets of 3 or more."""
+    m = draw(st.integers(3, 8))
+    pairs = draw(st.lists(st.sets(st.integers(1, m), min_size=2, max_size=2), max_size=m))
+    larger = draw(st.lists(st.sets(st.integers(1, m), min_size=3, max_size=m), min_size=1, max_size=4))
+    nonfaces = pairs + larger
+    return SimplicialComplex(m, [tuple(sorted(f)) for f in nonfaces])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(complexes_with_large_nonfaces(), small_complexes(min_m=1, max_m=3)), st.data())
+def test_core_ranks_match_direct_ranks(K, data):
+    subset = data.draw(st.sets(st.integers(1, K.m)))
+    vertex = data.draw(st.integers(1, K.m))
+    for J in [(), (vertex,), tuple(range(1, K.m + 1)), tuple(sorted(subset))]:
+        assert_core_rank_matches_direct_rank(K, J)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_GRAPHS))
+def test_core_ranks_match_direct_ranks_on_corpus_nerves(name):
+    K = corpus_nerve(name)
+    rng = random.Random(name)
+    subsets = [(), tuple(range(1, min(K.m, 1) + 1)), tuple(range(1, K.m + 1))]
+    subsets += [tuple(rng.sample(range(1, K.m + 1), rng.randint(0, K.m))) for _ in range(40)]
+    for J in subsets:
+        assert_core_rank_matches_direct_rank(K, J)
     assert "induced_face_levels" not in K._cache
 
 

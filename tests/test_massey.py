@@ -1,8 +1,5 @@
-import functools
 import itertools
-import json
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,10 +30,8 @@ from moment_angle.massey import (
 )
 from moment_angle.rational_linalg import SparseMatrix, reduced_cohomology_rank
 
-from conftest import small_complexes
+from conftest import CORPUS_GRAPHS, corpus_nerve, small_complexes
 
-CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.json"
-CORPUS_GRAPHS = json.loads(CORPUS.read_text())["graphs"]
 SEARCH_PROFILES = [(3, 3, 3), (3, 4, 3), (5, 3, 5)]
 
 
@@ -369,11 +364,6 @@ def assert_search_matches_reference(K, profile):
         else:
             assert witness is not None
             assert (witness.supports, _massey_report_dict(witness.report)) == expected[strict]
-
-
-@functools.lru_cache(maxsize=None)
-def corpus_nerve(name):
-    return associahedron_nerve(Graph.from_edges(**CORPUS_GRAPHS[name]))
 
 
 @st.composite
