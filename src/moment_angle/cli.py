@@ -68,15 +68,11 @@ def _complex_result(K):
     return K.to_json_dict(include_maximal=True)
 
 
-def _rational_str(x):
-    return str(x)
-
-
 def _value_dict(value):
     return {
         "support": list(value.support),
         "total_degree": value.total_degree,
-        "class_coordinates": [_rational_str(c) for c in value.class_coordinates],
+        "class_coordinates": [str(c) for c in value.class_coordinates],
         "is_zero": value.is_zero,
         "representative": repr(value.cochain),
     }
@@ -111,7 +107,7 @@ def _massey_report_dict(report):
     if report.triple is not None:
         out["indeterminacy_dimension"] = len(report.triple.indeterminacy_basis)
         out["indeterminacy_basis"] = [
-            [_rational_str(c) for c in vec] for vec in report.triple.indeterminacy_basis
+            [str(c) for c in vec] for vec in report.triple.indeterminacy_basis
         ]
         out["contains_zero"] = report.triple.contains_zero
         out["nontrivial"] = report.triple.nontrivial
@@ -120,7 +116,7 @@ def _massey_report_dict(report):
             "cell": list(report.failure.cell),
             "support": list(report.failure.support),
             "total_degree": report.failure.total_degree,
-            "obstruction": [_rational_str(c) for c in report.failure.obstruction],
+            "obstruction": [str(c) for c in report.failure.obstruction],
         }
     return out
 

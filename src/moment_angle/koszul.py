@@ -8,8 +8,9 @@ differential preserves the multidegree S u T, so everything decomposes into
 tiny components indexed by (vertex subset, total degree).  Per-component
 bases, coboundary matrices, and deterministic class coordinates live in
 ``ComponentBasis``.  ``Cochain`` is shared with Cai's real model in
-``real_cochains``: it sums a model's differential from the signs of that
-model's one static ``differential_terms``.
+``real_cochains``: in both models a term u_S x_T is keyed by the pair of
+vertex masks (S, T), vertex v at bit v - 1, and ``Cochain`` sums a model's
+differential from the signs of that model's one static ``differential_terms``.
 
 By Hochster's isomorphism the component (J, t) is a sign-twisted copy of
 the cochains of the induced subcomplex K_J: its basis is the level of K_J's
@@ -19,8 +20,7 @@ each K_J are grown once and kept in K's own cache for all the degrees of J
 (``SimplicialComplex.kept_face_levels``).
 A component's matrix is written from the masks alone: the entry at (row of
 T + i, column of T) is (-1)^k, k the number of vertices of J - T below i,
-wherever T + i is a face; the monomial objects are built only for the
-components whose cochains are read or written.
+wherever T + i is a face.
 
 Normal form and signs: u-variables first in ascending order, then
 v-variables ascending.  v's are even (degree 2) and contribute no signs;
@@ -29,7 +29,6 @@ and dropping u_i from position k (0-based) of a u-block contributes (-1)^k.
 """
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .complexes import _mask_of, _tuple_of
@@ -46,61 +45,41 @@ KOSZUL_TABLE_CAPACITY = 12
 
 
 def normal_part(vertices, m, what):
-    """One part of a normal-form monomial as an ascending tuple of vertices 1..m.
+    """One part of a normal-form monomial as the mask of its vertices 1..m.
 
     A vertex out of range, or one given twice (u_i u_i = 0, v_i v_i = 0 and
     t_i t_i = t_i, so no normal-form monomial repeats one), is an error.
     """
     part = tuple(sorted(vertices))
-    if _mask_of(part, m).bit_count() != len(part):
+    mask = _mask_of(part, m)
+    if mask.bit_count() != len(part):
         raise InputError(f"{what} {part} repeats a vertex")
-    return part
+    return mask
 
 
 def shuffle_sign(a, b):
-    """Sign of the shuffle merging two disjoint ascending tuples of odd generators."""
+    """Sign of the shuffle merging two disjoint masks of odd generators, a's block first.
+
+    Each vertex of b passes the vertices of a above it.
+    """
     inversions = 0
-    for x in a:
-        for y in b:
-            if y < x:
-                inversions += 1
+    while b:
+        low = b & -b
+        b ^= low
+        inversions += (a & -low).bit_count()
     return -1 if inversions & 1 else 1
-
-
-@dataclass(frozen=True, order=True)
-class KoszulMonomial:
-    """Normal-form monomial u_{S} v_{T} with S, T disjoint ascending tuples."""
-
-    u_vertices: tuple
-    v_vertices: tuple
-
-    @property
-    def degree(self):
-        return len(self.u_vertices) + 2 * len(self.v_vertices)
-
-    @property
-    def multidegree(self):
-        return tuple(sorted(self.u_vertices + self.v_vertices))
-
-    @property
-    def bidegree(self):
-        return (-len(self.u_vertices), 2 * len(self.u_vertices) + 2 * len(self.v_vertices))
-
-    def __str__(self):
-        us = "".join(f"u{v}" for v in self.u_vertices)
-        vs = "".join(f"v{v}" for v in self.v_vertices)
-        return (us + vs) or "1"
 
 
 class Cochain:
     """Rational linear combination of normal-form monomials over a fixed complex.
 
-    The arithmetic both cochain models share.  A model sets ``Monomial`` (its
-    unit is ``Monomial((), ())``) and defines ``monomial``, ``__mul__`` and
-    ``differential_terms(K, mono)``, the (monomial, +-1) terms of d(mono),
-    which ``_differential`` sums (each model writes its matrices from masks
-    on its own); cochains of two models never combine or compare equal, and a
-    ``Rational`` coefficient is stored as it is.
+    The arithmetic both cochain models share.  A term u_S x_T is keyed by the
+    vertex masks (S, T); a model sets its second letter x as ``LETTER`` and
+    that generator's degree as ``LETTER_DEGREE``, and defines ``monomial``,
+    ``__mul__`` and ``differential_terms(K, u, w)``, the ((u', w'), +-1) terms
+    of d(u_S x_T), which ``_differential`` sums (each model writes its
+    matrices from masks on its own); cochains of two models never combine or
+    compare equal, and a ``Rational`` coefficient is stored as it is.
     """
 
     __slots__ = ("complex", "terms")
@@ -108,11 +87,11 @@ class Cochain:
     def __init__(self, complex, terms=None):
         self.complex = complex
         clean = {}
-        for mono, coeff in (terms or {}).items():
+        for key, coeff in (terms or {}).items():
             if type(coeff) is not Rational:
                 coeff = Rational(coeff)
             if coeff:
-                clean[mono] = coeff
+                clean[key] = coeff
         self.terms = clean
 
     @classmethod
@@ -121,7 +100,7 @@ class Cochain:
 
     @classmethod
     def unit(cls, complex):
-        return cls(complex, {cls.Monomial((), ()): _ONE})
+        return cls(complex, {(0, 0): _ONE})
 
     def is_zero(self):
         return not self.terms
@@ -129,8 +108,8 @@ class Cochain:
     def _differential(self):
         """d of every term, summed from the signs of ``differential_terms``."""
         out = {}
-        for mono, coeff in self.terms.items():
-            for target, sign in self.differential_terms(self.complex, mono):
+        for (u, w), coeff in self.terms.items():
+            for target, sign in self.differential_terms(self.complex, u, w):
                 out[target] = out.get(target, 0) + (coeff if sign == 1 else -coeff)
         return type(self)(self.complex, out)
 
@@ -145,8 +124,8 @@ class Cochain:
     def __add__(self, other):
         self._check_ambient(other)
         terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            terms[mono] = terms.get(mono, 0) + c
+        for key, c in other.terms.items():
+            terms[key] = terms.get(key, 0) + c
         return type(self)(self.complex, terms)
 
     def __sub__(self, other):
@@ -159,11 +138,11 @@ class Cochain:
         factor = Rational(factor)
         if not factor:
             return type(self)(self.complex)
-        return type(self)(self.complex, {m: c * factor for m, c in self.terms.items()})
+        return type(self)(self.complex, {k: c * factor for k, c in self.terms.items()})
 
     def degree(self):
         """Common total degree of all terms; None for the zero cochain."""
-        degs = {m.degree for m in self.terms}
+        degs = {u.bit_count() + self.LETTER_DEGREE * w.bit_count() for u, w in self.terms}
         if not degs:
             return None
         if len(degs) > 1:
@@ -175,40 +154,50 @@ class Cochain:
             return NotImplemented
         return self.complex == other.complex and self.terms == other.terms
 
+    @classmethod
+    def _word(cls, u, w):
+        """The monomial u_S x_T of the masks (S, T) as text, e.g. ``u1u4v2``."""
+        us = "".join(f"u{v}" for v in _tuple_of(u))
+        xs = "".join(f"{cls.LETTER}{v}" for v in _tuple_of(w))
+        return (us + xs) or "1"
+
     def __repr__(self):
+        """Terms in the order of their vertex tuples (u1u10 before u2), not of their masks."""
         if not self.terms:
             return "0"
+        keys = sorted(self.terms, key=lambda k: (_tuple_of(k[0]), _tuple_of(k[1])))
         parts = []
-        for mono in sorted(self.terms):
-            c = self.terms[mono]
-            parts.append(f"{c}*{mono}" if c != 1 else str(mono))
+        for u, w in keys:
+            c, word = self.terms[u, w], self._word(u, w)
+            parts.append(f"{c}*{word}" if c != 1 else word)
         return " + ".join(parts)
 
 
 class KoszulCochain(Cochain):
-    """Rational linear combination of Koszul monomials over a fixed complex."""
+    """Rational linear combination of Koszul monomials u_S v_T over a fixed complex."""
 
     __slots__ = ()
 
-    Monomial = KoszulMonomial
+    LETTER = "v"
+    LETTER_DEGREE = 2
 
     @classmethod
     def monomial(cls, complex, u_vertices, v_vertices, coeff=1):
         u = normal_part(u_vertices, complex.m, "u-part")
         v = normal_part(v_vertices, complex.m, "v-part")
-        if set(u) & set(v):
-            raise InputError(f"u-part {u} and v-part {v} overlap")
-        if not complex.is_face(v):
-            raise InputError(f"v-part {v} is not a face")
-        return cls(complex, {KoszulMonomial(u, v): Rational(coeff)})
+        if u & v:
+            raise InputError(f"u-part {_tuple_of(u)} and v-part {_tuple_of(v)} overlap")
+        if not complex.is_face_mask(v):
+            raise InputError(f"v-part {_tuple_of(v)} is not a face")
+        return cls(complex, {(u, v): Rational(coeff)})
 
     def multidegree(self):
-        mds = {m.multidegree for m in self.terms}
+        mds = {u | v for u, v in self.terms}
         if not mds:
             return None
         if len(mds) > 1:
             raise InputError("cochain is not multihomogeneous")
-        return mds.pop()
+        return _tuple_of(mds.pop())
 
     def bar(self):
         """(-1)^degree times self (sign convention for defining systems)."""
@@ -218,14 +207,16 @@ class KoszulCochain(Cochain):
         return self.scaled(-1) if d & 1 else self
 
     @staticmethod
-    def differential_terms(K, mono):
+    def differential_terms(K, u, v):
         """Terms of d(u_S v_T): dropping u_i from 0-based position k of the
         u-block and adding v_i contributes (-1)^k, where T + i is a face."""
-        u, v = mono.u_vertices, mono.v_vertices
-        for pos, i in enumerate(u):
-            new_v = tuple(sorted(v + (i,)))
-            if K.is_face(new_v):
-                yield KoszulMonomial(u[:pos] + u[pos + 1 :], new_v), -1 if pos & 1 else 1
+        rest, k = u, 0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if K.is_face_mask(v | low):
+                yield (u ^ low, v | low), -1 if k & 1 else 1
+            k += 1
 
     def differential(self):
         """d(u_S v_T) = sum over i in S of +- u_{S-i} v_{T+i}, faces only."""
@@ -237,19 +228,13 @@ class KoszulCochain(Cochain):
         self._check_ambient(other)
         K = self.complex
         out = {}
-        for m1, c1 in self.terms.items():
-            md1 = set(m1.multidegree)
-            for m2, c2 in other.terms.items():
-                if md1 & set(m2.multidegree):
+        for (u1, v1), c1 in self.terms.items():
+            md1 = u1 | v1
+            for (u2, v2), c2 in other.terms.items():
+                if md1 & (u2 | v2) or not K.is_face_mask(v1 | v2):
                     continue
-                new_v = tuple(sorted(m1.v_vertices + m2.v_vertices))
-                if not K.is_face(new_v):
-                    continue
-                sign = shuffle_sign(m1.u_vertices, m2.u_vertices)
-                new_mono = KoszulMonomial(
-                    tuple(sorted(m1.u_vertices + m2.u_vertices)), new_v
-                )
-                out[new_mono] = out.get(new_mono, 0) + c1 * c2 * sign
+                key = (u1 | u2, v1 | v2)
+                out[key] = out.get(key, 0) + c1 * c2 * shuffle_sign(u1, u2)
         return KoszulCochain(K, out)
 
 
@@ -265,7 +250,7 @@ class ComponentBasis:
     is kept as that level of the face masks of K_J (``_faces``), in reverse
     lex order of T: for subsets of J of equal size, the lex order of the
     u-parts J - T is the reverse of the lex order of the faces T.  The
-    ``monomials`` and their ``index`` are built only when read.
+    cochain term of row r is keyed (J - T, T), T = ``_faces[r]``.
 
     The differential from below is built once and cached in ``_cache``, as
     are the cohomology dimension and basis.  The matrix is eliminated once,
@@ -290,23 +275,6 @@ class ComponentBasis:
         self._faces = levels[t_size][::-1] if 0 <= t_size < len(levels) else ()
         self._cache = {}
 
-    @property
-    def monomials(self):
-        """The basis monomials u_{J - T} v_T, in the order of ``_faces``."""
-        if "monomials" not in self._cache:
-            J = self._mask
-            self._cache["monomials"] = tuple(
-                KoszulMonomial(_tuple_of(J ^ T), _tuple_of(T)) for T in self._faces
-            )
-        return self._cache["monomials"]
-
-    @property
-    def index(self):
-        """Row of each basis monomial."""
-        if "index" not in self._cache:
-            self._cache["index"] = {mono: i for i, mono in enumerate(self.monomials)}
-        return self._cache["index"]
-
     def __len__(self):
         return len(self._faces)
 
@@ -323,7 +291,7 @@ class ComponentBasis:
         ``KoszulCochain.differential_terms``).
         """
         if "from_below" not in self._cache:
-            rows = {T: r for r, T in enumerate(self._faces)}
+            rows = self._rows()
             below = self._neighbor(-1)._faces
             J = self._mask
             entries = {}
@@ -338,6 +306,12 @@ class ComponentBasis:
                     k += 1
             self._cache["from_below"] = SparseMatrix(len(rows), len(below), entries)
         return self._cache["from_below"]
+
+    def _rows(self):
+        """Row of each basis face T, as a mask."""
+        if "rows" not in self._cache:
+            self._cache["rows"] = {T: r for r, T in enumerate(self._faces)}
+        return self._cache["rows"]
 
     def matrix_to_above(self):
         return self._neighbor(+1).matrix_from_below()
@@ -382,18 +356,18 @@ class ComponentBasis:
     def coordinates(self, cochain):
         """Coefficient vector of a cochain that lies in this component."""
         vec = [Rational(0)] * len(self)
-        for mono, c in cochain.terms.items():
-            i = self.index.get(mono)
-            if i is None:
-                raise InputError(f"monomial {mono} outside component {self.key()}")
-            vec[i] = c
+        rows, J = self._rows(), self._mask
+        for (u, v), c in cochain.terms.items():
+            r = rows.get(v)
+            if r is None or u != J ^ v:
+                word = cochain._word(u, v)
+                raise InputError(f"monomial {word} outside component {self.key()}")
+            vec[r] = c
         return tuple(vec)
 
     def cochain_from_coordinates(self, coords):
-        return KoszulCochain(
-            self.complex,
-            {mono: c for mono, c in zip(self.monomials, coords)},
-        )
+        J = self._mask
+        return KoszulCochain(self.complex, {(J ^ T, T): c for T, c in zip(self._faces, coords)})
 
     def primitive(self, cochain):
         """The deterministic c with dc = cochain (free variables zero), or None.

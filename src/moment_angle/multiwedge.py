@@ -58,15 +58,3 @@ def j_construction(K, J):
             labels.extend(f"{base}{c}" for c in range(1, j + 1))
     return SimplicialComplex(sum(J), mf, labels)
 
-
-def compose_wedge_vectors(K, J_first, J_second):
-    """The single wedge vector with K(J1)(J2) = K(J12)."""
-    J_first = validate_wedge_vector(K, J_first)
-    if len(J_second) != sum(J_first):
-        raise InputError("second wedge vector must match the wedged vertex count")
-    out = []
-    pos = 0
-    for j in J_first:
-        out.append(sum(J_second[pos : pos + j]))
-        pos += j
-    return tuple(out)

@@ -528,11 +528,13 @@ def coboundary_matrix(K, d):
     """Matrix of the reduced-cochain differential C^d -> C^{d+1}.
 
     Rows are indexed by the d-faces and columns by the (d+1)-faces of K, both
-    in lexicographic order of their vertex tuples.
+    in lexicographic order of their vertex tuples.  The degree range -1..dim K
+    is read off the face levels, with no dualization.
     """
-    if d < -1 or d > K.dim:
-        raise InputError(f"degree {d} outside -1..{K.dim}")
-    return _coboundary(K.face_masks(d + 1), K.face_masks(d + 2))
+    domain = K.face_masks(d + 1)
+    if d < -1 or not domain:
+        raise InputError(f"degree {d} outside -1..dim K: no faces with {d + 1} vertices")
+    return _coboundary(domain, K.face_masks(d + 2))
 
 
 @dataclass(frozen=True)

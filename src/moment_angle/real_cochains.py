@@ -16,21 +16,20 @@ differential graded algebras inducing an isomorphism on cohomology.
 
 ``RealCochain`` inherits its linear arithmetic (sums, scaling, degree,
 equality, printing) from ``koszul.Cochain``, the core both cochain models
-share, and defines only the model's product and ``differential_terms``,
-the signed terms of d of one monomial, which ``differential`` reads.
+share, with each term u_S t_T keyed by the vertex masks (S, T), and defines
+only the model's product and ``differential_terms``, the signed terms of d
+of one monomial, which ``differential`` reads.
 
-The ranks are computed on bases of integer mask pairs (S, T) for u_S t_T,
-with no monomial object: degree p takes S from the face masks with p
-vertices and T from the subsets of the other vertices, and its matrix is
-written from the bits with the sign rule of ``differential_terms``.  As the
-independent oracle for Hochster's sum, this build shares only the face
-masks and the elimination kernel with it.
+The ranks are computed on bases of the same mask pairs (S, T): degree p
+takes S from the face masks with p vertices and T from the subsets of the
+other vertices, and its matrix is written from the bits with the sign rule
+of ``differential_terms``.  As the independent oracle for Hochster's sum,
+this build shares only the face masks and the elimination kernel with it.
 """
 
 import itertools
-from bisect import bisect_left
-from dataclasses import dataclass
 
+from .complexes import _tuple_of
 from .errors import CapacityError, InputError
 from .koszul import Cochain, normal_part, shuffle_sign
 from .multiwedge import j_construction, wedge_vertex_map
@@ -39,39 +38,23 @@ from .rational_linalg import Rational, SparseMatrix, cohomology_ranks
 REAL_RANKS_CAPACITY = 9
 
 
-@dataclass(frozen=True, order=True)
-class RealMonomial:
-    """Normal-form word u_{S} t_{T}: S a face, S and T disjoint, both ascending."""
-
-    u_vertices: tuple
-    t_vertices: tuple
-
-    @property
-    def degree(self):
-        return len(self.u_vertices)
-
-    def __str__(self):
-        us = "".join(f"u{v}" for v in self.u_vertices)
-        ts = "".join(f"t{v}" for v in self.t_vertices)
-        return (us + ts) or "1"
-
-
 class RealCochain(Cochain):
-    """Rational linear combination of real-model monomials over a fixed complex."""
+    """Rational linear combination of real-model monomials u_S t_T over a fixed complex."""
 
     __slots__ = ()
 
-    Monomial = RealMonomial
+    LETTER = "t"
+    LETTER_DEGREE = 0
 
     @classmethod
     def monomial(cls, complex, u_vertices, t_vertices, coeff=1):
         u = normal_part(u_vertices, complex.m, "u-part")
         t = normal_part(t_vertices, complex.m, "t-part")
-        if set(u) & set(t):
-            raise InputError(f"u-part {u} and t-part {t} overlap")
-        if not complex.is_face(u):
-            raise InputError(f"u-part {u} is not a face")
-        return cls(complex, {RealMonomial(u, t): Rational(coeff)})
+        if u & t:
+            raise InputError(f"u-part {_tuple_of(u)} and t-part {_tuple_of(t)} overlap")
+        if not complex.is_face_mask(u):
+            raise InputError(f"u-part {_tuple_of(u)} is not a face")
+        return cls(complex, {(u, t): Rational(coeff)})
 
     def __mul__(self, other):
         """Normal-form product.
@@ -84,32 +67,25 @@ class RealCochain(Cochain):
         self._check_ambient(other)
         K = self.complex
         out = {}
-        for m1, c1 in self.terms.items():
-            s1 = set(m1.u_vertices)
-            t1 = set(m1.t_vertices)
-            for m2, c2 in other.terms.items():
-                s2 = set(m2.u_vertices)
-                if t1 & s2 or s1 & s2:
+        for (s1, t1), c1 in self.terms.items():
+            for (s2, t2), c2 in other.terms.items():
+                union = s1 | s2
+                if (t1 | s1) & s2 or not K.is_face_mask(union):
                     continue
-                union = tuple(sorted(s1 | s2))
-                if not K.is_face(union):
-                    continue
-                sign = shuffle_sign(m1.u_vertices, m2.u_vertices)
-                tpart = tuple(sorted((t1 | set(m2.t_vertices)) - set(union)))
-                mono = RealMonomial(union, tpart)
-                out[mono] = out.get(mono, 0) + c1 * c2 * sign
+                key = (union, (t1 | t2) & ~union)
+                out[key] = out.get(key, 0) + c1 * c2 * shuffle_sign(s1, s2)
         return RealCochain(K, out)
 
     @staticmethod
-    def differential_terms(K, mono):
+    def differential_terms(K, s, t):
         """Terms of d(u_S t_T): moving t_i into the u-part, at 0-based position
         k of the new u-block, contributes (-1)^k, where S + i is a face."""
-        u, t = mono.u_vertices, mono.t_vertices
-        for j, i in enumerate(t):
-            pos = bisect_left(u, i)
-            new_u = u[:pos] + (i,) + u[pos:]
-            if K.is_face(new_u):
-                yield RealMonomial(new_u, t[:j] + t[j + 1 :]), -1 if pos & 1 else 1
+        rest = t
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if K.is_face_mask(s | low):
+                yield (s | low, t ^ low), -1 if (s & (low - 1)).bit_count() & 1 else 1
 
     def differential(self):
         """Derivation with d(t_i) = u_i and d(u_i) = 0."""
@@ -193,12 +169,12 @@ def doubling_cochain(koszul_cochain, doubled=None):
         doubled = doubling_complex(K)
     copies = wedge_vertex_map(K, (2,) * K.m)
     out = RealCochain.zero(doubled)
-    for mono, coeff in koszul_cochain.terms.items():
+    for (u, v), coeff in koszul_cochain.terms.items():
         word = RealCochain.unit(doubled).scaled(coeff)
-        for i in mono.u_vertices:
+        for i in _tuple_of(u):
             first, second = copies[i]
             word = word * RealCochain.monomial(doubled, (second,), (first,))
-        for i in mono.v_vertices:
+        for i in _tuple_of(v):
             first, second = copies[i]
             word = word * RealCochain.monomial(doubled, (first, second), ())
         out = out + word

@@ -5,6 +5,7 @@ own algorithms: faces are found by scanning all vertex subsets, so they can
 arbitrate the dualization and induced-subcomplex code paths.
 """
 
+import bisect
 import functools
 import itertools
 import json
@@ -56,19 +57,123 @@ def union_find_component_count(K, vertices=None):
     return len({find(v) for v in verts})
 
 
-def differential_matrix(cochain_type, K, source, target_index):
-    """Slow-path matrix of a cochain model's differential on monomial bases.
+def mask_pair(pair):
+    """The key (u, w) of the tuple pair (S, T): vertex v is bit v - 1."""
+    return tuple(sum(1 << (v - 1) for v in part) for part in pair)
 
-    Column j holds the signs of ``cochain_type.differential_terms`` of the
-    monomial ``source[j]`` over K; ``target_index`` maps every monomial the
-    images reach to its row.  The mask builds of both models are compared
-    with it.
+
+def tuple_pair(key):
+    """The tuple pair (S, T) of the key (u, w), both parts ascending."""
+    return tuple(tuple(v + 1 for v in range(part.bit_length()) if part >> v & 1) for part in key)
+
+
+def tuple_terms(cochain):
+    """The terms of a cochain keyed by tuple pairs (S, T)."""
+    return {tuple_pair(key): c for key, c in cochain.terms.items()}
+
+
+# -- tuple forms of both cochain models: the slow path the mask code is checked against
+
+
+def tuple_shuffle_sign(a, b):
+    """Sign of the shuffle merging two disjoint ascending tuples of odd generators."""
+    inversions = sum(1 for x in a for y in b if y < x)
+    return -1 if inversions & 1 else 1
+
+
+def koszul_tuple_differential_terms(K, u, v):
+    """Terms of d(u_S v_T) on tuples: dropping u_i from 0-based position k of
+    the u-block and adding v_i contributes (-1)^k, where T + i is a face."""
+    for pos, i in enumerate(u):
+        new_v = tuple(sorted(v + (i,)))
+        if K.is_face(new_v):
+            yield (u[:pos] + u[pos + 1 :], new_v), -1 if pos & 1 else 1
+
+
+def real_tuple_differential_terms(K, u, t):
+    """Terms of d(u_S t_T) on tuples: moving t_i into the u-part, at 0-based
+    position k of the new u-block, contributes (-1)^k, where S + i is a face."""
+    for j, i in enumerate(t):
+        pos = bisect.bisect_left(u, i)
+        new_u = u[:pos] + (i,) + u[pos:]
+        if K.is_face(new_u):
+            yield (new_u, t[:j] + t[j + 1 :]), -1 if pos & 1 else 1
+
+
+def koszul_tuple_product(K, s1, v1, s2, v2):
+    """(sign, (S, T)) of u_S1 v_T1 * u_S2 v_T2 on tuples, or None when it is zero."""
+    if set(s1 + v1) & set(s2 + v2):
+        return None
+    new_v = tuple(sorted(v1 + v2))
+    if not K.is_face(new_v):
+        return None
+    return tuple_shuffle_sign(s1, s2), (tuple(sorted(s1 + s2)), new_v)
+
+
+def real_tuple_product(K, s1, t1, s2, t2):
+    """(sign, (S, T)) of u_S1 t_T1 * u_S2 t_T2 on tuples, or None when it is zero."""
+    if set(t1) & set(s2) or set(s1) & set(s2):
+        return None
+    union = tuple(sorted(set(s1) | set(s2)))
+    if not K.is_face(union):
+        return None
+    tpart = tuple(sorted((set(t1) | set(t2)) - set(union)))
+    return tuple_shuffle_sign(s1, s2), (union, tpart)
+
+
+TUPLE_MODELS = {
+    KoszulCochain: (koszul_tuple_differential_terms, koszul_tuple_product),
+    RealCochain: (real_tuple_differential_terms, real_tuple_product),
+}
+
+
+def tuple_differential(model, K, terms):
+    """d of a cochain given as {(S, T): coefficient}, by the model's tuple rule."""
+    differential_terms, _ = TUPLE_MODELS[model]
+    out = {}
+    for (a, b), c in terms.items():
+        for target, sign in differential_terms(K, a, b):
+            out[target] = out.get(target, 0) + sign * c
+    return {key: c for key, c in out.items() if c}
+
+
+def tuple_product(model, K, x, y):
+    """The product of two cochains given as {(S, T): coefficient}, by the model's tuple rule."""
+    _, product = TUPLE_MODELS[model]
+    out = {}
+    for (s1, t1), c1 in x.items():
+        for (s2, t2), c2 in y.items():
+            merged = product(K, s1, t1, s2, t2)
+            if merged is not None:
+                sign, key = merged
+                out[key] = out.get(key, 0) + sign * c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def differential_matrix(model, K, source, target_index):
+    """Slow-path matrix of a cochain model's differential on tuple bases.
+
+    Column j holds the signs of the model's tuple differential terms of the
+    monomial ``source[j]``, a tuple pair (S, T), over K; ``target_index``
+    maps every tuple pair the images reach to its row.  The mask builds of
+    both models are compared with it.
     """
+    differential_terms, _ = TUPLE_MODELS[model]
     entries = {}
-    for col, mono in enumerate(source):
-        for target, sign in cochain_type.differential_terms(K, mono):
+    for col, (a, b) in enumerate(source):
+        for target, sign in differential_terms(K, a, b):
             entries[(target_index[target], col)] = sign
     return SparseMatrix(len(target_index), len(source), entries)
+
+
+def component_monomials(comp):
+    """The basis of a Koszul component as tuple pairs (S, T), in row order.
+
+    Read back from ``cochain_from_coordinates`` of the coordinates 1..n,
+    whose coefficient at a monomial is its row + 1.
+    """
+    c = comp.cochain_from_coordinates(range(1, len(comp) + 1))
+    return [tuple_pair(key) for key, _ in sorted(c.terms.items(), key=lambda item: item[1])]
 
 
 def brute_faces(m, nonfaces):
@@ -182,10 +287,11 @@ def random_real_cochain(rng, K, terms=3):
     return out
 
 
-def homogeneous_pieces(cochain, kind="koszul"):
+def homogeneous_pieces(cochain):
     """Split a cochain into its homogeneous-degree pieces."""
-    cls = KoszulCochain if kind == "koszul" else RealCochain
+    cls = type(cochain)
     by_degree = {}
-    for mono, coeff in cochain.terms.items():
-        by_degree.setdefault(mono.degree, {})[mono] = coeff
+    for key, coeff in cochain.terms.items():
+        degree = cls(cochain.complex, {key: 1}).degree()
+        by_degree.setdefault(degree, {})[key] = coeff
     return [cls(cochain.complex, terms) for _, terms in sorted(by_degree.items())]

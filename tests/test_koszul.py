@@ -16,18 +16,19 @@ from moment_angle.hochster import multigraded_betti
 from moment_angle.koszul import (
     ComponentBasis,
     KoszulCochain,
-    KoszulMonomial,
     cohomology_class,
     component_basis,
     koszul_bigraded_ranks,
 )
 from moment_angle.massey import family_massey_input
 from moment_angle.rational_linalg import Rational, SparseMatrix
-from moment_angle.real_cochains import RealCochain, RealMonomial
+from moment_angle.real_cochains import RealCochain
 
 from conftest import (
+    component_monomials,
     differential_matrix,
     homogeneous_pieces,
+    mask_pair,
     random_complex,
     random_koszul_cochain,
     small_complexes,
@@ -41,19 +42,21 @@ def mono(K, u, v, c=1):
 def test_component_basis_hexagon_pair():
     hexn = polygon_nerve(6)
     comp = component_basis(hexn, (1, 4), 3)
-    assert comp.monomials == (
-        KoszulMonomial((1,), (4,)),
-        KoszulMonomial((4,), (1,)),
-    )
+    assert component_monomials(comp) == [((1,), (4,)), ((4,), (1,))]
     comp2 = component_basis(hexn, (1, 4), 2)
-    assert comp2.monomials == (KoszulMonomial((1, 4), ()),)
-    assert component_basis(hexn, (1, 4), 4).monomials == ()  # {1,4} not a face
+    assert component_monomials(comp2) == [((1, 4), ())]
+    assert component_monomials(component_basis(hexn, (1, 4), 4)) == []  # {1,4} not a face
+    assert comp.coordinates(mono(hexn, (4,), (1,), 3) + mono(hexn, (1,), (4,))) == (1, 3)
+    # a term is placed only when its v-part is a basis face T and its u-part is J - T
+    for u, v in [((1, 2), (4,)), ((), (4,)), ((1, 4), ()), ((1,), (5,))]:
+        with pytest.raises(InputError, match="outside component"):
+            comp.coordinates(mono(hexn, u, v))
 
 
 def test_component_basis_empty_multidegree():
     K = SimplicialComplex(3, [(1, 2)])
     comp = component_basis(K, (), 0)
-    assert comp.monomials == (KoszulMonomial((), ()),)
+    assert component_monomials(comp) == [((), ())]
     assert comp.cohomology_dimension() == 1
 
 
@@ -97,26 +100,38 @@ def test_multiply_kills_nonface_v_union():
 def test_cochain_coefficients():
     K = polygon_nerve(6)
     half = Rational(-1, 2)
-    c = KoszulCochain(
-        K,
-        {
-            KoszulMonomial((1,), (4,)): half,
-            KoszulMonomial((1, 4), ()): 3,
-            KoszulMonomial((), (2,)): 0,
-            KoszulMonomial((4,), (1,)): True,
-        },
+    u1v4, u1u4, v2, u4v1 = (
+        mask_pair(pair) for pair in [((1,), (4,)), ((1, 4), ()), ((), (2,)), ((4,), (1,))]
     )
+    assert (u1v4, u1u4, v2, u4v1) == ((0b1, 0b1000), (0b1001, 0), (0, 0b10), (0b1000, 0b1))
+    c = KoszulCochain(K, {u1v4: half, u1u4: 3, v2: 0, u4v1: True})
     # ints and bools become Rationals, zeros are dropped, a Rational is kept as is
-    assert set(c.terms) == {KoszulMonomial((1,), (4,)), KoszulMonomial((1, 4), ()),
-                            KoszulMonomial((4,), (1,))}
+    assert set(c.terms) == {u1v4, u1u4, u4v1}
     assert all(type(x) is Rational for x in c.terms.values())
-    assert c.terms[KoszulMonomial((1,), (4,))] is half
-    assert c.terms[KoszulMonomial((4,), (1,))] == 1
+    assert c.terms[u1v4] is half
+    assert c.terms[u4v1] == 1
     assert repr(c) == "-1/2*u1v4 + 3*u1u4 + u4v1"
-    assert repr(KoszulCochain(K, {KoszulMonomial((1,), ()): Rational(0)})) == "0"
+    assert repr(KoszulCochain(K, {mask_pair(((1,), ())): Rational(0)})) == "0"
     assert repr(KoszulCochain.unit(K)) == "1"
-    r = RealCochain(K, {RealMonomial((1,), (2,)): -1, RealMonomial((), ()): Rational(2, 3)})
+    assert KoszulCochain.unit(K).terms == {(0, 0): 1}
+    r = RealCochain(K, {mask_pair(((1,), (2,))): -1, (0, 0): Rational(2, 3)})
     assert repr(r) == "2/3*1 + -1*u1t2"
+
+
+@pytest.mark.parametrize("model", [KoszulCochain, RealCochain], ids=["koszul", "real"])
+def test_repr_orders_terms_by_vertex_tuples_not_masks(model):
+    # u1u3 (mask 0b101) and u1u10 (mask 0b1000000001) sort before u2 (mask 0b10)
+    K = SimplicialComplex.full_simplex(10)
+    x = model.LETTER
+
+    def gen(u, other=()):
+        return model.monomial(K, u, other)
+
+    assert repr(gen((2,)) + gen((1, 3))) == "u1u3 + u2"
+    assert repr(gen((2,)) + gen((1, 10))) == "u1u10 + u2"
+    assert repr(gen((), (2,)) + gen((), (1, 3))) == f"{x}1{x}3 + {x}2"
+    assert repr(gen((), (2,)) + gen((), (1, 10))) == f"{x}1{x}10 + {x}2"
+    assert repr(gen((1,), (3,)).scaled(3) + gen((1,), (2, 10))) == f"u1{x}2{x}10 + 3*u1{x}3"
 
 
 def test_ambient_mismatch():
@@ -130,13 +145,15 @@ def check_component_build(K, J, degree):
     """The mask-built basis and matrix of (J, degree) against the tuple-built ones."""
     comp = component_basis(K, J, degree)
     lower = component_basis(K, J, degree - 1)
-    assert comp.monomials == tuple(sorted(comp.monomials))
+    monomials = component_monomials(comp)
+    assert monomials == sorted(monomials)
     faces = [T for T in K.faces(degree - len(J)) if set(T) <= set(J)]
-    assert comp.monomials == tuple(
-        sorted(KoszulMonomial(tuple(sorted(set(J) - set(T))), T) for T in faces)
-    )
+    assert monomials == sorted((tuple(sorted(set(J) - set(T))), T) for T in faces)
     assert len(comp) == len(faces)
-    slow = differential_matrix(KoszulCochain, K, lower.monomials, comp.index)
+    rows = tuple(range(1, len(comp) + 1))
+    assert comp.coordinates(comp.cochain_from_coordinates(rows)) == rows
+    index = {mono: i for i, mono in enumerate(monomials)}
+    slow = differential_matrix(KoszulCochain, K, component_monomials(lower), index)
     fast = comp.matrix_from_below()
     assert (fast.nrows, fast.ncols, fast.entries) == (slow.nrows, slow.ncols, slow.entries)
 
@@ -151,8 +168,8 @@ def test_matrix_to_above_is_the_differential_of_each_monomial(K):
                 above = component_basis(K, J, degree + 1)
                 A = comp.matrix_to_above()
                 assert (A.nrows, A.ncols) == (len(above), len(comp))
-                for col, m in enumerate(comp.monomials):
-                    image = KoszulCochain(K, {m: 1}).differential()
+                for col, m in enumerate(component_monomials(comp)):
+                    image = KoszulCochain(K, {mask_pair(m): 1}).differential()
                     column = tuple(A.entry(r, col) for r in range(A.nrows))
                     assert column == above.coordinates(image)
                 check_component_build(K, J, degree)

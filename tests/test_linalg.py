@@ -113,6 +113,18 @@ def test_coboundary_degree_range():
         coboundary_matrix(K, -2)
 
 
+def test_coboundary_range_needs_no_dualization():
+    # the range is read off the face levels: the 120-gon's maximal faces are never computed
+    K = polygon_nerve(120)
+    C = coboundary_matrix(K, 0)
+    assert (C.nrows, C.ncols) == (120, 120)
+    assert "maximal_faces" not in K._cache
+    assert (coboundary_matrix(K, 1).nrows, coboundary_matrix(K, 1).ncols) == (120, 0)
+    with pytest.raises(InputError):
+        coboundary_matrix(K, 2)  # the 120-gon has no triangles
+    assert "maximal_faces" not in K._cache
+
+
 def test_delta_squared_zero_small():
     # rows index the domain, so the composite is M_d * M_{d+1}
     for m in range(0, 5):

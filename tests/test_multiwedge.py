@@ -5,11 +5,7 @@ import pytest
 
 from moment_angle.complexes import SimplicialComplex
 from moment_angle.errors import InputError
-from moment_angle.multiwedge import (
-    compose_wedge_vectors,
-    j_construction,
-    wedge_vertex_map,
-)
+from moment_angle.multiwedge import j_construction, validate_wedge_vector, wedge_vertex_map
 
 from conftest import random_complex
 
@@ -64,6 +60,19 @@ def test_join_preservation():
         lhs = j_construction(K1.join(K2), J1 + J2)
         rhs = j_construction(K1, J1).join(j_construction(K2, J2))
         assert lhs == rhs
+
+
+def compose_wedge_vectors(K, J_first, J_second):
+    """The single wedge vector with K(J1)(J2) = K(J12)."""
+    J_first = validate_wedge_vector(K, J_first)
+    if len(J_second) != sum(J_first):
+        raise InputError("second wedge vector must match the wedged vertex count")
+    out = []
+    pos = 0
+    for j in J_first:
+        out.append(sum(J_second[pos : pos + j]))
+        pos += j
+    return tuple(out)
 
 
 def test_composition():

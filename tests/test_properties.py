@@ -1,7 +1,8 @@
 """Cross-cutting property suites, runnable standalone.
 
 Each test here re-checks one structural law end to end: the differential
-matrices of both cochain models agree with the Leibniz rule, differentials
+matrices of both cochain models agree with the Leibniz rule, the mask
+products and differentials agree with the tuple rules of conftest, differentials
 square to zero, Leibniz and graded commutativity hold, defining systems
 satisfy their relations exactly, the multiwedge respects joins, and greedy
 choices do not move strictly defined values.
@@ -11,6 +12,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moment_angle.complexes import SimplicialComplex
 from moment_angle.families import FamilySpec, family_complex, polygon_nerve
@@ -28,9 +31,14 @@ from moment_angle.real_cochains import RealCochain
 from conftest import (
     differential_matrix,
     homogeneous_pieces,
+    mask_pair,
     random_complex,
     random_koszul_cochain,
     random_real_cochain,
+    small_complexes,
+    tuple_differential,
+    tuple_product,
+    tuple_terms,
 )
 
 
@@ -43,18 +51,20 @@ def test_simplicial_delta_squared_zero():
 
 
 def _generator_word(model, K, mono):
-    """mono as a word of generators (x, dx, degree x), with dx hard-coded here:
-    du_i = v_i, dv_i = 0 in the Koszul model; du_i = 0, dt_i = u_i in the real one."""
+    """The tuple pair mono = (S, T) as a word of generators (x, dx, degree x), with dx
+    hard-coded here: du_i = v_i, dv_i = 0 in the Koszul model; du_i = 0, dt_i = u_i
+    in the real one."""
     def gen(u, other=()):
         return model.monomial(K, u, other)
 
     zero = model.zero(K)
+    first, second = mono
     if model is KoszulCochain:
-        return [(gen((i,)), gen((), (i,)), 1) for i in mono.u_vertices] + [
-            (gen((), (i,)), zero, 2) for i in mono.v_vertices
+        return [(gen((i,)), gen((), (i,)), 1) for i in first] + [
+            (gen((), (i,)), zero, 2) for i in second
         ]
-    return [(gen((i,)), zero, 1) for i in mono.u_vertices] + [
-        (gen((), (i,)), gen((i,)), 0) for i in mono.t_vertices
+    return [(gen((i,)), zero, 1) for i in first] + [
+        (gen((), (i,)), gen((i,)), 0) for i in second
     ]
 
 
@@ -81,19 +91,33 @@ def test_differential_matrix_matches_leibniz_expansion(model):
             first = tuple(v for v, p in zip(range(1, K.m + 1), parts) if p == 1)
             second = tuple(v for v, p in zip(range(1, K.m + 1), parts) if p == 2)
             if K.is_face(second if model is KoszulCochain else first):
-                basis.append(model.Monomial(first, second))
+                basis.append((first, second))
         index = {mono: i for i, mono in enumerate(basis)}
         D = differential_matrix(model, K, basis, index)
         columns = [{} for _ in basis]
         for (r, c), sign in D.entries.items():
-            columns[c][basis[r]] = sign
+            columns[c][mask_pair(basis[r])] = sign
         for col, mono in enumerate(basis):
             word = _generator_word(model, K, mono)
             product = model.unit(K)
             for x, _, _ in word:
                 product = product * x
-            assert product.terms == {mono: 1}
+            assert product.terms == {mask_pair(mono): 1}
             assert _leibniz_differential(model, K, word).terms == columns[col]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_complexes(min_m=1, max_m=6), st.integers(0, 2**32 - 1))
+@pytest.mark.parametrize("model", [KoszulCochain, RealCochain], ids=["koszul", "real"])
+def test_mask_arithmetic_matches_tuple_oracle(model, K, seed):
+    # the mask product and differential against the tuple rules of conftest, term for term
+    rng = random.Random(seed)
+    draw = random_koszul_cochain if model is KoszulCochain else random_real_cochain
+    x, y = draw(rng, K, terms=4), draw(rng, K, terms=4)
+    x_terms, y_terms = tuple_terms(x), tuple_terms(y)
+    assert tuple_terms(x * y) == tuple_product(model, K, x_terms, y_terms)
+    assert tuple_terms(y * x) == tuple_product(model, K, y_terms, x_terms)
+    assert tuple_terms(x.differential()) == tuple_differential(model, K, x_terms)
 
 
 def test_koszul_differential_squares_to_zero():
@@ -122,7 +146,7 @@ def test_leibniz_both_models():
             rhs = xd.differential() * y + xd.scaled((-1) ** xd.degree()) * y.differential()
             assert (lhs - rhs).is_zero()
         a, b = random_real_cochain(rng, K), random_real_cochain(rng, K)
-        for ad in homogeneous_pieces(a, kind="real"):
+        for ad in homogeneous_pieces(a):
             lhs = (ad * b).differential()
             rhs = ad.differential() * b + ad.scaled((-1) ** ad.degree()) * b.differential()
             assert (lhs - rhs).is_zero()
@@ -180,7 +204,7 @@ def test_greedy_determinism_for_lemma_condition_inputs():
                     support = inp.window_support(i, j - 1)
                     degree = inp.window_total_degree(i, j - 1) - 1
                     comp = component_basis(inp.complex, support, degree)
-                    coords = [0] * len(comp.monomials)
+                    coords = [0] * len(comp)
                     for vec in comp.cocycle_basis():
                         w = rng.randint(-1, 1)
                         coords = [c + w * v for c, v in zip(coords, vec)]

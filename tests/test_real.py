@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from moment_angle.complexes import SimplicialComplex, _tuple_of
+from moment_angle.complexes import SimplicialComplex
 from moment_angle.errors import AmbientMismatchError, CapacityError, InputError
 from moment_angle.families import polygon_nerve
 from moment_angle.graphs import Graph, associahedron_nerve
@@ -12,7 +12,6 @@ from moment_angle.koszul import KoszulCochain, component_basis
 from moment_angle.rational_linalg import reduced_cohomology_ranks
 from moment_angle.real_cochains import (
     RealCochain,
-    RealMonomial,
     _degree_basis,
     _differential_matrix,
     doubling_cochain,
@@ -26,6 +25,7 @@ from conftest import (
     random_complex,
     random_real_cochain,
     small_complexes,
+    tuple_pair,
 )
 
 
@@ -102,7 +102,7 @@ def test_d_squared_and_leibniz():
         x = random_real_cochain(rng, K)
         y = random_real_cochain(rng, K)
         assert x.differential().differential().is_zero()
-        for xd in homogeneous_pieces(x, kind="real"):
+        for xd in homogeneous_pieces(x):
             lhs = (xd * y).differential()
             rhs = xd.differential() * y + xd.scaled((-1) ** xd.degree()) * y.differential()
             assert (lhs - rhs).is_zero()
@@ -133,12 +133,12 @@ def test_additive_oracle():
 
 
 def _tuple_basis(K, p):
-    """Degree p as the sorted normal-form monomials u_S t_T, built from tuples."""
+    """Degree p as the sorted normal-form monomials u_S t_T, as tuple pairs (S, T)."""
     monos = []
     for u in K.faces(p):
         others = [v for v in range(1, K.m + 1) if v not in u]
         for r in range(len(others) + 1):
-            monos.extend(RealMonomial(u, t) for t in itertools.combinations(others, r))
+            monos.extend((u, t) for t in itertools.combinations(others, r))
     return sorted(monos)
 
 
@@ -149,7 +149,7 @@ def check_mask_build(K):
     while lower:
         upper = _degree_basis(K, p + 1)
         slow_lower, slow_upper = _tuple_basis(K, p), _tuple_basis(K, p + 1)
-        assert [RealMonomial(_tuple_of(S), _tuple_of(T)) for S, T in lower] == slow_lower
+        assert [tuple_pair(pair) for pair in lower] == slow_lower
         index = {mono: i for i, mono in enumerate(slow_upper)}
         slow = differential_matrix(RealCochain, K, slow_lower, index)
         fast = _differential_matrix(K, lower, upper)
