@@ -14,6 +14,7 @@ the error message).
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -254,7 +255,13 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process and shared by every call of ``main``.
+
+    Each ``parse_args`` call fills a fresh namespace with its defaults, so
+    no flag of one request reaches the next.
+    """
     parser = _Parser(
         prog="moment-angle",
         description="Exact cohomology of moment-angle complexes and Massey products",

@@ -337,29 +337,55 @@ class SimplicialComplex:
 
         v is dominated by a vertex w != v of J when every maximal face of
         K_J through v contains w, i.e. the link of v in K_J is a cone with
-        apex w.  Read off the minimal non-faces: {v, w} is a face, and for
-        every minimal non-face N inside J with w in N, (N - w) + v is a
+        apex w (see ``dominates``).
+        """
+        return self._dominating_pair(mask)[0]
+
+    def dominates(self, v, w, mask):
+        """Whether vertex w dominates vertex v in K_J, J given by the bitmask ``mask``.
+
+        True when v != w both lie in J and every maximal face of K_J through
+        v contains w.  Read off the minimal non-faces: {v, w} is a face, and
+        for every minimal non-face N inside J with w in N, (N - w) + v is a
         non-face.  A pair N = {w, u} asks that {u, v} be a minimal non-face,
-        so the pairs are one bitmask test.
+        so the pairs are one bitmask test.  Domination is kept by every
+        subset of J that holds v and w.
+        """
+        stars = self._nonface_stars()
+        low, apex = 1 << (v - 1), 1 << (w - 1)
+        apart = stars[v][0]  # the u with {u, v} a non-face
+        pairs, larger = stars[w]
+        if v == w or low & ~mask or apex & ~mask or apart & apex or pairs & mask & ~apart:
+            return False
+        return not larger or self._larger_nonfaces_allow(low, apex, mask, larger)
+
+    def _larger_nonfaces_allow(self, low, apex, mask, larger):
+        """Whether (N - w) + v is a non-face for each N in ``larger`` inside J (bits of v, w)."""
+        return not any(nf & mask == nf and self.is_face_mask(nf ^ apex | low) for nf in larger)
+
+    def _dominating_pair(self, mask):
+        """(v, w): the lowest vertex v dominated in K_J and the lowest w dominating it; (0, 0) if none.
+
+        Each v of J, lowest first, is tried against each w that shares an
+        edge with it, by the test of ``dominates``.  A flag complex has no
+        larger non-faces, and no generator is built for it.
         """
         stars = self._nonface_stars()
         rest = mask
         while rest:
             low = rest & -rest
             rest ^= low
-            apart = stars[low.bit_length()][0]  # the u with {u, v} a non-face
-            candidates = mask & ~apart & ~low
+            apart = stars[low.bit_length()][0]
+            candidates = mask & ~apart & ~low  # the w with {v, w} a face
             while candidates:
                 apex = candidates & -candidates
                 candidates ^= apex
                 pairs, larger = stars[apex.bit_length()]
                 if pairs & mask & ~apart:
                     continue
-                if not any(
-                    nf & mask == nf and self.is_face_mask(nf ^ apex | low) for nf in larger
-                ):
-                    return low.bit_length()
-        return 0
+                if not larger or self._larger_nonfaces_allow(low, apex, mask, larger):
+                    return low.bit_length(), apex.bit_length()
+        return 0, 0
 
     @staticmethod
     def _grow(level, mask, rests):
@@ -534,16 +560,25 @@ class SimplicialComplex:
         minimal non-face, so v reaches each vertex of the set outside its pairs.
         """
         rest = self._full_mask if vertices is None else _mask_of(vertices, self.m)
-        stars = self._nonface_stars()
         count = 0
         while rest:
             count += 1
-            frontier = rest & -rest
-            while frontier:  # rest never meets the frontier, so ^ adds what low reaches
-                rest &= ~frontier
-                low = frontier & -frontier
-                frontier ^= low | rest & ~stars[low.bit_length()][0]
+            rest ^= self.component_mask(rest)
         return count
+
+    def component_mask(self, mask):
+        """The component of the lowest vertex of J in the 1-skeleton of K_J, as a bitmask.
+
+        J is given by the bitmask ``mask``; 0 for the empty set.
+        """
+        stars = self._nonface_stars()
+        rest = mask
+        frontier = rest & -rest
+        while frontier:  # rest never meets the frontier, so ^ adds what low reaches
+            rest &= ~frontier
+            low = frontier & -frontier
+            frontier ^= low | rest & ~stars[low.bit_length()][0]
+        return mask ^ rest
 
 
 # -- spec-level operation names -----------------------------------------------

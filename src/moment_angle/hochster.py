@@ -17,18 +17,37 @@ by a vertex w != v when every maximal face of K_J through v contains w, i.e.
 the link of v is a cone with apex w.  Deleting a dominated vertex is a
 strong collapse, so K_J is homotopy equivalent to K_{J - v} and has the same
 reduced cohomology (Barmak and Minian, "Strong homotopy types, nerves and
-collapses", Discrete Comput. Geom. 47 (2012)).  The full table walks the
-subsets as bitmasks in increasing order and keeps one rank tuple per mask
-(at m = 22, 2^22 entries, most of them shared tuples); since J - v < J as a
-mask, a subset with a dominated vertex v takes the ranks of K_{J - v}, and
-only the others grow faces and eliminate coboundaries.  A single query
-(``multigraded_betti``) strips dominated vertices from J one at a time and
-reads its rank on the core that is left, which is 0 when the core is one
-vertex; a listed multidegree of the table is computed on its own K_J.  The
-table counts each distinct (|J|, ranks) pair and expands the counts once.
+collapses", Discrete Comput. Geom. 47 (2012)); any dominated vertex will
+do, since every strong collapse keeps the homotopy type.
+
+The full table walks the subsets as bitmasks in increasing order and keeps
+one rank tuple per mask (at m = 22, 2^22 entries, most of them shared
+tuples), so every proper subset of J has been walked before J:
+
+- Domination of v by w in K_J holds in every smaller K_I with v, w in I,
+  so a pair that collapses J and avoids its top vertex also collapsed J
+  minus that vertex.  The walk keeps, per mask, the pair (v, w) that
+  collapsed it, packed as v << 8 | w in an ``array('H')``, and re-tests
+  the pair of J minus its top vertex on J before it scans J in full; on
+  a flag complex the re-test is one bitmask check.  A subset with a
+  dominated vertex v takes the ranks of K_{J - v}.
+- A subset with no dominated vertex whose 1-skeleton is disconnected is
+  the disjoint union of K_A, A the component of its lowest vertex, and
+  K_{J - A}: its ranks are the sums of theirs, plus 1 in degree 0.  The
+  summed tuples are interned, one object per distinct profile.
+- Only a connected subset with no dominated vertex grows faces and
+  eliminates coboundaries: in the 13-gon, 15 of 8,192 subsets (the empty
+  set, the singletons and the cycle).
+
+A single query (``multigraded_betti``) strips dominated vertices from J one
+at a time and reads its rank on the core that is left, which is 0 when the
+core is one vertex; a listed multidegree of the table is computed on its
+own K_J.  The table counts each distinct (|J|, ranks) pair and expands the
+counts once.
 """
 
 import itertools
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 
@@ -74,21 +93,47 @@ def _profile_counts(K, multidegrees):
 
     The full walk takes the subsets as bitmasks in increasing order and keeps
     one rank tuple per mask: when a vertex v is dominated in K_J, K_J
-    collapses onto K_{J - v}, whose smaller mask was walked already.
+    collapses onto K_{J - v}, and a disconnected K_J is the disjoint union
+    of two smaller ones, all of whose masks were walked already.
     """
     if multidegrees is not None:
         masks = [_mask_of(J, K.m) for J in multidegrees]
         ranks = [cohomology_profile(K.induced_face_levels(mask)).ranks for mask in masks]
     else:
         masks = range(1 << K.m)
-        ranks = []
-        for mask in masks:
-            v = K.dominated_vertex(mask)
-            if v:
-                ranks.append(ranks[mask ^ (1 << (v - 1))])
-            else:
-                ranks.append(cohomology_profile(K.induced_face_levels(mask)).ranks)
+        ranks = [cohomology_profile(K.induced_face_levels(0)).ranks]
+        # v << 8 | w with v dominated by w in K_J, 0 if none; v, w <= m < 256
+        witness = array("H", [0])
+        joined = {}  # one tuple per distinct profile of a disjoint union
+        for t in range(K.m):
+            for below in range(1 << t):
+                mask = below | 1 << t
+                pair = witness[below]
+                if not (pair and K.dominates(pair >> 8, pair & 255, mask)):
+                    v, w = K._dominating_pair(mask)
+                    pair = v << 8 | w
+                if pair:
+                    ranks.append(ranks[mask ^ (1 << ((pair >> 8) - 1))])
+                else:
+                    part = K.component_mask(mask)
+                    if part == mask:
+                        ranks.append(cohomology_profile(K.induced_face_levels(mask)).ranks)
+                    else:
+                        profile = _disjoint_union(ranks[part], ranks[mask ^ part])
+                        ranks.append(joined.setdefault(profile, profile))
+                witness.append(pair)
     return Counter(zip(map(int.bit_count, masks), ranks))
+
+
+def _disjoint_union(a, b):
+    """Reduced cohomology ranks of the disjoint union of two nonempty complexes.
+
+    The ranks add in every degree, and H^0 gains one more: the reduced
+    H^0 of two components is one more than the sum of theirs.
+    """
+    out = [x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+    out[1] += 1
+    return tuple(out)
 
 
 def bigraded_betti_table(K, multidegrees=None):

@@ -294,7 +294,7 @@ class ComponentBasis:
             rows = self._rows()
             below = self._neighbor(-1)._faces
             J = self._mask
-            entries = {}
+            matrix = [{} for _ in rows]
             for col, T in enumerate(below):
                 rest, k = J ^ T, 0
                 while rest:
@@ -302,9 +302,9 @@ class ComponentBasis:
                     rest ^= low
                     r = rows.get(T | low)
                     if r is not None:
-                        entries[r, col] = -1 if k & 1 else 1
+                        matrix[r][col] = -1 if k & 1 else 1
                     k += 1
-            self._cache["from_below"] = SparseMatrix(len(rows), len(below), entries)
+            self._cache["from_below"] = SparseMatrix.from_rows(len(below), matrix)
         return self._cache["from_below"]
 
     def _rows(self):

@@ -65,19 +65,19 @@ _ONE = Rational(1)
 class SparseMatrix:
     """Immutable sparse matrix over the rationals; no explicit zeros stored.
 
-    Int entries stay ints; every other entry (a bool included) becomes a
+    The matrix is kept as one dict per row (column -> nonzero entry).  Int
+    entries stay ints; every other entry (a bool included) becomes a
     Rational.  The first read of the rank, the pivot columns, a residual, a
-    solution or the kernel runs the forward pass once, with its log, and
-    keeps the pivots, the log and the pivot rows, which are a row echelon
-    form; every later read shares them, and they are never changed.
+    solution or the kernel runs the forward pass once, on a copy of the
+    rows, with its log, and keeps the pivots, the log and the pivot rows,
+    which are a row echelon form; every later read shares them, and they
+    are never changed.
     """
 
-    __slots__ = ("nrows", "ncols", "entries", "_forward")
+    __slots__ = ("nrows", "ncols", "_rows", "_forward")
 
     def __init__(self, nrows, ncols, entries=None):
-        self.nrows = nrows
-        self.ncols = ncols
-        clean = {}
+        rows = [{} for _ in range(nrows)]
         if entries:
             for (r, c), v in entries.items():
                 if not (0 <= r < nrows and 0 <= c < ncols):
@@ -85,25 +85,45 @@ class SparseMatrix:
                 if type(v) is not int:
                     v = Rational(v)
                 if v:
-                    clean[(r, c)] = v
-        self.entries = clean
+                    rows[r][c] = v
+        self._init(nrows, ncols, rows)
+
+    @classmethod
+    def from_rows(cls, ncols, rows):
+        """The matrix whose row r is the dict ``rows[r]``, taken as it is (not copied).
+
+        For builders that write their rows directly: every entry must be a
+        nonzero int or Rational in a column below ``ncols``, and no caller
+        may change the dicts afterwards.
+        """
+        matrix = cls.__new__(cls)
+        matrix._init(len(rows), ncols, rows)
+        return matrix
+
+    def _init(self, nrows, ncols, rows):
+        self.nrows = nrows
+        self.ncols = ncols
+        self._rows = rows
         self._forward = None
 
+    @property
+    def entries(self):
+        """The nonzero entries as a dict (row, column) -> value."""
+        return {(r, c): v for r, row in enumerate(self._rows) for c, v in row.items()}
+
     def entry(self, r, c):
-        return self.entries.get((r, c), _ZERO)
+        return self._rows[r].get(c, _ZERO)
 
     def rows_as_dicts(self):
-        rows = [dict() for _ in range(self.nrows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
+        """A fresh copy of the rows, one dict (column -> entry) per row."""
+        return [row.copy() for row in self._rows]
 
     def is_zero(self):
-        return not self.entries
+        return not any(self._rows)
 
     def with_columns(self, vectors):
         """The matrix [self | vectors]: each vector (length nrows) becomes a new column."""
-        entries = dict(self.entries)
+        entries = self.entries
         for c, vec in enumerate(vectors, start=self.ncols):
             for r, v in enumerate(vec):
                 if v:
@@ -113,7 +133,7 @@ class SparseMatrix:
     def matmul(self, other):
         if self.ncols != other.nrows:
             raise InputError("dimension mismatch in matrix product")
-        by_row = other.rows_as_dicts()
+        by_row = other._rows
         out = {}
         for (r, k), v in self.entries.items():
             for c, w in by_row[k].items():
@@ -232,11 +252,11 @@ class SparseMatrix:
         return (
             self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.entries == other.entries
+            and self._rows == other._rows
         )
 
     def __repr__(self):
-        return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={len(self.entries)})"
+        return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={sum(map(len, self._rows))})"
 
 
 def _replay(b, log):
@@ -512,16 +532,16 @@ def _coboundary(domain, target):
     inherits this ascending-orientation convention.
     """
     index = {f: i for i, f in enumerate(domain)}
-    entries = {}
+    rows = [{} for _ in domain]
     for col, tau in enumerate(target):
         rest = tau
         k = 0
         while rest:
             low = rest & -rest
-            entries[(index[tau ^ low], col)] = -1 if k & 1 else 1
+            rows[index[tau ^ low]][col] = -1 if k & 1 else 1
             rest ^= low
             k += 1
-    return SparseMatrix(len(domain), len(target), entries)
+    return SparseMatrix.from_rows(len(target), rows)
 
 
 def coboundary_matrix(K, d):

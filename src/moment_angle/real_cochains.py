@@ -119,17 +119,17 @@ def _differential_matrix(K, lower, upper):
     every pair with a face S + i, so the row lookup is the face test.
     """
     m = K.m
-    rows = {S << m | T: r for r, (S, T) in enumerate(upper)}
-    entries = {}
+    index = {S << m | T: r for r, (S, T) in enumerate(upper)}
+    rows = [{} for _ in upper]
     for col, (S, T) in enumerate(lower):
         rest = T
         while rest:
             low = rest & -rest
             rest ^= low
-            r = rows.get((S | low) << m | T ^ low)
+            r = index.get((S | low) << m | T ^ low)
             if r is not None:
-                entries[r, col] = -1 if (S & (low - 1)).bit_count() & 1 else 1
-    return SparseMatrix(len(upper), len(lower), entries)
+                rows[r][col] = -1 if (S & (low - 1)).bit_count() & 1 else 1
+    return SparseMatrix.from_rows(len(lower), rows)
 
 
 def real_cohomology_ranks(K):

@@ -2,6 +2,9 @@ import contextlib
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,8 @@ from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from moment_angle.cli import main
+import moment_angle
+from moment_angle.cli import build_parser, main
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -339,6 +343,40 @@ def test_input_is_parsed_once_per_request(capsys, monkeypatch, tmp_path, argv):
     code, _, _ = run(capsys, [*argv, "--input", str(path)])
     assert code == 0
     assert len(calls) == 1
+
+
+def fresh_process_document(argv):
+    """The JSON document of a request made first in a new interpreter."""
+    src = Path(moment_angle.__file__).resolve().parents[1]
+    completed = subprocess.run(
+        [sys.executable, "-m", "moment_angle.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+        check=True,
+    )
+    return json.loads(completed.stdout)
+
+
+@pytest.mark.parametrize(
+    "requests",
+    [
+        [["massey", "--inline", HEXAGON, "--search-triples"], ["massey", "--family", "3,1"]],
+        [["betti", "--inline", HEXAGON, "--multidegree", "1,3"], ["betti", "--inline", HEXAGON]],
+    ],
+    ids=["massey", "betti"],
+)
+def test_one_parser_serves_every_request_of_a_process(capsys, requests):
+    # the parser is built once per process; the flags of one request must not
+    # reach the next, so each document is the one a fresh process writes
+    assert build_parser() is build_parser()
+    for argv in requests:
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        document, fresh = json.loads(out), fresh_process_document(argv)
+        assert document["meta"]["input_digest"] == fresh["meta"]["input_digest"]
+        assert document["result"] == fresh["result"]
 
 
 def test_missing_input_is_an_error(capsys):

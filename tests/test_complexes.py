@@ -203,16 +203,12 @@ def test_component_count_matches_union_find(K, data):
     assert K.component_count(iter(repeated)) == union_find_component_count(K, repeated)
 
 
-def brute_dominated(K, J):
-    """Vertices v of J with a w != v in every maximal face of K_J through v, by brute force."""
+def brute_domination(K, J):
+    """Pairs (v, w) of J, w != v, with w in every maximal face of K_J through v, by brute force."""
     J = sorted(J)
     local = brute_maximal_faces(len(J), K.induced(J).minimal_nonfaces)
     facets = [{J[i - 1] for i in f} for f in local]
-    return [
-        v
-        for v in J
-        if any(all(w in f for f in facets if v in f) for w in J if w != v)
-    ]
+    return [(v, w) for v in J for w in J if w != v and all(w in f for f in facets if v in f)]
 
 
 def test_dominated_vertex_of_a_path():
@@ -259,8 +255,14 @@ def test_hollow_triangle_has_no_dominated_vertex():
 @given(small_complexes(min_m=1, max_m=7), st.data())
 def test_dominated_vertex_matches_maximal_faces(K, data):
     J = data.draw(st.sets(st.integers(1, K.m)))
-    expected = brute_dominated(K, J) if J else []
-    assert K.dominated_vertex(_mask(J)) == (expected[0] if expected else 0)
+    expected = brute_domination(K, J) if J else []
+    mask = _mask(J)
+    assert K.dominated_vertex(mask) == (expected[0][0] if expected else 0)
+    # the pair test, on every pair of vertices of K, in J or not
+    for v, w in itertools.product(range(1, K.m + 1), repeat=2):
+        assert K.dominates(v, w, mask) == ((v, w) in expected)
+    # the walk of the full Betti table keeps the lowest pair as its witness
+    assert K._dominating_pair(mask) == (expected[0] if expected else (0, 0))
 
 
 def test_induced_hexagon_pair():

@@ -99,6 +99,26 @@ def test_targeted_queries_cost_only_the_subset():
     assert multigraded_betti(SimplicialComplex(40, [(1, 2)]), 0, J) == 0
 
 
+def test_full_table_eliminates_only_connected_uncollapsible_subsets(monkeypatch):
+    # in the 13-gon every proper subset is a union of paths, each collapsing
+    # to a point; the disjoint union of points takes the sum of its sides, so
+    # only the empty set, the 13 singletons and the cycle itself are eliminated
+    import moment_angle.hochster as hochster
+
+    profiles = []
+
+    def counting(levels):
+        profile = cohomology_profile(levels)
+        profiles.append(profile)
+        return profile
+
+    monkeypatch.setattr(hochster, "cohomology_profile", counting)
+    table = bigraded_betti_table(polygon_nerve(13))
+    assert len(profiles) == 15
+    assert table.zk_poincare == tuple(reversed(table.zk_poincare))
+    assert table.rank(1, 2) == 13 * 10 // 2  # one per non-adjacent pair
+
+
 def test_betti_paths_keep_no_face_levels():
     # the Koszul components keep the face levels of each K_J in K's cache
     # (kept_face_levels); a full table would then keep 2^m entries, so the
@@ -216,10 +236,19 @@ def test_lattice_sum_matches_induced_complexes(K, rng):
             assert multigraded_betti(K, i, J) == expected
 
 
-def test_collapsed_table_matches_induced_complexes_m9_to_m11():
+def disjoint_union(K1, K2):
+    """K1 on vertices 1..m1 and K2 shifted above them, with no edge between the two."""
+    nonfaces = list(K1.minimal_nonfaces)
+    nonfaces += [tuple(v + K1.m for v in nf) for nf in K2.minimal_nonfaces]
+    nonfaces += [(a, b + K1.m) for a in range(1, K1.m + 1) for b in range(1, K2.m + 1)]
+    return SimplicialComplex(K1.m + K2.m, nonfaces)
+
+
+def test_collapsed_table_matches_induced_complexes_m9_to_m11(monkeypatch):
     # the full table reuses the profile of K_{J - v} whenever v is dominated
-    # in K_J; here every one of the 2^m subsets is checked against its own
-    # induced complex, on flag and non-flag complexes
+    # in K_J, and adds the profiles of the two sides of a disconnected K_J;
+    # here every one of the 2^m subsets is checked against its own induced
+    # complex, on flag and non-flag complexes
     rng = random.Random(8)
     cases = [
         polygon_nerve(9),
@@ -228,10 +257,40 @@ def test_collapsed_table_matches_induced_complexes_m9_to_m11():
         SimplicialComplex(
             11, [(1, 2, 3), (3, 4, 5), (5, 6, 7), (7, 8, 1), (2, 9), (4, 10), (6, 11), (8, 9, 10, 11)]
         ),
+        # disconnected subsets with no dominated vertex whose sides hold
+        # larger non-faces: a hollow triangle with a cone on one edge, and
+        # a hollow tetrahedron with a pendant hollow triangle
+        disjoint_union(
+            SimplicialComplex(4, [(1, 2, 3)]),
+            SimplicialComplex(6, [(1, 2, 3, 4), (1, 5), (2, 5), (3, 6), (4, 6), (5, 4, 6)]),
+        ),
     ]
-    assert sum(not K.structure_report().is_flag for K in cases) == 3
+    assert sum(not K.structure_report().is_flag for K in cases) == 4
+    # the walk re-tests the pair (v, w) that dominated J minus its top vertex;
+    # record the re-tests that the top vertex breaks
+    broken = []
+    dominates = SimplicialComplex.dominates
+
+    def recording(K, v, w, mask):
+        answer = dominates(K, v, w, mask)
+        if not answer:
+            broken.append((K, v, w, mask))
+        return answer
+
+    monkeypatch.setattr(SimplicialComplex, "dominates", recording)
     for K in cases:
         assert bigraded_betti_table(K).bigraded == slow_hochster_sum(K, all_subsets(K.m))
+
+    def edge(K, a, b):
+        return K.is_face_mask(1 << (a - 1) | 1 << (b - 1))
+
+    def broken_by_a_larger_nonface(K, v, w, mask):
+        # every u apart from w is apart from v too, so no pair breaks it
+        J = [u for u in range(1, K.m + 1) if mask >> (u - 1) & 1]
+        return all(not edge(K, u, v) for u in J if u != w and not edge(K, u, w))
+
+    union = cases[-1]
+    assert any(b[0] is union and broken_by_a_larger_nonface(*b) for b in broken)
 
 
 def wedge_poincare_sums(K, J):

@@ -469,6 +469,38 @@ def test_int_entries_stay_ints():
     assert all(type(v) is int for v in comp.matrix_from_below().entries.values())
 
 
+def coboundary_from_entries(K, d):
+    """The coboundary C^d -> C^{d+1} of K built entry by entry from its face tuples."""
+    lower, upper = K.faces(d + 1), K.faces(d + 2)
+    index = {f: i for i, f in enumerate(lower)}
+    entries = {}
+    for col, tau in enumerate(upper):
+        for k in range(len(tau)):
+            entries[(index[tau[:k] + tau[k + 1 :]], col)] = (-1) ** k
+    return SparseMatrix(len(lower), len(upper), entries)
+
+
+def test_row_built_matrices_equal_entry_built_ones_and_stay_unchanged():
+    # the builders hand their rows to the matrix, which keeps them as its
+    # storage; the forward pass must work on a copy
+    K = SimplicialComplex(7, [(1, 2, 3), (3, 4), (4, 5, 6), (1, 6, 7)])
+    built = [(coboundary_matrix(K, d), coboundary_from_entries(K, d)) for d in range(-1, 3)]
+    comp = component_basis(K, (1, 2, 3, 4, 5), 7)
+    from_below = comp.matrix_from_below()
+    built.append((from_below, SparseMatrix(from_below.nrows, from_below.ncols, from_below.entries)))
+    for A, B in built:
+        assert A == B and B == A and repr(A) == repr(B)
+        assert [[A.entry(r, c) for c in range(A.ncols)] for r in range(A.nrows)] == [
+            [B.entry(r, c) for c in range(B.ncols)] for r in range(B.nrows)
+        ]
+        entries = dict(A.entries)
+        assert A.rank() == B.rank()
+        assert list(A.kernel()) == list(B.kernel())
+        A.residual([1] * A.nrows)
+        assert A.entries == entries and A == B
+        assert A.rows_as_dicts() == B.rows_as_dicts()
+
+
 def test_concurrent_first_solves_agree():
     # threads racing to store one matrix's elimination, one component's basis, or
     # the face levels of one K_J, must all read correct answers; the forward pass
