@@ -26,11 +26,12 @@ tuples), so every proper subset of J has been walked before J:
 
 - Domination of v by w in K_J holds in every smaller K_I with v, w in I,
   so a pair that collapses J and avoids its top vertex also collapsed J
-  minus that vertex.  The walk keeps, per mask, the pair (v, w) that
-  collapsed it, packed as v << 8 | w in an ``array('H')``, and re-tests
-  the pair of J minus its top vertex on J before it scans J in full; on
-  a flag complex the re-test is one bitmask check.  A subset with a
-  dominated vertex v takes the ranks of K_{J - v}.
+  minus that vertex.  The walk keeps, per mask without vertex m (the
+  only masks read back), the pair (v, w) that collapsed it, packed as
+  v << 8 | w in an ``array('H')``, and re-tests the pair of J minus its
+  top vertex on J before it scans J in full; on a flag complex the
+  re-test is one bitmask check.  A subset with a dominated vertex v
+  takes the ranks of K_{J - v}.
 - A subset with no dominated vertex whose 1-skeleton is disconnected is
   the disjoint union of K_A, A the component of its lowest vertex, and
   K_{J - A}: its ranks are the sums of theirs, plus 1 in degree 0.  The
@@ -106,6 +107,9 @@ def _profile_counts(K, multidegrees):
         witness = array("H", [0])
         joined = {}  # one tuple per distinct profile of a disjoint union
         for t in range(K.m):
+            # a pair is read back only for J minus its top vertex, a mask below
+            # 2^(m - 1): the masks of the last round hold vertex m, so keep none
+            keep = t < K.m - 1
             for below in range(1 << t):
                 mask = below | 1 << t
                 pair = witness[below]
@@ -121,7 +125,8 @@ def _profile_counts(K, multidegrees):
                     else:
                         profile = _disjoint_union(ranks[part], ranks[mask ^ part])
                         ranks.append(joined.setdefault(profile, profile))
-                witness.append(pair)
+                if keep:
+                    witness.append(pair)
     return Counter(zip(map(int.bit_count, masks), ranks))
 
 

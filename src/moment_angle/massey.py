@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
+from .complexes import _mask_of, _tuple_of
 from .errors import CapacityError, InputError, VerificationError
 from .families import FamilySpec, family_complex
 from .hochster import multigraded_betti
@@ -340,6 +341,40 @@ class TripleValueSet:
     nontrivial: bool
 
 
+def _shift_products(input):
+    """The nonzero products a_1 z and z a_3 that move a triple's value, in a fixed order.
+
+    z runs over the cohomology basis of classes 2..3 (where c_{2,4} may
+    move), then of classes 1..2 (where c_{1,3} may move).  Every product
+    lies in the component of the value, and their classes span its
+    indeterminacy.
+    """
+    a1 = input.classes[0].representative
+    a3 = input.classes[2].representative
+    for start, end, multiplier, on_left in ((2, 3, a1, True), (1, 2, a3, False)):
+        support = input.window_support(start, end)
+        degree = input.window_total_degree(start, end) - 1
+        comp = component_basis(input.complex, support, degree)
+        for coords in comp.cohomology_basis():
+            z = comp.cochain_from_coordinates(coords)
+            prod = multiplier * z if on_left else z * multiplier
+            if not prod.is_zero():
+                yield prod
+
+
+def _indeterminate(input):
+    """Whether a triple's indeterminacy is nonzero, decided without its value.
+
+    True at the first shift product (each checked to be a cocycle) that is
+    not a coboundary in the value's component; neither the corner residue
+    nor the component's cohomology basis is built.
+    """
+    target = component_basis(
+        input.complex, input.window_support(1, 3), input.window_total_degree(1, 3)
+    )
+    return not all(target.is_coboundary(prod) for prod in _shift_products(input))
+
+
 def triple_value_set(input, ds=None):
     """Representative plus indeterminacy span of a defined triple product.
 
@@ -355,25 +390,16 @@ def triple_value_set(input, ds=None):
         raise InputError("triple product is not defined")
     value = massey_value(ds)
     target = component_basis(input.complex, value.support, value.total_degree)
-    a1 = input.classes[0].representative
-    a3 = input.classes[2].representative
+    hdim = len(value.class_coordinates)
 
     basis, span = [], Echelon()
-    for start, end, multiplier, on_left in (
-        (2, 3, a1, True),
-        (1, 2, a3, False),
-    ):
-        support = input.window_support(start, end)
-        degree = input.window_total_degree(start, end) - 1
-        comp = component_basis(input.complex, support, degree)
-        for coords in comp.cohomology_basis():
-            z = comp.cochain_from_coordinates(coords)
-            prod = multiplier * z if on_left else z * multiplier
-            if prod.is_zero():
-                continue
-            vec = target.class_vector(prod)
-            if span.add(vec):
-                basis.append(vec)
+    # a target with no cohomology keeps no vector
+    for prod in _shift_products(input) if hdim else ():
+        vec = target.class_vector(prod)
+        if span.add(vec):
+            basis.append(vec)
+            if len(basis) == hdim:
+                break  # the span is the whole target: no later product is kept
 
     contains_zero = not span.reduce(value.class_coordinates)[0]
     return TripleValueSet(
@@ -477,10 +503,20 @@ def search_triple_products(K, profile=None, capacity=SEARCH_TRIPLE_CAPACITY,
     triple whose value set misses zero is returned; with ``require_strict``
     the value set must in addition be a single class (zero indeterminacy).
     ``capacity`` bounds both the supports scanned for each class size and
-    the candidate triples examined.  A triple whose target has no cohomology
-    (by Hochster's formula, H~^1 of K on J1 u J2 u J3 is zero) can never be
-    a witness: it is skipped before any class or cochain is built, but it
-    still counts toward ``capacity``.
+    the candidate triples examined.
+
+    Each candidate triple meets the tests in this order, and the first that
+    fails rejects it:
+
+    1. the target rank: by Hochster's formula the value lies in H~^1 of K
+       on J = J1 u J2 u J3, and a triple with that rank zero can never be a
+       witness.  It is skipped before any class or cochain is built (read
+       once per J in a search), but it still counts toward ``capacity``;
+    2. the cup cells: a_1 a_2 and a_2 a_3 must be coboundaries;
+    3. with ``require_strict`` only, the shifts: the triple is rejected at
+       its first shift product that is not a coboundary in the target, so
+       neither its value nor the target's cohomology basis is built;
+    4. the value set (``triple_value_set``), which must miss zero.
     """
     if profile is None:
         profile = (3, 3, 3)
@@ -488,7 +524,10 @@ def search_triple_products(K, profile=None, capacity=SEARCH_TRIPLE_CAPACITY,
     if len(profile) != 3 or any(d < 3 for d in profile):
         raise InputError(f"profile must list three class dimensions >= 3, got {profile}")
     sizes = tuple(d - 1 for d in profile)
-    candidates = {size: _h0_candidates(K, size, capacity) for size in set(sizes)}
+    candidates = {
+        size: [(J, _mask_of(J, K.m)) for J in _h0_candidates(K, size, capacity)]
+        for size in set(sizes)
+    }
     cell_cache = {}
 
     def cup_cell(cl_a, cl_b):
@@ -503,20 +542,20 @@ def search_triple_products(K, profile=None, capacity=SEARCH_TRIPLE_CAPACITY,
 
     examined = 0
     class_cache = {}
+    target_ranks = {}  # union mask -> H~^1 of K on it
 
-    def cls(J, size):
+    def cls(J):
         if J not in class_cache:
             class_cache[J] = canonical_class(K, J)
         return class_cache[J]
 
-    for J1 in candidates[sizes[0]]:
-        s1 = set(J1)
-        for J2 in candidates[sizes[1]]:
-            if s1 & set(J2):
+    for J1, mask1 in candidates[sizes[0]]:
+        for J2, mask2 in candidates[sizes[1]]:
+            if mask1 & mask2:
                 continue
-            s12 = s1 | set(J2)
-            for J3 in candidates[sizes[2]]:
-                if s12 & set(J3):
+            mask12 = mask1 | mask2
+            for J3, mask3 in candidates[sizes[2]]:
+                if mask12 & mask3:
                     continue
                 examined += 1
                 if examined > capacity:
@@ -525,9 +564,13 @@ def search_triple_products(K, profile=None, capacity=SEARCH_TRIPLE_CAPACITY,
                         f"examined more than {capacity} candidate triples",
                     )
                 # the value lies in reduced degree d(1, 3) = 1 on J1 u J2 u J3
-                if _window_rank(K, tuple(sorted(s12.union(J3))), 1) == 0:
+                union = mask12 | mask3
+                rank = target_ranks.get(union)
+                if rank is None:
+                    rank = target_ranks[union] = _window_rank(K, _tuple_of(union), 1)
+                if rank == 0:
                     continue
-                c1, c2, c3 = cls(J1, sizes[0]), cls(J2, sizes[1]), cls(J3, sizes[2])
+                c1, c2, c3 = cls(J1), cls(J2), cls(J3)
                 cell13 = cup_cell(c1, c2)
                 if cell13 is None:
                     continue
@@ -535,6 +578,8 @@ def search_triple_products(K, profile=None, capacity=SEARCH_TRIPLE_CAPACITY,
                 if cell24 is None:
                     continue
                 input = MasseyInput(K, (c1, c2, c3))
+                if require_strict and _indeterminate(input):
+                    continue
                 ds = DefiningSystem(input, {(1, 3): cell13, (2, 4): cell24})
                 triple = triple_value_set(input, ds)
                 if triple.nontrivial and (triple.strictly_defined or not require_strict):

@@ -200,6 +200,21 @@ def test_cohomology_class_rejects_noncocycles():
     K = SimplicialComplex(2, [])
     with pytest.raises(NotACocycleError):
         cohomology_class(mono(K, (1,), ()))
+    with pytest.raises(NotACocycleError):
+        component_basis(K, (1,), 1).is_coboundary(mono(K, (1,), ()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_complexes())
+def test_coboundary_test_reads_the_class_vector(K):
+    # every canonical cocycle of every component: a coboundary exactly when its class is zero
+    for size in range(K.m + 1):
+        for J in itertools.combinations(range(1, K.m + 1), size):
+            for degree in range(size, 2 * size + 1):
+                comp = component_basis(K, J, degree)
+                for vec in comp.cocycle_basis():
+                    z = comp.cochain_from_coordinates(vec)
+                    assert comp.is_coboundary(z) == (not any(comp.class_vector(z)))
 
 
 def test_top_class_of_four_cycle():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -465,20 +466,24 @@ def test_hexagon_value_set_matches_the_matrix_path():
     assert (triple.indeterminacy_basis, triple.contains_zero) == matrix_path_value_set(inp, ds)
 
 
-@pytest.mark.parametrize("name", ["k3", "p4", "star4"])
-def test_value_sets_match_the_matrix_path_on_corpus_nerves(name):
-    # every defined triple of canonical classes on pairs with a nonzero target
-    K = corpus_nerve(name)
+def defined_canonical_triples(K):
+    """(input, defining system) of every defined triple of canonical classes
+    on disconnected pairs whose target is nonzero."""
     pairs = [J for J in itertools.combinations(range(1, K.m + 1), 2) if K.component_count(J) == 2]
-    seen = {"defined": 0, "indeterminate": 0, "nonzero value in the span": 0}
     for supports in itertools.product(pairs, repeat=3):
         union = tuple(sorted(sum(supports, ())))
         if len(set(union)) < 6 or _window_rank(K, union, 1) == 0:
             continue
         inp = MasseyInput(K, [canonical_class(K, J) for J in supports])
         ds = build_defining_system(inp)
-        if isinstance(ds, CellFailure):
-            continue
+        if not isinstance(ds, CellFailure):
+            yield inp, ds
+
+
+@pytest.mark.parametrize("name", ["k3", "p4", "star4"])
+def test_value_sets_match_the_matrix_path_on_corpus_nerves(name):
+    seen = {"defined": 0, "indeterminate": 0, "nonzero value in the span": 0}
+    for inp, ds in defined_canonical_triples(corpus_nerve(name)):
         triple = triple_value_set(inp, ds)
         assert (triple.indeterminacy_basis, triple.contains_zero) == matrix_path_value_set(inp, ds)
         seen["defined"] += 1
@@ -487,3 +492,45 @@ def test_value_sets_match_the_matrix_path_on_corpus_nerves(name):
             triple.contains_zero and not triple.representative.is_zero
         )
     assert all(seen.values()), seen
+
+
+def test_strict_rejection_matches_the_value_set():
+    # the shift test of the strict search, read without the value, against the value set
+    seen = Counter()
+    for name in ("k3", "p4", "star4", "c4"):
+        for inp, ds in defined_canonical_triples(corpus_nerve(name)):
+            strict = triple_value_set(inp, ds).strictly_defined
+            assert massey._indeterminate(inp) == (not strict)
+            seen[name, strict] += 1
+    assert {strict for _, strict in seen} == {False, True}, seen
+
+
+def test_strict_search_builds_values_of_strict_triples_only(monkeypatch):
+    # up to its witness, the strict (5, 3, 5) search on the K4 nerve meets 91
+    # defined triples, 85 of them with a nonzero indeterminacy
+    values = []
+    real = massey.massey_value
+
+    def counting(ds, *args):
+        values.append(ds.input)
+        return real(ds, *args)
+
+    monkeypatch.setattr(massey, "massey_value", counting)
+    witness = search_triple_products(corpus_nerve("k4"), (5, 3, 5), require_strict=True)
+    assert witness.report.status == massey.STATUS_DEFINED_STRICT
+    assert len(values) == 6
+    assert not any(massey._indeterminate(inp) for inp in values)
+
+
+def test_search_reads_each_target_rank_once(monkeypatch):
+    # the 9,150 triples of the 10-gon have C(10, 6) = 210 distinct unions
+    calls = []
+    real = massey._window_rank
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(massey, "_window_rank", counting)
+    assert search_triple_products(polygon_nerve(10)) is None
+    assert len(calls) == len(set(calls)) == 210
