@@ -2,16 +2,16 @@
 
 A complex is stored by its set of minimal non-faces (the generators of the
 corresponding squarefree monomial ideal); the maximal faces are derived
-lazily by hypergraph dualization and cached.  The faces themselves form a
-bitmask lattice that is grown one level (face size) at a time, only as far
-as a caller asks, and cached; the lattice of an induced subcomplex is grown
-the same way inside its vertex set, and kept per vertex set for callers that
-read it many times; face tests by vertex tuple are
-memoized in the same cache.  Every singleton {i} is required
-to be a face, so complexes carry no ghost vertices.  All values are
-canonicalized and immutable after construction; equality and hashing use the
-canonical form (vertex labels are carried along but never affect any
-computation).
+lazily by hypergraph dualization and cached.  The faces of K and of each
+induced subcomplex K_J form bitmask lattices grown one level (face size) at
+a time from the non-faces indexed by top vertex, only as far as a caller
+asks, and kept in one store per complex keyed by the vertex mask of J; a
+walk over all 2^m subsets grows its levels without keeping them.  A face
+test reads the same index of non-faces by top vertex.  Every
+singleton {i} is required to be a face, so complexes carry no ghost
+vertices.  All values are canonicalized and immutable after construction;
+equality and hashing use the canonical form (vertex labels are carried along
+but never affect any computation).
 
 Vertices are 1-indexed everywhere in the public API.  Internally subsets are
 represented both as sorted tuples and as bitmasks (bit v-1 for vertex v).
@@ -41,8 +41,6 @@ TRANSVERSAL_CAPACITY = 5000
 # about 5x the time per two vertices (2-vCPU Xeon, Python 3.11.7); the largest
 # level in the tier-1 tests has 9,832 faces, and in the benchmark workloads 798
 FACE_LEVEL_CAPACITY = 50_000
-
-_INT_ONLY = frozenset((int,))
 
 
 def _mask_of(vertices, m):
@@ -177,7 +175,7 @@ class SimplicialComplex:
             if len(labels) != m:
                 raise InputError(f"expected {m} labels, got {len(labels)}")
         self.labels = labels
-        self._cache = {"is_face": {}}
+        self._cache = {"face_levels": {}}
 
     # -- constructors ------------------------------------------------------
 
@@ -268,26 +266,25 @@ class SimplicialComplex:
     # -- faces ---------------------------------------------------------------
 
     def is_face_mask(self, mask):
-        return all(nf & mask != nf for nf in self._mf_masks)
+        """Whether the bitmask ``mask`` is a face of K, read off ``_nonface_rests``.
+
+        A minimal non-face lies inside the mask exactly when its top vertex v
+        does and so does its rest listed under v: the rule of ``_grow``,
+        applied to each vertex of the mask.
+        """
+        rests = self._nonface_rests()
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            pairs, larger = rests[low.bit_length()]
+            if mask & pairs or larger and any(r & mask == r for r in larger):
+                return False
+        return True
 
     def is_face(self, vertices):
-        """Whether a collection of vertices is a face of K.
-
-        Answers for vertex tuples are memoized in ``_cache``, so the memo is
-        freed with the complex.  Only validated tuples are stored, and a hit
-        counts only for int vertices: True == 1 would otherwise find the
-        entry of (1,), and a bool must still raise InputError.
-        """
-        memo = self._cache["is_face"]
-        try:
-            answer = memo.get(vertices)
-        except TypeError:  # unhashable, e.g. a list: answered without the memo
-            answer = None
-        if answer is None or not _INT_ONLY.issuperset(map(type, vertices)):
-            answer = self.is_face_mask(_mask_of(vertices, self.m))
-            if type(vertices) is tuple:
-                memo[vertices] = answer
-        return answer
+        """Whether a collection of vertices is a face of K."""
+        return self.is_face_mask(_mask_of(vertices, self.m))
 
     def _nonface_rests(self):
         """Minimal non-faces by top vertex v, each with v removed (cached).
@@ -419,57 +416,60 @@ class SimplicialComplex:
                         )
         return tuple(grown)
 
-    def face_masks(self, size):
-        """All faces with ``size`` vertices, as bitmasks in lex order of their tuples.
+    def face_masks(self, size, mask=None):
+        """The faces of K_J with ``size`` vertices, as bitmasks in lex order of their tuples.
 
-        Levels of the face lattice are grown one at a time and cached, so a
-        call costs only the levels up to ``size``.
+        J is given by the bitmask ``mask``, all of K by default.  The levels
+        of each J are kept in one store in ``_cache``, keyed by the mask, and
+        grown only as far as a caller asks.  New levels are grown onto a
+        local copy that is stored whole, so threads racing on one J each
+        store a prefix of the same levels, never a level twice; a shorter
+        prefix does not replace a longer one stored first.
         """
         if size < 0:
             return ()
-        levels = self._cache.setdefault("face_masks", [(0,)])
-        while len(levels) <= size and levels[-1]:
-            levels.append(self._grow(levels[-1], self._full_mask, self._nonface_rests()))
+        if mask is None:
+            mask = self._full_mask
+        store = self._cache["face_levels"]
+        levels = store.get(mask, ((0,),))
+        if len(levels) <= size and levels[-1]:
+            rests = self._rests_in(mask)
+            grown = list(levels)
+            while len(grown) <= size and grown[-1]:
+                grown.append(self._grow(grown[-1], mask, rests))
+            levels = tuple(grown)
+            if len(levels) > len(store.get(mask, ())):
+                store[mask] = levels
         return levels[size] if size < len(levels) else ()
 
     def induced_face_levels(self, mask):
-        """The face levels of the induced subcomplex K_J, J given by the bitmask ``mask``.
+        """The face levels of K_J, J given by the bitmask ``mask``, kept nowhere.
 
         Yields the faces of K_J with 0, 1, 2, ... vertices, up to the last
-        nonempty level, as bitmasks over K's own vertices in lex order.  The
-        lattice is grown from the minimal non-faces inside J by vertices of
-        J only, so it costs the faces of K_J, however large K is.
+        nonempty level, as bitmasks over K's own vertices in lex order: the
+        levels of ``face_masks``, for a walk over all 2^m subsets that would
+        otherwise store 2^m entries.
         """
-        rests = [
-            (pairs, [r for r in larger if r & mask == r])
-            for pairs, larger in self._nonface_rests()
-        ]
+        rests = self._rests_in(mask)
         level = (0,)
         while level:
             yield level
             level = self._grow(level, mask, rests)
 
-    def kept_face_levels(self, mask):
-        """The face levels of K_J (see ``induced_face_levels``) as a tuple, kept in ``_cache``.
+    def _rests_in(self, mask):
+        """``_nonface_rests`` with the larger rests outside J dropped, J the bitmask ``mask``.
 
-        For callers that read the levels of one J many times, such as the
-        Koszul components (J, t) of every degree t; a walk over all 2^m
-        subsets uses ``induced_face_levels``, which keeps nothing.  The
-        levels are grown into a local tuple and stored whole, so threads
-        racing on a first read each store an equal tuple.
+        A face of K_J never contains a rest outside J, so the lattice of K_J
+        costs its own faces, however large K is.
         """
-        memo = self._cache.setdefault("induced_face_levels", {})
-        levels = memo.get(mask)
-        if levels is None:
-            levels = memo[mask] = tuple(self.induced_face_levels(mask))
-        return levels
+        rests = self._nonface_rests()
+        if mask == self._full_mask:
+            return rests
+        return [(pairs, [r for r in larger if r & mask == r]) for pairs, larger in rests]
 
     def faces(self, size):
-        """All faces with ``size`` vertices, as sorted tuples in lex order."""
-        key = ("faces", size)
-        if key not in self._cache:
-            self._cache[key] = tuple(_tuple_of(f) for f in self.face_masks(size))
-        return self._cache[key]
+        """All faces with ``size`` vertices, as sorted tuples in lex order (not kept)."""
+        return tuple(_tuple_of(f) for f in self.face_masks(size))
 
     @property
     def dim(self):
@@ -480,7 +480,7 @@ class SimplicialComplex:
 
     def face_counts(self):
         """Number of faces of each size 0..dim+1 (index = cardinality)."""
-        return tuple(len(self.faces(k)) for k in range(self.dim + 2))
+        return tuple(len(self.face_masks(k)) for k in range(self.dim + 2))
 
     def _max_face_masks(self):
         if "maximal_faces" not in self._cache:

@@ -17,10 +17,12 @@ triple Massey product exists and is attached as a witness.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
-from .complexes import SimplicialComplex, _as_list
+from .complexes import VERTEX_CAPACITY, SimplicialComplex, _as_list
 from .errors import CapacityError, InputError
 from .massey import TripleWitness, search_triple_products
 
@@ -42,6 +44,10 @@ class Graph:
     def from_edges(cls, n, edges):
         if type(n) is not int or n < 1:  # bool is an int subclass: not a count
             raise InputError(f"graph needs a positive integer vertex count, got n={n!r}")
+        if n > VERTEX_CAPACITY:
+            raise CapacityError(
+                "vertex-count", f"{n} vertices; capacity is {VERTEX_CAPACITY} vertices per graph"
+            )
         clean = set()
         for e in _as_list(edges, "graph edges"):
             e = _as_list(e, "a graph edge")
@@ -64,36 +70,33 @@ class Graph:
     def to_json_dict(self):
         return {"n": self.n, "edges": [list(e) for e in self.edges]}
 
-    def neighbors(self, v):
-        out = set()
+    @cached_property
+    def adjacency(self):
+        """The neighbours of each vertex v at index v (index 0 is empty), built once per graph."""
+        adj = [[] for _ in range(self.n + 1)]
         for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return out
+            adj[a].append(b)
+            adj[b].append(a)
+        return tuple(map(tuple, adj))
 
     def components(self):
         """Vertex sets of the connected components, sorted."""
-        seen = set()
+        adj = self.adjacency
+        seen = [False] * (self.n + 1)
         comps = []
-        for v in range(1, self.n + 1):
-            if v in seen:
+        for v in range(1, self.n + 1):  # by lowest vertex, so comps come out sorted
+            if seen[v]:
                 continue
-            stack, comp = [v], set()
+            seen[v] = True
+            stack, comp = [v], [v]
             while stack:
-                x = stack.pop()
-                if x in comp:
-                    continue
-                comp.add(x)
-                stack.extend(self.neighbors(x) - comp)
-            seen |= comp
+                for u in adj[stack.pop()]:
+                    if not seen[u]:
+                        seen[u] = True
+                        stack.append(u)
+                        comp.append(u)
             comps.append(tuple(sorted(comp)))
-        return tuple(sorted(comps))
-
-    def induced_edges(self, vertices):
-        vs = set(vertices)
-        return tuple(e for e in self.edges if e[0] in vs and e[1] in vs)
+        return tuple(comps)
 
 
 @dataclass(frozen=True)
@@ -152,7 +155,7 @@ def graphical_building_set(G):
             found.add(s)
             reachable = set()
             for v in s:
-                reachable |= G.neighbors(v)
+                reachable.update(G.adjacency[v])
             for u in reachable - s:
                 grown = s | {u}
                 if grown not in found:
@@ -236,9 +239,14 @@ class FormalityVerdict:
     witness: Optional[TripleWitness]
 
 
+def _edge_count(G, component):
+    """Edges of G inside a connected component: each neighbour of its vertices lies in it."""
+    return sum(len(G.adjacency[v]) for v in component) // 2
+
+
 def _classify_component(G, vertices):
     k = len(vertices)
-    e = len(G.induced_edges(vertices))
+    e = _edge_count(G, vertices)
     if k == 1:
         return ComponentVerdict(vertices, "vertex", None)
     if k == 2:
@@ -248,11 +256,6 @@ def _classify_component(G, vertices):
     if k == 3 and e == 3:
         return ComponentVerdict(vertices, "cycle3", FACTOR_CYCLE3)
     return ComponentVerdict(vertices, "other", None)
-
-
-def _is_complete(G, vertices):
-    k = len(vertices)
-    return len(G.induced_edges(vertices)) == k * (k - 1) // 2
 
 
 def formality_classify(G):
@@ -274,7 +277,7 @@ def formality_classify(G):
         )
     nerve = associahedron_nerve(G)
     big = [c for c in comps if c.kind == "other"]
-    if any(not _is_complete(G, c.vertices) for c in big):
+    if any(_edge_count(G, c.vertices) != math.comb(len(c.vertices), 2) for c in big):
         witness = search_triple_products(nerve, require_strict=True)
     else:
         witness = search_triple_products(nerve, profile=(5, 3, 5), require_strict=True)

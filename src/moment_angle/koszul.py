@@ -16,8 +16,8 @@ By Hochster's isomorphism the component (J, t) is a sign-twisted copy of
 the cochains of the induced subcomplex K_J: its basis is the level of K_J's
 faces T with t - |J| vertices, held as bitmasks in reverse lex order of T
 (which is the order of the monomials u_{J-T} v_T by u-part).  The levels of
-each K_J are grown once and kept in K's own cache for all the degrees of J
-(``SimplicialComplex.kept_face_levels``).
+each K_J are kept in K's own face-level store and grown only as far as a
+component or its two neighbours read them (``SimplicialComplex.face_masks``).
 A component's matrix is written from the masks alone: the entry at (row of
 T + i, column of T) is (-1)^k, k the number of vertices of J - T below i,
 wherever T + i is a face.
@@ -271,9 +271,7 @@ class ComponentBasis:
         self.multidegree = multidegree
         self.total_degree = total_degree
         self._mask = mask = _mask_of(multidegree, complex.m)
-        t_size = total_degree - len(multidegree)
-        levels = complex.kept_face_levels(mask)
-        self._faces = levels[t_size][::-1] if 0 <= t_size < len(levels) else ()
+        self._faces = complex.face_masks(total_degree - len(multidegree), mask)[::-1]
         self._cache = {}
 
     def __len__(self):

@@ -446,20 +446,17 @@ def massey_product(input):
             )
         return MasseyReport(k, supports, degrees, status, conditions, None, None, ds)
 
-    value = massey_value(ds)
     triple = None
-    if k == 2:
-        status = STATUS_DEFINED_STRICT  # a 2-fold product is the cup product
-    elif k == 3:
+    if k == 3:
         triple = triple_value_set(input, ds)
+        value = triple.representative
         if conditions.strict_guarantee and not triple.strictly_defined:
             raise VerificationError("vanishing conditions hold but indeterminacy is nonzero")
         status = STATUS_DEFINED_STRICT if triple.strictly_defined else STATUS_DEFINED
     else:
-        if conditions.uniqueness_holds:
-            status = STATUS_DEFINED_STRICT
-        else:
-            status = STATUS_DEFINED_UNKNOWN
+        value = massey_value(ds)
+        strict = k == 2 or conditions.uniqueness_holds  # a 2-fold product is the cup product
+        status = STATUS_DEFINED_STRICT if strict else STATUS_DEFINED_UNKNOWN
     return MasseyReport(k, supports, degrees, status, conditions, value, triple, None)
 
 

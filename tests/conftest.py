@@ -57,6 +57,15 @@ def union_find_component_count(K, vertices=None):
     return len({find(v) for v in verts})
 
 
+def nonface_scan_is_face(K, mask):
+    """Slow-path face test: no minimal non-face of K lies inside the bitmask ``mask``.
+
+    Scans every minimal non-face; ``SimplicialComplex.is_face_mask``, which
+    reads the non-faces indexed by top vertex, is compared with it.
+    """
+    return all(nf & mask != nf for nf in K._mf_masks)
+
+
 def mask_pair(pair):
     """The key (u, w) of the tuple pair (S, T): vertex v is bit v - 1."""
     return tuple(sum(1 << (v - 1) for v in part) for part in pair)

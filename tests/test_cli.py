@@ -15,6 +15,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 import moment_angle
 from moment_angle.cli import build_parser, main
+from moment_angle.complexes import VERTEX_CAPACITY
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -300,6 +301,15 @@ def test_vertex_count_capacity_exit_code(capsys):
     assert out == ""
     document = assert_one_capacity_error(code, err, "vertex-count")
     assert "1000000000000 vertices" in document["error"]
+
+
+def test_graph_vertex_count_capacity_exit_code(capsys):
+    # refused before any edge, adjacency or component is built
+    huge = '{"n":%d,"edges":[]}' % (VERTEX_CAPACITY + 1)
+    code, out, err = run(capsys, ["graphassoc", "--formality", "--inline", huge])
+    assert out == ""
+    document = assert_one_capacity_error(code, err, "vertex-count")
+    assert f"{VERTEX_CAPACITY + 1} vertices" in document["error"]
 
 
 def test_search_candidate_capacity_exit_code(capsys, monkeypatch):

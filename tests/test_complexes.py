@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from conftest import (
     brute_faces,
     brute_maximal_faces,
     brute_minimal_nonfaces,
+    nonface_scan_is_face,
     random_complex,
     small_complexes,
     union_find_component_count,
@@ -148,16 +150,72 @@ def test_is_face_memo_matches_nonface_scan(K):
     ]
     expected = {J: not any(nf <= set(J) for nf in nonfaces) for J in subsets}
     cold = SimplicialComplex(K.m, K.minimal_nonfaces)
-    assert {J: cold.is_face(J) for J in subsets} == expected  # each answer computed
-    assert len(cold._cache["is_face"]) == len(subsets)
-    assert {J: cold.is_face(J) for J in subsets} == expected  # each answer from the memo
-    assert {J: cold.is_face(list(J)) for J in subsets} == expected  # lists bypass the memo
-    assert {J: cold.is_face(iter(J)) for J in subsets} == expected  # so do iterators
     assert {J: cold.is_face(J) for J in subsets} == expected
-    # a warm memo must not answer for inputs that are not vertex tuples
+    assert {J: cold.is_face(J) for J in subsets} == expected  # asked twice, the same answers
+    assert {J: cold.is_face(list(J)) for J in subsets} == expected
+    assert {J: cold.is_face(iter(J)) for J in subsets} == expected
+    assert {J: cold.is_face(J) for J in subsets} == expected
+    # answers already given must not let inputs that are not vertex tuples through
     for bad in [(0,), (K.m + 1,), (True,), (1, True), [True], (1.0,), ([1],), 5]:
         with pytest.raises(InputError):
             cold.is_face(bad)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_complexes(min_m=1, max_m=8))
+def test_indexed_face_test_matches_nonface_scan(K):
+    # every mask, faces and non-faces alike, against the scan of all minimal non-faces
+    for mask in range(1 << K.m):
+        assert K.is_face_mask(mask) == nonface_scan_is_face(K, mask)
+
+
+def test_racing_first_reads_store_each_level_once(monkeypatch):
+    # two threads held at a barrier inside _grow on the same level of a fresh
+    # complex: each must store whole levels, so neither adds a level twice
+    K, untouched = polygon_nerve(7), polygon_nerve(7)
+    expected = [untouched.face_masks(k) for k in range(K.m + 2)]
+    grow = SimplicialComplex._grow
+    barrier = threading.Barrier(2, timeout=30)
+
+    def held(level, mask, rests):
+        if level == (0,):
+            barrier.wait()
+        return grow(level, mask, rests)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SimplicialComplex, "_grow", staticmethod(held))
+        threads = [threading.Thread(target=K.face_masks, args=(K.m + 1,)) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not barrier.broken
+    assert [K.face_masks(k) for k in range(K.m + 2)] == expected
+    assert K.face_masks(3) == ()  # the 7-gon has no triangles
+
+
+def test_a_shorter_racing_grower_keeps_the_longer_levels(monkeypatch):
+    # one thread reads the empty store and is held inside _grow while another
+    # grows and stores every level; the held thread's one level must not replace them
+    K = polygon_nerve(7)
+    grow = SimplicialComplex._grow
+    entered, stored = threading.Event(), threading.Event()
+
+    def held(level, mask, rests):
+        if threading.current_thread().name == "short":
+            entered.set()
+            assert stored.wait(timeout=30)
+        return grow(level, mask, rests)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SimplicialComplex, "_grow", staticmethod(held))
+        short = threading.Thread(target=K.face_masks, args=(1,), name="short")
+        short.start()
+        assert entered.wait(timeout=30)
+        full = [K.face_masks(k) for k in range(K.m + 2)]
+        stored.set()
+        short.join(timeout=60)
+    assert K._cache["face_levels"][K._full_mask] == tuple(full[:4])  # up to the empty size 3
 
 
 def test_face_levels_grow_only_as_asked():

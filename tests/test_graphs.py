@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from moment_angle.complexes import SimplicialComplex, are_isomorphic
+from moment_angle.complexes import VERTEX_CAPACITY, SimplicialComplex, are_isomorphic
 from moment_angle.errors import CapacityError, InputError
 from moment_angle.families import polygon_nerve
 from moment_angle.graphs import (
@@ -143,6 +143,48 @@ def test_cube_and_simplex_building_sets():
 def test_capacity_guard():
     with pytest.raises(CapacityError):
         graphical_building_set(Graph.from_edges(11, []))
+
+
+def test_vertex_count_guard():
+    with pytest.raises(CapacityError) as err:
+        Graph.from_edges(VERTEX_CAPACITY + 1, [])
+    assert err.value.guard == "vertex-count"
+    assert Graph.from_edges(VERTEX_CAPACITY, []).n == VERTEX_CAPACITY
+
+
+def test_components_of_a_relabelled_union_of_small_graphs():
+    # 750 each of edges, 3-paths and triangles plus 1,501 isolated vertices,
+    # relabelled so that components interleave, against a union-find count
+    rng = random.Random(5)
+    n = 7501
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    blocks = [[(1, 2)], [(3, 4), (4, 5)], [(6, 7), (7, 8), (6, 8)]]
+    edges = [
+        (perm[base + a - 1], perm[base + b - 1])
+        for base in range(0, 7500, 10)
+        for block in blocks
+        for a, b in block
+    ]
+    parent = list(range(n + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    roots = {}
+    for v in range(1, n + 1):
+        roots.setdefault(find(v), []).append(v)
+    G = Graph.from_edges(n, edges)
+    assert G.components() == tuple(sorted(tuple(vs) for vs in roots.values()))
+    verdict = formality_classify(G)
+    assert verdict.formal and verdict.witness is None
+    kinds = [c.kind for c in verdict.components]
+    assert [kinds.count(k) for k in ("vertex", "edge", "path3", "cycle3")] == [1501, 750, 750, 750]
 
 
 def test_formality_formal_cases():

@@ -540,12 +540,12 @@ def test_concurrent_first_solves_agree():
                 got = [f.result(timeout=60) for f in futures]
                 assert got == [solve_linear(classes, z).vector[B.ncols :] for z in cocycles]
                 assert len(comp.cohomology_basis()) == comp.cohomology_dimension() == hdim
-            # a fresh complex, so its face-level memo starts empty, raced on every degree
+            # a fresh complex, so its face-level store starts empty, raced on every degree
             # of each J; the same non-faces with a cone vertex added give the same components
             nonfaces = [(1, 5), (2, 6), (3, 7, 8), (1, 4, 8), (2, 3), (4, 9, 10)]
             K = SimplicialComplex(10, nonfaces)
             cone = SimplicialComplex(11, nonfaces)
-            assert "induced_face_levels" not in K._cache
+            assert not K._cache["face_levels"]
             start = threading.Barrier(8, timeout=60)
 
             def build(K, J, order, barrier=None):
@@ -566,8 +566,15 @@ def test_concurrent_first_solves_agree():
                 ]
                 assert all(f.result(timeout=60) == expected for f in futures)
                 mask = sum(1 << (v - 1) for v in J)
-                levels[mask] = tuple(K.induced_face_levels(mask))
-            assert K._cache["induced_face_levels"] == levels
+                levels[mask] = (*K.induced_face_levels(mask), ())  # grown to its end
+            # a thread that grew fewer levels may store last, but only whole levels
+            store = K._cache["face_levels"]
+            assert set(store) == set(levels)
+            assert all(levels[mask][: len(kept)] == kept for mask, kept in store.items())
+            assert all(
+                [K.face_masks(k, mask) for k in range(len(full))] == list(full)
+                for mask, full in levels.items()
+            )
     finally:
         sys.setswitchinterval(interval)
 

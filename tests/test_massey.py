@@ -534,3 +534,14 @@ def test_search_reads_each_target_rank_once(monkeypatch):
     monkeypatch.setattr(massey, "_window_rank", counting)
     assert search_triple_products(polygon_nerve(10)) is None
     assert len(calls) == len(set(calls)) == 210
+
+
+def test_canonical_class_grows_only_the_levels_it_reads():
+    # two disjoint 20-simplices: K_J on all 40 vertices has a middle level of
+    # 2 * 184,756 faces, but the class of its two components reads levels 0-2 only
+    K = SimplicialComplex(40, [(a, b) for a in range(1, 21) for b in range(21, 41)])
+    cl = canonical_class(K, range(1, 41))
+    assert cl.support == tuple(range(1, 41)) and cl.reduced_degree == 0
+    assert not cl.representative.is_zero()
+    assert cl.representative.differential().is_zero()
+    assert [len(level) for level in K._cache["face_levels"][K._full_mask]] == [1, 40, 380]
