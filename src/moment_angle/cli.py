@@ -191,7 +191,7 @@ def _cmd_massey(args, data):
         witness = search_triple_products(K, profile=profile)
         if witness is None:
             return {"witness_found": False}
-        out = _massey_report_dict(witness.report)
+        out = _massey_report_dict(witness)
         out["witness_found"] = True
         return out
 
@@ -226,7 +226,7 @@ def _cmd_graphassoc(args, data):
             "diffeo_type": list(verdict.diffeo_type),
         }
         if verdict.witness is not None:
-            out["witness"] = _massey_report_dict(verdict.witness.report)
+            out["witness"] = _massey_report_dict(verdict.witness)
         return out
     return _complex_result(associahedron_nerve(G))
 

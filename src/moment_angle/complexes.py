@@ -77,12 +77,10 @@ def _check_vertex_count(m):
 
 def _tuple_of(mask):
     out = []
-    v = 1
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+    while mask:  # one step per set bit, lowest first
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return tuple(out)
 
 
@@ -95,10 +93,10 @@ def _antichain(masks, minimal):
     comparison at all.
     """
     sign = 1 if minimal else -1
-    masks = sorted(set(masks), key=lambda x: (sign * bin(x).count("1"), x))
+    masks = sorted(set(masks), key=lambda x: (sign * x.bit_count(), x))
     kept, earlier, size = [], [], None  # earlier: the kept masks of earlier sizes
     for m in masks:
-        s = bin(m).count("1")
+        s = m.bit_count()
         if s != size:
             size, earlier = s, kept[:]
         if minimal:
@@ -127,7 +125,7 @@ def _minimal_transversals(edges, guard):
             (hit if t & e else miss).append(t)
         if not miss:
             continue
-        candidates = len(hit) + len(miss) * bin(e).count("1")
+        candidates = len(hit) + len(miss) * e.bit_count()
         if candidates > TRANSVERSAL_CAPACITY:
             raise CapacityError(
                 guard,
@@ -159,7 +157,7 @@ class SimplicialComplex:
         masks = []
         for nf in _as_list(minimal_nonfaces, "minimal non-faces"):
             mask = _mask_of(nf, m)
-            size = bin(mask).count("1")
+            size = mask.bit_count()
             if size != len(tuple(nf)):
                 raise InputError(f"non-face {tuple(nf)!r} has repeated vertices")
             if size < 2:
@@ -475,7 +473,7 @@ class SimplicialComplex:
     def dim(self):
         """Dimension: one less than the largest face size; -1 for {emptyset}."""
         if "dim" not in self._cache:
-            self._cache["dim"] = max(bin(f).count("1") for f in self._max_face_masks()) - 1
+            self._cache["dim"] = max(f.bit_count() for f in self._max_face_masks()) - 1
         return self._cache["dim"]
 
     def face_counts(self):
@@ -528,7 +526,7 @@ class SimplicialComplex:
         """
         if not self._mf_masks:
             return StructureReport(True, math.inf)
-        sizes = [bin(nf).count("1") for nf in self._mf_masks]
+        sizes = [nf.bit_count() for nf in self._mf_masks]
         return StructureReport(all(s == 2 for s in sizes), min(sizes) - 1)
 
     def stellar_vertex_cut(self, face):

@@ -24,7 +24,7 @@ from typing import Optional
 
 from .complexes import VERTEX_CAPACITY, SimplicialComplex, _as_list
 from .errors import CapacityError, InputError
-from .massey import TripleWitness, search_triple_products
+from .massey import MasseyReport, search_triple_products
 
 GRAPH_CAPACITY = 10
 
@@ -169,19 +169,16 @@ def graphical_building_set(G):
 def _component_nonfaces(elements, family):
     """Minimal non-nested subsets among the (non-maximal) elements of one block.
 
-    Bad pairs are incomparable intersecting pairs and disjoint pairs with
-    union in the family; larger minimal non-faces are pairwise disjoint
-    collections whose union lies in the family.  The antichain reduction on
-    construction of the nerve complex keeps exactly the minimal ones.
+    Bad pairs are incomparable intersecting pairs; the pairwise disjoint
+    collections (pairs included) whose union lies in the family come from
+    ``grow``, each once.  The antichain reduction on construction of the
+    nerve complex keeps exactly the minimal ones.
     """
     index = {s: i + 1 for i, s in enumerate(elements)}
     nonfaces = []
     for s1, s2 in itertools.combinations(elements, 2):
         a, b = set(s1), set(s2)
-        if a & b:
-            if not (a <= b or b <= a):
-                nonfaces.append((index[s1], index[s2]))
-        elif tuple(sorted(a | b)) in family:
+        if a & b and not (a <= b or b <= a):
             nonfaces.append((index[s1], index[s2]))
 
     def grow(start, chosen, union):
@@ -236,7 +233,7 @@ class FormalityVerdict:
     formal: bool
     components: tuple
     diffeo_type: tuple  # sphere/connected-sum factors, one per non-point component
-    witness: Optional[TripleWitness]
+    witness: Optional[MasseyReport]
 
 
 def _edge_count(G, component):

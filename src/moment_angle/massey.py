@@ -22,6 +22,9 @@ non-greedy choices could still succeed, and deciding that is not attempted.
 When the vanishing conditions on the window cohomology hold, the product is
 strictly defined and greedy cannot fail.
 
+Each class checks its representative once, when it is made.  Only
+``massey_product`` decides a status; the witness search returns its report.
+
 All class-level comparisons against named representatives are made up to a
 nonzero rational scalar, since printed representatives are only well defined
 up to sign conventions.
@@ -41,7 +44,13 @@ from .koszul import KoszulCochain, component_basis
 from .multiwedge import wedge_vertex_map
 from .rational_linalg import Echelon
 
-FAMILY_ORDER_CAPACITY = 5
+# order n of a certified family product; K(n, 1) certifies in 0.03 s at 17 MB
+# for n = 6, 0.07 s at 18 MB for n = 8 and 7.0 s at 151 MB for n = 20, and
+# (6, 2) in 2.6 s at 109 MB; for n <= 8 every other s is refused (guard
+# face-level, or family-size past m = 128) within 7.7 s and 160 MB, while the
+# refusal of (10, 2) takes 7.0 s and 231 MB (one fresh process each, 2-vCPU
+# Xeon, Python 3.11.7, Fraction backend)
+FAMILY_ORDER_CAPACITY = 8
 SEARCH_TRIPLE_CAPACITY = 2_000_000
 
 STATUS_DEFINED_STRICT = "defined-strict"
@@ -53,11 +62,35 @@ STATUS_GREEDY_FAILED = "greedy-failed"
 
 @dataclass(frozen=True)
 class MasseyClassInput:
-    """One input class: support subset, reduced degree, and a cocycle representative."""
+    """One input class: support subset, reduced degree, and a cocycle representative.
+
+    Checked once, when made: the degree lies in -1 .. |support| - 1, and a
+    nonzero representative is a cocycle of the class's multidegree and degree.
+    """
 
     support: tuple
     reduced_degree: int
     representative: KoszulCochain
+
+    def __post_init__(self):
+        sup = tuple(sorted(set(self.support)))
+        if not -1 <= self.reduced_degree < len(sup):
+            raise InputError(
+                f"class on {sup}: reduced degree {self.reduced_degree} outside "
+                f"-1..{len(sup) - 1}, where its support has no cohomology"
+            )
+        rep = self.representative
+        if rep.is_zero():
+            return
+        if rep.multidegree() != sup:
+            raise InputError(f"class on {sup}: representative has the wrong multidegree")
+        if rep.degree() != self.total_degree:
+            raise InputError(
+                f"class on {sup}: representative degree {rep.degree()} != "
+                f"{self.total_degree} = d + |I| + 1"
+            )
+        if not rep.differential().is_zero():
+            raise InputError(f"class on {sup}: representative is not a cocycle")
 
     @property
     def total_degree(self):
@@ -65,7 +98,7 @@ class MasseyClassInput:
 
 
 class MasseyInput:
-    """An ordered tuple of classes on pairwise disjoint supports."""
+    """An ordered tuple of classes on pairwise disjoint supports of one complex."""
 
     def __init__(self, complex, classes):
         if len(classes) < 2:
@@ -78,25 +111,8 @@ class MasseyInput:
             if seen & sup:
                 raise InputError(f"class {idx} support overlaps an earlier one")
             seen |= sup
-            if not -1 <= cl.reduced_degree < len(sup):
-                raise InputError(
-                    f"class {idx} reduced degree {cl.reduced_degree} outside "
-                    f"-1..{len(sup) - 1}, where its support has no cohomology"
-                )
-            rep = cl.representative
-            if rep.complex != complex:
+            if cl.representative.complex != complex:
                 raise InputError(f"class {idx} representative has a different ambient")
-            if rep.is_zero():
-                continue
-            if rep.multidegree() != tuple(sorted(sup)):
-                raise InputError(f"class {idx} representative has the wrong multidegree")
-            if rep.degree() != cl.total_degree:
-                raise InputError(
-                    f"class {idx} representative degree {rep.degree()} != "
-                    f"{cl.total_degree} = d + |I| + 1"
-                )
-            if not rep.differential().is_zero():
-                raise InputError(f"class {idx} representative is not a cocycle")
 
     @property
     def k(self):
@@ -430,14 +446,18 @@ class MasseyReport:
         return self.value is not None and self.value.is_zero
 
 
-def massey_product(input):
-    """Run the full decision procedure for one ordered tuple of classes."""
+def massey_product(input, ds=None):
+    """Run the full decision procedure for one ordered tuple of classes.
+
+    ``ds`` is a defining system (or failure) already built for the input.
+    """
     k = input.k
     supports = tuple(cl.support for cl in input.classes)
     degrees = tuple(cl.reduced_degree for cl in input.classes)
     conditions = strict_conditions_check(input) if k >= 3 else None
 
-    ds = build_defining_system(input)
+    if ds is None:
+        ds = build_defining_system(input)
     if isinstance(ds, CellFailure):
         status = STATUS_NOT_DEFINED if k == 3 else STATUS_GREEDY_FAILED
         if k >= 4 and conditions.strict_guarantee:
@@ -461,13 +481,6 @@ def massey_product(input):
 
 
 # -- witness search -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TripleWitness:
-    supports: tuple
-    reduced_degrees: tuple
-    report: MasseyReport
 
 
 def _h0_candidates(K, size, capacity):
@@ -496,9 +509,10 @@ def search_triple_products(K, profile=None, capacity=SEARCH_TRIPLE_CAPACITY,
     ``profile`` lists the three class dimensions m(j) (default (3, 3, 3));
     classes are degree-0 classes of disconnected induced subcomplexes on
     m(j) - 1 vertices with one-dimensional target, taken with their canonical
-    generators.  Supports are scanned in lexicographic order and the first
-    triple whose value set misses zero is returned; with ``require_strict``
-    the value set must in addition be a single class (zero indeterminacy).
+    generators.  Supports are scanned in lexicographic order, and the
+    ``massey_product`` report of the first triple whose value set misses
+    zero is returned (None if there is none); with ``require_strict`` the
+    value set must in addition be a single class (zero indeterminacy).
     ``capacity`` bounds both the supports scanned for each class size and
     the candidate triples examined.
 
@@ -513,7 +527,8 @@ def search_triple_products(K, profile=None, capacity=SEARCH_TRIPLE_CAPACITY,
     3. with ``require_strict`` only, the shifts: the triple is rejected at
        its first shift product that is not a coboundary in the target, so
        neither its value nor the target's cohomology basis is built;
-    4. the value set (``triple_value_set``), which must miss zero.
+    4. the value set, read by ``massey_product`` on the two solved cup
+       cells, which must miss zero.
     """
     if profile is None:
         profile = (3, 3, 3)
@@ -578,21 +593,9 @@ def search_triple_products(K, profile=None, capacity=SEARCH_TRIPLE_CAPACITY,
                 if require_strict and _indeterminate(input):
                     continue
                 ds = DefiningSystem(input, {(1, 3): cell13, (2, 4): cell24})
-                triple = triple_value_set(input, ds)
-                if triple.nontrivial and (triple.strictly_defined or not require_strict):
-                    report = MasseyReport(
-                        order=3,
-                        supports=(J1, J2, J3),
-                        reduced_degrees=(0, 0, 0),
-                        status=STATUS_DEFINED_STRICT
-                        if triple.strictly_defined
-                        else STATUS_DEFINED,
-                        conditions=strict_conditions_check(input),
-                        value=triple.representative,
-                        triple=triple,
-                        failure=None,
-                    )
-                    return TripleWitness((J1, J2, J3), (0, 0, 0), report)
+                report = massey_product(input, ds)
+                if report.triple.nontrivial:  # strict here if require_strict: test 3 passed
+                    return report
     return None
 
 

@@ -203,16 +203,16 @@ def test_criterion_8_graph_associahedra():
             else:
                 nonformal_found += 1
                 witness = verdict.witness
-                assert witness is not None and witness.report.triple.nontrivial
+                assert witness is not None and witness.triple.nontrivial
                 if G.n == 4 and len(G.edges) == 6:  # the complete graph
                     assert search_triple_products(pe3) is None
                     assert tuple(len(s) for s in witness.supports) == (4, 2, 4)
-                    assert len(witness.report.triple.indeterminacy_basis) == 0
-                    assert witness.report.value.total_degree == 12
-                    assert not witness.report.value.is_zero
+                    assert len(witness.triple.indeterminacy_basis) == 0
+                    assert witness.value.total_degree == 12
+                    assert not witness.value.is_zero
                 else:
                     assert tuple(len(s) for s in witness.supports) == (2, 2, 2)
-                    assert witness.report.triple.strictly_defined
+                    assert witness.triple.strictly_defined
         assert formal_found == 4 and nonformal_found == 6
 
 

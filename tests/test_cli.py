@@ -255,6 +255,13 @@ def test_family_size_capacity_keeps_input_errors_first(capsys):
     assert code == 1
 
 
+def test_family_order_capacity_exit_code(capsys):
+    code, out, err = run(capsys, ["massey", "--family", "9,1"])
+    assert out == ""
+    document = assert_one_capacity_error(code, err, "family-order")
+    assert "n = 9 exceeds capacity 8" in document["error"]
+
+
 def test_maximal_faces_capacity_exit_code(capsys):
     # vertex 1 wedged 99,999 times: its non-face with 3 has 100,000
     # vertices, so the dualization would start from 100,000 candidates

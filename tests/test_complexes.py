@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from moment_angle.complexes import (
     SimplicialComplex,
     _antichain,
+    _mask_of,
+    _tuple_of,
     are_isomorphic,
     from_maximal_faces,
     from_minimal_nonfaces,
@@ -90,6 +92,22 @@ def test_antichain_matches_brute_force(masks):
         expected = {x for x in distinct if not any(beaten(x, y) for y in distinct)}
         kept = _antichain(masks, minimal)
         assert len(kept) == len(set(kept)) and set(kept) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.integers(min_value=0, max_value=(1 << 1100) - 1),
+        st.sets(st.integers(min_value=0, max_value=1099), max_size=40).map(
+            lambda bits: sum(1 << b for b in bits)
+        ),
+    )
+)
+def test_tuple_of_matches_a_per_position_scan(mask):
+    # vertex v is bit v - 1; dense and sparse masks of up to 1,100 bits
+    scan = tuple(v for v in range(1, mask.bit_length() + 1) if mask >> (v - 1) & 1)
+    assert _tuple_of(mask) == scan
+    assert _mask_of(scan, max(mask.bit_length(), 1)) == mask
 
 
 def test_all_pairs_300_gon_builds():

@@ -8,6 +8,7 @@ from moment_angle.errors import CapacityError, InputError
 from moment_angle.families import polygon_nerve
 from moment_angle.graphs import (
     BuildingSet,
+    _component_nonfaces,
     Graph,
     associahedron_nerve,
     formality_classify,
@@ -15,6 +16,8 @@ from moment_angle.graphs import (
     nested_set_complex,
 )
 from moment_angle.rational_linalg import reduced_cohomology_ranks
+
+from conftest import CORPUS_GRAPHS
 
 
 def complete_graph(n):
@@ -115,6 +118,49 @@ def test_facet_correspondence():
         assert all(K.is_face((v,)) for v in range(1, K.m + 1))
 
 
+def non_nested_collections(elements, family):
+    """Every non-nested collection, not only the minimal ones, by the definition.
+
+    Incomparable intersecting pairs, and every collection of two or more
+    pairwise disjoint elements whose union lies in the family.
+    """
+    index = {s: i + 1 for i, s in enumerate(elements)}
+    out = [
+        (index[s1], index[s2])
+        for s1, s2 in itertools.combinations(elements, 2)
+        if set(s1) & set(s2) and not (set(s1) <= set(s2) or set(s2) <= set(s1))
+    ]
+
+    def disjoint(start, chosen, union):
+        if len(chosen) >= 2 and tuple(sorted(union)) in family:
+            out.append(tuple(index[s] for s in chosen))
+        for idx in range(start, len(elements)):
+            if not union & set(elements[idx]):
+                disjoint(idx + 1, chosen + [elements[idx]], union | set(elements[idx]))
+
+    disjoint(0, [], set())
+    return out
+
+
+@pytest.mark.parametrize(
+    "G",
+    [complete_graph(n) for n in range(3, 7)]
+    + [Graph.from_edges(**CORPUS_GRAPHS[name]) for name in sorted(CORPUS_GRAPHS)],
+    ids=[f"k{n}-complete" for n in range(3, 7)] + sorted(CORPUS_GRAPHS),
+)
+def test_component_nonfaces_are_listed_once(G):
+    # each disjoint pair with union in the building set used to be listed twice
+    B = graphical_building_set(G)
+    family = set(B.sets)
+    for block in B.maximal_elements():
+        elements = sorted((s for s in B.sets if set(s) < set(block)), key=lambda s: (len(s), s))
+        m, nonfaces = _component_nonfaces(elements, family)
+        assert len(nonfaces) == len(set(nonfaces))
+        assert SimplicialComplex(m, nonfaces) == SimplicialComplex(
+            m, non_nested_collections(elements, family)
+        )
+
+
 def test_join_compatibility_for_disjoint_graphs():
     G1 = path_graph(3)
     G2 = cycle_graph(3)
@@ -202,8 +248,8 @@ def test_formality_path4_nonformal():
     verdict = formality_classify(path_graph(4))
     assert not verdict.formal
     assert verdict.witness is not None
-    assert verdict.witness.report.triple.nontrivial
-    assert verdict.witness.report.triple.strictly_defined
+    assert verdict.witness.triple.nontrivial
+    assert verdict.witness.triple.strictly_defined
 
 
 def test_formality_k4_uses_long_profile():
@@ -212,6 +258,6 @@ def test_formality_k4_uses_long_profile():
     w = verdict.witness
     assert w is not None
     assert tuple(len(s) for s in w.supports) == (4, 2, 4)
-    assert w.report.value.total_degree == 12
-    assert not w.report.value.is_zero
-    assert len(w.report.triple.indeterminacy_basis) == 0
+    assert w.value.total_degree == 12
+    assert not w.value.is_zero
+    assert len(w.triple.indeterminacy_basis) == 0

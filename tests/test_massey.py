@@ -68,6 +68,23 @@ def test_input_validation():
         )
 
 
+def test_each_class_checks_its_representative_once(monkeypatch):
+    hexn = polygon_nerve(6)
+    with pytest.raises(InputError, match="not a cocycle"):  # {1, 2} is an edge: d u_1 v_2 != 0
+        MasseyClassInput((1, 2), 0, KoszulCochain.monomial(hexn, (1,), (2,)))
+    inp = hexagon_input()
+    calls = []
+    real = KoszulCochain.differential
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(KoszulCochain, "differential", counting)
+    again = MasseyInput(inp.complex, inp.classes)  # the classes were checked when made
+    assert calls == [] and again.classes == inp.classes
+
+
 def test_hexagon_triple_is_defined_but_not_strict():
     inp = hexagon_input()
     ds = build_defining_system(inp)
@@ -145,14 +162,18 @@ def test_window_ranks_match_induced_complexes(degrees):
     # zero representatives pass validation in reduced degrees -1 .. |support| - 1
     # only; window degrees can still fall below -1, where every rank is zero
     K = polygon_nerve(6)
-    classes = [
-        MasseyClassInput((j, j + 3), d, KoszulCochain.zero(K)) for j, d in zip((1, 2, 3), degrees)
-    ]
+
+    def classes():
+        return [
+            MasseyClassInput((j, j + 3), d, KoszulCochain.zero(K))
+            for j, d in zip((1, 2, 3), degrees)
+        ]
+
     if not all(-1 <= d <= 1 for d in degrees):
-        with pytest.raises(InputError):
-            MasseyInput(K, classes)
+        with pytest.raises(InputError):  # a class checks its own degree when made
+            MasseyInput(K, classes())
         return
-    inp = MasseyInput(K, classes)
+    inp = MasseyInput(K, classes())
     table = strict_conditions_check(inp)
     for row in table.rows:
         d = inp.window_reduced_degree(row.start, row.end)
@@ -175,11 +196,11 @@ def test_zero_representatives_outside_the_cohomology_range_are_rejected():
     # the hexagon with reduced degrees (-3, 0, 0) used to be reported defined-strict
     K = polygon_nerve(6)
     for bad in [-3, -2, 2, 5]:
-        classes = [
-            MasseyClassInput((j, j + 3), d, KoszulCochain.zero(K))
-            for j, d in zip((1, 2, 3), (bad, 0, 0))
-        ]
         with pytest.raises(InputError, match="reduced degree"):
+            classes = [
+                MasseyClassInput((j, j + 3), d, KoszulCochain.zero(K))
+                for j, d in zip((1, 2, 3), (bad, 0, 0))
+            ]
             MasseyInput(K, classes)
 
 
@@ -222,9 +243,19 @@ def test_family_subproducts_strictly_zero():
 
 def test_family_capacity():
     with pytest.raises(CapacityError):
-        verify_family_massey(6, 1)
+        verify_family_massey(9, 1)
     with pytest.raises(InputError):
         family_massey_input(1, 1)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_family_products_up_to_the_order_capacity_certify(n):
+    # verify_family_massey raises unless the product is strict and nonzero and
+    # every proper consecutive window is strictly zero
+    fr = verify_family_massey(n, 1)
+    assert fr.report.order == n and fr.report.status == "defined-strict"
+    assert not fr.report.value.is_zero
+    assert len(fr.subproducts) == sum(n - order + 1 for order in range(2, n))
 
 
 def test_greedy_determinism_under_perturbation():
@@ -296,9 +327,31 @@ def test_search_on_path4_associahedron():
     nerve = associahedron_nerve(Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)]))
     witness = search_triple_products(nerve)
     assert witness is not None
-    assert witness.report.triple.nontrivial
+    assert witness.triple.nontrivial
     # repeat runs return the identical witness
     assert search_triple_products(nerve).supports == witness.supports
+
+
+@pytest.mark.parametrize(
+    "small, big, profile",
+    [
+        ("p4", {"n": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5]]}, (3, 3, 3)),
+        ("p4", {"n": 6, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]]}, (3, 3, 3)),
+        ("k4", {"n": 5, "edges": list(itertools.combinations(range(1, 6), 2))}, (5, 3, 5)),
+    ],
+    ids=["p4-into-p5", "p4-into-c6", "k4-into-k5"],
+)
+def test_strict_witness_lifts_to_a_graph_holding_it(small, big, profile):
+    # the nerve of an induced subgraph on vertices 1..4 is the full subcomplex
+    # of the larger nerve on its connected subsets, and Z of a full subcomplex
+    # is a retract: a strict nontrivial triple on it stays one on the larger nerve
+    K = corpus_nerve(small)
+    witness = search_triple_products(K, profile, require_strict=True)
+    big = associahedron_nerve(Graph.from_edges(**big))
+    position = {label: v for v, label in enumerate(big.labels, start=1)}
+    supports = [[position[K.labels[v - 1]] for v in J] for J in witness.supports]
+    report = massey_product(MasseyInput(big, [canonical_class(big, J) for J in supports]))
+    assert report.status == massey.STATUS_DEFINED_STRICT and report.triple.nontrivial
 
 
 def test_search_none_on_pentagon_and_hexagon():
@@ -364,7 +417,7 @@ def assert_search_matches_reference(K, profile):
             assert witness is None
         else:
             assert witness is not None
-            assert (witness.supports, _massey_report_dict(witness.report)) == expected[strict]
+            assert (witness.supports, _massey_report_dict(witness)) == expected[strict]
 
 
 @st.composite
@@ -517,9 +570,30 @@ def test_strict_search_builds_values_of_strict_triples_only(monkeypatch):
 
     monkeypatch.setattr(massey, "massey_value", counting)
     witness = search_triple_products(corpus_nerve("k4"), (5, 3, 5), require_strict=True)
-    assert witness.report.status == massey.STATUS_DEFINED_STRICT
+    assert witness.status == massey.STATUS_DEFINED_STRICT
     assert len(values) == 6
     assert not any(massey._indeterminate(inp) for inp in values)
+
+
+def test_strict_search_checks_each_class_once(monkeypatch):
+    # 59 canonical classes, each checked when made; the parent re-checked all
+    # three classes of each of the 91 defined triples, 372 differentials in all
+    made, differentials = [], []
+    check, differential = MasseyClassInput.__post_init__, KoszulCochain.differential
+
+    def counting_check(self):
+        made.append(self.support)
+        check(self)
+
+    def counting_differential(self):
+        differentials.append(self)
+        return differential(self)
+
+    monkeypatch.setattr(MasseyClassInput, "__post_init__", counting_check)
+    monkeypatch.setattr(KoszulCochain, "differential", counting_differential)
+    search_triple_products(corpus_nerve("k4"), (5, 3, 5), require_strict=True)
+    assert len(made) == len(set(made)) == 59
+    assert len(differentials) <= 158
 
 
 def test_search_reads_each_target_rank_once(monkeypatch):
