@@ -7,6 +7,9 @@ face when it is *nested*: any two members are comparable or disjoint, and no
 two-or-more pairwise disjoint members have their union in the building set.
 Disconnected building sets contribute the join of their components' nerves
 (single-vertex components contribute the empty complex, the join identity).
+Sets are vertex masks.  A disjoint collection of two or more members is never
+extended by an element whose union with one member is in the building set:
+that pair is a non-face, so nothing containing it is minimal, flag or not.
 
 For a simple graph the building set consists of the connected induced
 subgraph vertex sets, and the nerve is the boundary sphere of the
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .complexes import VERTEX_CAPACITY, SimplicialComplex, _as_list
+from .complexes import VERTEX_CAPACITY, SimplicialComplex, _antichain, _as_list, _mask_of, _tuple_of
 from .errors import CapacityError, InputError
 from .massey import MasseyReport, search_triple_products
 
@@ -108,23 +111,19 @@ class BuildingSet:
     sets: tuple  # sorted tuple of sorted tuples
 
     @classmethod
-    def from_sets(cls, ground, sets, validate=True):
+    def from_sets(cls, ground, sets):
         family = {tuple(sorted(set(s))) for s in sets}
         family |= {(v,) for v in range(1, ground + 1)}
         for s in family:
             if not s or s[0] < 1 or s[-1] > ground:
                 raise InputError(f"building-set element {s} outside 1..{ground}")
-        if validate:
-            elems = sorted(family)
-            for s1, s2 in itertools.combinations(elems, 2):
-                if set(s1) & set(s2):
-                    union = tuple(sorted(set(s1) | set(s2)))
-                    if union not in family:
-                        raise InputError(
-                            f"not a building set: {s1} and {s2} intersect but "
-                            f"their union is missing"
-                        )
-        return cls(ground, tuple(sorted(family)))
+        masks = {_mask_of(s, ground): s for s in sorted(family)}  # the first bad pair is reported
+        for (a, s1), (b, s2) in itertools.combinations(masks.items(), 2):
+            if a & b and a | b not in masks:
+                raise InputError(
+                    f"not a building set: {s1} and {s2} intersect but their union is missing"
+                )
+        return cls(ground, tuple(masks.values()))
 
     @property
     def is_connected(self):
@@ -132,11 +131,8 @@ class BuildingSet:
 
     def maximal_elements(self):
         """The maximal members; they partition the ground set."""
-        out = []
-        for s in self.sets:
-            if not any(set(s) < set(t) for t in self.sets):
-                out.append(s)
-        return tuple(sorted(out))
+        masks = (_mask_of(s, self.ground) for s in self.sets)
+        return tuple(sorted(map(_tuple_of, _antichain(masks, minimal=False))))
 
 
 def graphical_building_set(G):
@@ -145,72 +141,72 @@ def graphical_building_set(G):
         raise CapacityError(
             "graph-size", f"graphs are limited to {GRAPH_CAPACITY} vertices"
         )
-    found = set()
-    frontier = [frozenset((v,)) for v in range(1, G.n + 1)]
-    while frontier:
-        nxt = []
+    neighbours = [_mask_of(vs, G.n) for vs in G.adjacency]  # of vertex v at index v
+    found, frontier = set(), {1 << v for v in range(G.n)}
+    while frontier:  # the connected sets one vertex larger than the last round's
+        found |= frontier
+        grown = set()
         for s in frontier:
-            if s in found:
-                continue
-            found.add(s)
-            reachable = set()
-            for v in s:
-                reachable.update(G.adjacency[v])
-            for u in reachable - s:
-                grown = s | {u}
-                if grown not in found:
-                    nxt.append(grown)
-        frontier = nxt
-    return BuildingSet.from_sets(
-        G.n, (tuple(sorted(s)) for s in found), validate=False
-    )
+            reach = 0
+            for v in _tuple_of(s):
+                reach |= neighbours[v]
+            grown.update(s | 1 << (u - 1) for u in _tuple_of(reach & ~s))
+        frontier = grown - found
+    return BuildingSet.from_sets(G.n, map(_tuple_of, found))
 
 
 def _component_nonfaces(elements, family):
-    """Minimal non-nested subsets among the (non-maximal) elements of one block.
+    """Non-nested collections among one block's elements, as vertex tuples.
 
-    Bad pairs are incomparable intersecting pairs; the pairwise disjoint
-    collections (pairs included) whose union lies in the family come from
-    ``grow``, each once.  The antichain reduction on construction of the
-    nerve complex keeps exactly the minimal ones.
+    ``elements`` maps each nerve vertex to its element's mask, and ``family``
+    holds the masks of the building set.  Every minimal collection is listed:
+    the incomparable intersecting pairs, one AND test each, and, from
+    ``grow``, each once, the pairwise disjoint collections whose union is in
+    the family.  ``grow`` extends a collection of two or more members by no
+    element that forms with one of them a disjoint pair whose union is in
+    the family: that pair is a non-face, so nothing containing it is minimal.
+    The antichain pass of ``SimplicialComplex`` drops what else is not minimal.
     """
-    index = {s: i + 1 for i, s in enumerate(elements)}
-    nonfaces = []
-    for s1, s2 in itertools.combinations(elements, 2):
-        a, b = set(s1), set(s2)
-        if a & b and not (a <= b or b <= a):
-            nonfaces.append((index[s1], index[s2]))
+    items = list(elements.items())
+    nonfaces = [
+        (u, v)
+        for i, (u, a) in enumerate(items, 1)
+        for v, b in items[i:]
+        if a & b not in (0, a, b)
+    ]
 
     def grow(start, chosen, union):
-        if len(chosen) >= 2 and tuple(sorted(union)) in family:
-            nonfaces.append(tuple(index[s] for s in chosen))
-            return  # supersets cannot be minimal
-        for idx in range(start, len(elements)):
-            s = elements[idx]
-            if union & set(s):
+        for idx in range(start, len(items)):
+            v, s = items[idx]
+            if union & s or (len(chosen) >= 2 and any(elements[c] | s in family for c in chosen)):
                 continue
-            grow(idx + 1, chosen + [s], union | set(s))
+            if chosen and union | s in family:
+                nonfaces.append((*chosen, v))
+            else:
+                grow(idx + 1, (*chosen, v), union | s)
 
-    grow(0, [], set())
-    return len(elements), nonfaces
+    grow(0, (), 0)
+    return nonfaces
 
 
 def nested_set_complex(B):
     """The nerve complex of the nestohedron: faces are the nested sets.
 
-    Built per maximal element and joined; the vertex order within a block is
-    by (size, lexicographic) over the non-maximal elements.
+    The join of one nerve per maximal element, built as one complex; the
+    vertex order within a block is by (size, lexicographic) over the
+    non-maximal elements.
     """
-    family = set(B.sets)
-    out = SimplicialComplex.empty()
-    for block in B.maximal_elements():
-        elements = sorted(
-            (s for s in B.sets if set(s) < set(block)), key=lambda s: (len(s), s)
+    family = {_mask_of(s, B.ground): s for s in B.sets}
+    nonfaces, labels = [], []
+    for block in (_mask_of(s, B.ground) for s in B.maximal_elements()):
+        inner = sorted(
+            (x for x in family if x & block and x != block),
+            key=lambda x: (x.bit_count(), family[x]),
         )
-        m, nonfaces = _component_nonfaces(elements, family)
-        labels = ["{" + ",".join(str(v) for v in s) + "}" for s in elements]
-        out = out.join(SimplicialComplex(m, nonfaces, labels))
-    return out
+        block_vertices = dict(enumerate(inner, len(labels) + 1))
+        nonfaces.extend(_component_nonfaces(block_vertices, family))
+        labels.extend("{" + ",".join(str(v) for v in family[x]) + "}" for x in inner)
+    return SimplicialComplex(len(labels), nonfaces, labels)
 
 
 def associahedron_nerve(G):

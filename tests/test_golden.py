@@ -29,6 +29,10 @@ CROSS_POLYTOPE_4 = '{"m":8,"minimal_nonfaces":[[1,2],[3,4],[5,6],[7,8]]}'
 P4 = '{"n":4,"edges":[[1,2],[2,3],[3,4]]}'
 K3 = '{"n":3,"edges":[[1,2],[1,3],[2,3]]}'
 K4 = '{"n":4,"edges":[[1,2],[1,3],[1,4],[2,3],[2,4],[3,4]]}'
+# graphs whose nerves have several blocks: P3, K3 and a point (formal); P4, an
+# edge and a point (the witness search runs on a joined nerve)
+P3_K3_POINT = '{"n":7,"edges":[[1,2],[2,3],[4,5],[5,6],[4,6]]}'
+P4_EDGE_POINT = '{"n":7,"edges":[[1,2],[2,3],[3,4],[5,6]]}'
 P4_NERVE = json.dumps(
     associahedron_nerve(Graph.from_json_dict(json.loads(P4))).to_json_dict(include_maximal=True)
 )
@@ -105,6 +109,14 @@ GOLDEN = (
      "9ba1d71471a37bb62b781f52a463f2198079852d1dd8c55153faa3a62c4bc1a3"),
     ("formality-k4", ["graphassoc", "--formality", "--inline", K4],
      "0b1f132534be5c303aeb6bf0684fb2a67113109fdda8056b2673109a11d1623d"),
+    ("graphassoc-p3-k3-point", ["graphassoc", "--inline", P3_K3_POINT],
+     "3eaca613165796f151307234d4d54ddac37ea11b26d9432a8ce4b7da541c399d"),
+    ("formality-p3-k3-point", ["graphassoc", "--formality", "--inline", P3_K3_POINT],
+     "a8a0406ed7abcfcc645080943fee037fb86182932691d632e3615b1f6ebd140d"),
+    ("graphassoc-p4-edge-point", ["graphassoc", "--inline", P4_EDGE_POINT],
+     "0d257d779f63a0f12617b8cbe5097112180677425b66f475f5bc1e33c2ccc67c"),
+    ("formality-p4-edge-point", ["graphassoc", "--formality", "--inline", P4_EDGE_POINT],
+     "6c503f16c9fbda665a5f7c6925e30df660f6a7655c4bc363ac6a01298319b175"),
 )
 
 

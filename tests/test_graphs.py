@@ -1,7 +1,11 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moment_angle.complexes import VERTEX_CAPACITY, SimplicialComplex, are_isomorphic
 from moment_angle.errors import CapacityError, InputError
@@ -58,6 +62,11 @@ def test_building_set_examples():
 def test_building_set_axiom_rejects_bad_family():
     with pytest.raises(InputError):
         BuildingSet.from_sets(3, [(1, 2), (2, 3)])  # union {1,2,3} missing
+    # the first bad pair in sorted order is the one reported
+    with pytest.raises(InputError, match=r"\(1, 2\) and \(2, 3\) intersect"):
+        BuildingSet.from_sets(4, [(3, 4), (2, 3), (1, 2)])
+    with pytest.raises(InputError):
+        BuildingSet.from_sets(3, [(1.5, 2)])  # a vertex is an integer
 
 
 def test_building_set_closure_random_graphs():
@@ -142,6 +151,14 @@ def non_nested_collections(elements, family):
     return out
 
 
+def mask(s):
+    return sum(1 << (v - 1) for v in s)
+
+
+def block_elements(B, block):
+    return sorted((s for s in B.sets if set(s) < set(block)), key=lambda s: (len(s), s))
+
+
 @pytest.mark.parametrize(
     "G",
     [complete_graph(n) for n in range(3, 7)]
@@ -153,12 +170,76 @@ def test_component_nonfaces_are_listed_once(G):
     B = graphical_building_set(G)
     family = set(B.sets)
     for block in B.maximal_elements():
-        elements = sorted((s for s in B.sets if set(s) < set(block)), key=lambda s: (len(s), s))
-        m, nonfaces = _component_nonfaces(elements, family)
-        assert len(nonfaces) == len(set(nonfaces))
-        assert SimplicialComplex(m, nonfaces) == SimplicialComplex(
-            m, non_nested_collections(elements, family)
+        elements = block_elements(B, block)
+        nonfaces = _component_nonfaces(
+            {v: mask(s) for v, s in enumerate(elements, 1)}, set(map(mask, family))
         )
+        assert len(nonfaces) == len(set(nonfaces))
+        assert SimplicialComplex(len(elements), nonfaces) == SimplicialComplex(
+            len(elements), non_nested_collections(elements, family)
+        )
+
+
+@st.composite
+def building_sets(draw):
+    """Random subsets plus the singletons, closed under unions of intersecting
+    members: many are neither graphical nor flag."""
+    ground = draw(st.integers(min_value=1, max_value=5))
+    family = {(v,) for v in range(1, ground + 1)}
+    family |= {
+        tuple(sorted(s))
+        for s in draw(st.lists(st.sets(st.integers(1, ground), min_size=1), max_size=6))
+    }
+    grown = True
+    while grown:
+        unions = {
+            tuple(sorted(set(a) | set(b)))
+            for a, b in itertools.combinations(family, 2)
+            if set(a) & set(b)
+        }
+        grown = not unions <= family
+        family |= unions
+    return BuildingSet.from_sets(ground, family)
+
+
+@settings(max_examples=300, deadline=None)
+@given(building_sets())
+def test_nested_set_complex_matches_the_definition(B):
+    # the join over the blocks of the nerves listed by the definition, labels included
+    family = set(B.sets)
+    expected = SimplicialComplex.empty()
+    for block in B.maximal_elements():
+        elements = block_elements(B, block)
+        expected = expected.join(SimplicialComplex(
+            len(elements),
+            non_nested_collections(elements, family),
+            ["{" + ",".join(map(str, s)) + "}" for s in elements],
+        ))
+    K = nested_set_complex(B)
+    assert K == expected
+    assert K.labels == expected.labels
+
+
+# sha256 of the canonical JSON of each nerve, recorded before the nerve code
+# moved onto vertex masks; the star took about 20 s to build then
+PINNED_NERVES = {
+    "p10": (path_graph(10), 54, "da12362f6a8ff95d06af931cf0991b7a1fa807a0370aba469b426584b3b40dca"),
+    "c10": (cycle_graph(10), 90, "4dc67a8e5df027ace1d7e000dd557b7339dade80478d68867ad5e07c8f4bfd91"),
+    "star-k1-9": (
+        Graph.from_edges(10, [(1, v) for v in range(2, 11)]),
+        520,
+        "2ea02f2dd08c7397968f9f1970dfe92ab36be47ded41ef11b893cac5985c63c2",
+    ),
+    "k9": (complete_graph(9), 510, "1db3b52be2c55da7ada15e5741d3d1aa2152a31fd7bfcc71a3b4c6a7507a8848"),
+}
+
+
+@pytest.mark.parametrize("G,m,digest", PINNED_NERVES.values(), ids=PINNED_NERVES.keys())
+def test_pinned_nerves_at_the_graph_capacity(G, m, digest):
+    K = associahedron_nerve(G)
+    blob = json.dumps(K.to_json_dict(), sort_keys=True, separators=(",", ":"))
+    assert K.m == m
+    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == digest
 
 
 def test_join_compatibility_for_disjoint_graphs():
