@@ -87,24 +87,28 @@ def _tuple_of(mask):
 def _antichain(masks, minimal):
     """Inclusion-minimal (or -maximal) elements of a collection of bitmasks.
 
-    Masks are visited by size, smallest (largest) first.  Distinct masks of
-    one size never contain each other, so a mask is compared only with the
-    kept masks of the sizes before its own: equal-sized masks make no
-    comparison at all.
+    Masks are bucketed by size and the buckets visited smallest (largest)
+    first.  Distinct masks of one size never contain each other, so a mask
+    is compared only with the kept masks of the buckets before its own, and
+    the first bucket is kept whole.  Each bucket is in increasing order.
+    Repeats are dropped after sorting, not by a set: an int hashes to its
+    value modulo 2^61 - 1, so bit v and bit v + 61 hash alike, and a set of
+    465,751 two-bit masks of 1,022 bits (1,891 hash values) spent 4.9 s on
+    collisions.
     """
-    sign = 1 if minimal else -1
-    masks = sorted(set(masks), key=lambda x: (sign * x.bit_count(), x))
-    kept, earlier, size = [], [], None  # earlier: the kept masks of earlier sizes
-    for m in masks:
-        s = m.bit_count()
-        if s != size:
-            size, earlier = s, kept[:]
-        if minimal:
-            dominated = any(k & m == k for k in earlier)
-        else:
-            dominated = any(k & m == m for k in earlier)
-        if not dominated:
-            kept.append(m)
+    by_size, last = {}, None
+    for x in sorted(masks):
+        if x != last:
+            by_size.setdefault(x.bit_count(), []).append(x)
+            last = x
+    kept = []
+    for size in sorted(by_size, reverse=not minimal):
+        level = by_size[size]
+        if kept and minimal:
+            level = [x for x in level if not any(k & x == k for k in kept)]
+        elif kept:
+            level = [x for x in level if not any(k & x == x for k in kept)]
+        kept.extend(level)
     return kept
 
 
@@ -557,12 +561,19 @@ class SimplicialComplex:
         A bitmask flood fill: an edge is a face exactly when it is not a
         minimal non-face, so v reaches each vertex of the set outside its pairs.
         """
-        rest = self._full_mask if vertices is None else _mask_of(vertices, self.m)
-        count = 0
-        while rest:
-            count += 1
-            rest ^= self.component_mask(rest)
-        return count
+        mask = self._full_mask if vertices is None else _mask_of(vertices, self.m)
+        return len(self.component_masks(mask))
+
+    def component_masks(self, mask):
+        """The components of the 1-skeleton of K_J as bitmasks, J given by the bitmask ``mask``.
+
+        Listed by their lowest vertex, lowest first.
+        """
+        out = []
+        while mask:
+            out.append(self.component_mask(mask))
+            mask ^= out[-1]
+        return out
 
     def component_mask(self, mask):
         """The component of the lowest vertex of J in the 1-skeleton of K_J, as a bitmask.

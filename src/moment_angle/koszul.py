@@ -260,8 +260,7 @@ class ComponentBasis:
     basis scan builds only the cocycles it reads) and cohomology read
     modulo the coboundaries: ``cohomology_basis`` and ``class_vector`` work
     on residuals under that matrix (see ``SparseMatrix.residual``), held in
-    an ``Echelon``, with no matrix of cocycle or class columns, and
-    ``is_coboundary`` tests one residual for zero.
+    an ``Echelon``, with no matrix of cocycle or class columns.
     """
 
     __slots__ = ("complex", "multidegree", "total_degree", "_mask", "_faces", "_cache")
@@ -395,16 +394,6 @@ class ComponentBasis:
         if rest:  # cannot happen for a cocycle of this component
             raise NotACocycleError("cocycle not in span of coboundaries + cohomology basis")
         return x
-
-    def is_coboundary(self, cochain):
-        """Whether a cocycle of this component is a coboundary (its class is zero).
-
-        The test ``class_vector`` makes, its residual modulo the coboundaries,
-        read without the cohomology basis.
-        """
-        if not cochain.differential().is_zero():
-            raise NotACocycleError(f"d({cochain!r}) != 0")
-        return not any(self.matrix_from_below().residual(self.coordinates(cochain)))
 
     def key(self):
         return (self.multidegree, self.total_degree)

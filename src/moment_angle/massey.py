@@ -24,6 +24,11 @@ strictly defined and greedy cannot fail.
 
 Each class checks its representative once, when it is made.  Only
 ``massey_product`` decides a status; the witness search returns its report.
+The search decides whether the cup products and the indeterminacy of a
+triple of degree-0 classes vanish on the 1-skeleton, from which components
+of one support's induced subcomplex are joined by edges to both components
+of another's (proof at ``search_triple_products``), and builds classes and
+cochains only for the triples that pass.
 
 All class-level comparisons against named representatives are made up to a
 nonzero rational scalar, since printed representatives are only well defined
@@ -34,7 +39,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .complexes import _mask_of, _tuple_of
 from .errors import CapacityError, InputError, VerificationError
@@ -378,19 +383,6 @@ def _shift_products(input):
                 yield prod
 
 
-def _indeterminate(input):
-    """Whether a triple's indeterminacy is nonzero, decided without its value.
-
-    True at the first shift product (each checked to be a cocycle) that is
-    not a coboundary in the value's component; neither the corner residue
-    nor the component's cohomology basis is built.
-    """
-    target = component_basis(
-        input.complex, input.window_support(1, 3), input.window_total_degree(1, 3)
-    )
-    return not all(target.is_coboundary(prod) for prod in _shift_products(input))
-
-
 def triple_value_set(input, ds=None):
     """Representative plus indeterminacy span of a defined triple product.
 
@@ -483,11 +475,29 @@ def massey_product(input, ds=None):
 # -- witness search -----------------------------------------------------------------
 
 
+class _Support(NamedTuple):
+    """A candidate support J whose 1-skeleton K_J has exactly two components."""
+
+    vertices: tuple
+    mask: int
+    parts: tuple  # the masks of the two components P and Q
+    near: tuple  # the vertices joined by an edge of K to P, and to Q
+
+
 def _h0_candidates(K, size, capacity):
     """Supports of the given size whose induced subcomplex has exactly 2 components.
 
-    Raises CapacityError before scanning more than ``capacity`` subsets.
+    Each is a ``_Support``, in lexicographic order.  Raises CapacityError
+    before scanning more than ``capacity`` subsets.
     """
+    stars = K._nonface_stars()
+
+    def near(part):  # ~pairs of v: v and every u with {u, v} an edge
+        out = 0
+        for v in _tuple_of(part):
+            out |= ~stars[v][0]
+        return out
+
     out = []
     subsets = itertools.combinations(range(1, K.m + 1), size)
     for scanned, J in enumerate(subsets):
@@ -497,9 +507,34 @@ def _h0_candidates(K, size, capacity):
                 f"capacity {capacity} reached after scanning {scanned} of the "
                 f"{math.comb(K.m, size)} candidate supports of size {size}",
             )
-        if K.component_count(J) == 2:
-            out.append(J)
+        mask = _mask_of(J, K.m)
+        parts = K.component_masks(mask)
+        if len(parts) == 2:
+            out.append(_Support(J, mask, tuple(parts), (near(parts[0]), near(parts[1]))))
     return out
+
+
+def _bridging(parts, support):
+    """How many of the disjoint masks ``parts`` bridge ``support``.
+
+    A part D bridges a support J with components P and Q when some edge of
+    K joins D to P and some edge joins D to Q.
+    """
+    to_p, to_q = support.near
+    return sum(1 for part in parts if part & to_p and part & to_q)
+
+
+def _cup_is_zero(a, b):
+    """Whether the product of the classes on the supports ``a`` and ``b`` is zero."""
+    return _bridging(b.parts, a) < 2
+
+
+def _shifts_are_zero(K, s1, s2, s3):
+    """Whether the indeterminacy of the triple on the supports s1, s2, s3 is zero."""
+    return (
+        _bridging(K.component_masks(s2.mask | s3.mask), s1) < 2
+        and _bridging(K.component_masks(s1.mask | s2.mask), s3) < 2
+    )
 
 
 def search_triple_products(K, profile=None, capacity=SEARCH_TRIPLE_CAPACITY,
@@ -521,14 +556,46 @@ def search_triple_products(K, profile=None, capacity=SEARCH_TRIPLE_CAPACITY,
 
     1. the target rank: by Hochster's formula the value lies in H~^1 of K
        on J = J1 u J2 u J3, and a triple with that rank zero can never be a
-       witness.  It is skipped before any class or cochain is built (read
-       once per J in a search), but it still counts toward ``capacity``;
-    2. the cup cells: a_1 a_2 and a_2 a_3 must be coboundaries;
-    3. with ``require_strict`` only, the shifts: the triple is rejected at
-       its first shift product that is not a coboundary in the target, so
-       neither its value nor the target's cohomology basis is built;
-    4. the value set, read by ``massey_product`` on the two solved cup
-       cells, which must miss zero.
+       witness.  It is read once per J in a search, and a skipped triple
+       still counts toward ``capacity``;
+    2. the cup cells: a_1 a_2 and a_2 a_3 must vanish;
+    3. with ``require_strict`` only, the shifts: the indeterminacy must be
+       zero;
+    4. the value set, which must miss zero.
+
+    Tests 2 and 3 are read on the 1-skeleton, and no class or cochain is
+    built for a triple that fails them.  Each support J_i has two
+    components P_i and Q_i; a component D of K_B bridges J_i when some edge
+    of K joins D to P_i and some edge joins D to Q_i.  Then
+
+    - a_i a_j != 0 exactly when both components of K_{J_j} bridge J_i;
+    - the indeterminacy a_1 H~^0(K_{J2 u J3}) + H~^0(K_{J1 u J2}) a_3 is
+      nonzero exactly when two or more components of K_{J2 u J3} bridge J1,
+      or two or more components of K_{J1 u J2} bridge J3.
+
+    Proof.  Under Hochster's isomorphism, with Baskakov's product (Russ.
+    Math. Surveys 57, 2002), the product of 0-classes f on A and g on B
+    (disjoint) is the 1-cocycle c(a, b) = f(a) g(b) on the edges of
+    K_{A u B} from A to B, and 0 on the edges inside A or inside B.  A
+    potential h with dh = c is constant on every component of K_A and of
+    K_B, and across an edge from a component C of K_A to a component D of
+    K_B it must step by f(C) g(D).  So c is a coboundary exactly when these
+    steps sum to zero around every cycle of the graph whose nodes are the
+    components and whose arcs join the components some edge of K joins.
+    Here K_A has the two components P and Q, so the cycles are spanned by
+    the 4-cycles P - D - Q - D' over pairs of components D, D' of K_B that
+    both bridge A, where the steps sum to (f(P) - f(Q)) (g(D) - g(D')) with
+    f(P) != f(Q).  For the cup products K_B has two components on which g
+    differs; for the shifts g runs over all of H~^0(K_B), the functions
+    constant on its components, so some g separates two bridging
+    components as soon as there are two.  Whether a 1-cochain is a
+    coboundary reads only the 1-skeleton, so the rules hold for every
+    complex, flag or not.
+
+    A triple that passes is given its canonical classes and its two solved
+    cup cells, and its value set is read by ``triple_value_set``; only the
+    returned witness (or, with ``require_strict``, each triple that reaches
+    test 4) is given the report of ``massey_product``.
     """
     if profile is None:
         profile = (3, 3, 3)
@@ -536,20 +603,20 @@ def search_triple_products(K, profile=None, capacity=SEARCH_TRIPLE_CAPACITY,
     if len(profile) != 3 or any(d < 3 for d in profile):
         raise InputError(f"profile must list three class dimensions >= 3, got {profile}")
     sizes = tuple(d - 1 for d in profile)
-    candidates = {
-        size: [(J, _mask_of(J, K.m)) for J in _h0_candidates(K, size, capacity)]
-        for size in set(sizes)
-    }
+    candidates = {size: _h0_candidates(K, size, capacity) for size in set(sizes)}
     cell_cache = {}
 
     def cup_cell(cl_a, cl_b):
-        """Solved cell for <a, b> or None when the cup class is nonzero."""
+        """Solved cell for <a, b>, whose product the 1-skeleton rule found zero."""
         key = (cl_a.support, cl_b.support)
         if key not in cell_cache:
             rhs = cl_a.representative.bar() * cl_b.representative
             support = tuple(sorted(cl_a.support + cl_b.support))
             degree = cl_a.total_degree + cl_b.total_degree
-            cell_cache[key] = component_basis(K, support, degree).primitive(rhs)
+            cell = component_basis(K, support, degree).primitive(rhs)
+            if cell is None:
+                raise VerificationError(f"cup product on {key} is not zero: 1-skeleton rule broken")
+            cell_cache[key] = cell
         return cell_cache[key]
 
     examined = 0
@@ -561,13 +628,13 @@ def search_triple_products(K, profile=None, capacity=SEARCH_TRIPLE_CAPACITY,
             class_cache[J] = canonical_class(K, J)
         return class_cache[J]
 
-    for J1, mask1 in candidates[sizes[0]]:
-        for J2, mask2 in candidates[sizes[1]]:
-            if mask1 & mask2:
+    for s1 in candidates[sizes[0]]:
+        for s2 in candidates[sizes[1]]:
+            if s1.mask & s2.mask:
                 continue
-            mask12 = mask1 | mask2
-            for J3, mask3 in candidates[sizes[2]]:
-                if mask12 & mask3:
+            mask12 = s1.mask | s2.mask
+            for s3 in candidates[sizes[2]]:
+                if mask12 & s3.mask:
                     continue
                 examined += 1
                 if examined > capacity:
@@ -576,26 +643,25 @@ def search_triple_products(K, profile=None, capacity=SEARCH_TRIPLE_CAPACITY,
                         f"examined more than {capacity} candidate triples",
                     )
                 # the value lies in reduced degree d(1, 3) = 1 on J1 u J2 u J3
-                union = mask12 | mask3
+                union = mask12 | s3.mask
                 rank = target_ranks.get(union)
                 if rank is None:
                     rank = target_ranks[union] = _window_rank(K, _tuple_of(union), 1)
-                if rank == 0:
+                if rank == 0 or not (_cup_is_zero(s1, s2) and _cup_is_zero(s2, s3)):
                     continue
-                c1, c2, c3 = cls(J1), cls(J2), cls(J3)
-                cell13 = cup_cell(c1, c2)
-                if cell13 is None:
+                if require_strict and not _shifts_are_zero(K, s1, s2, s3):
                     continue
-                cell24 = cup_cell(c2, c3)
-                if cell24 is None:
-                    continue
+                c1, c2, c3 = cls(s1.vertices), cls(s2.vertices), cls(s3.vertices)
                 input = MasseyInput(K, (c1, c2, c3))
-                if require_strict and _indeterminate(input):
-                    continue
-                ds = DefiningSystem(input, {(1, 3): cell13, (2, 4): cell24})
-                report = massey_product(input, ds)
-                if report.triple.nontrivial:  # strict here if require_strict: test 3 passed
-                    return report
+                ds = DefiningSystem(input, {(1, 3): cup_cell(c1, c2), (2, 4): cup_cell(c2, c3)})
+                if require_strict:  # test 3 passed: the value set is a single class
+                    report = massey_product(input, ds)
+                    if report.status != STATUS_DEFINED_STRICT:
+                        raise VerificationError("indeterminacy is not zero: 1-skeleton rule broken")
+                    if report.triple.nontrivial:
+                        return report
+                elif triple_value_set(input, ds).nontrivial:
+                    return massey_product(input, ds)
     return None
 
 

@@ -15,8 +15,10 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from moment_angle.complexes import SimplicialComplex
+from moment_angle.errors import NotACocycleError
 from moment_angle.graphs import Graph, associahedron_nerve
-from moment_angle.koszul import KoszulCochain
+from moment_angle.koszul import KoszulCochain, component_basis
+from moment_angle.massey import _shift_products
 from moment_angle.rational_linalg import SparseMatrix
 from moment_angle.real_cochains import RealCochain
 
@@ -173,6 +175,37 @@ def differential_matrix(model, K, source, target_index):
         for target, sign in differential_terms(K, a, b):
             entries[(target_index[target], col)] = sign
     return SparseMatrix(len(target_index), len(source), entries)
+
+
+def is_coboundary(comp, cochain):
+    """Slow-path test whether a cocycle of the Koszul component ``comp`` is a coboundary.
+
+    Its residual modulo the coboundaries, the test ``class_vector`` makes,
+    read without the cohomology basis.
+    """
+    if not cochain.differential().is_zero():
+        raise NotACocycleError(f"d({cochain!r}) != 0")
+    return not any(comp.matrix_from_below().residual(comp.coordinates(cochain)))
+
+
+def koszul_cup_is_zero(a, b):
+    """Slow-path test whether the product of two ``MasseyClassInput``s is zero in the Koszul model."""
+    support = tuple(sorted(a.support + b.support))
+    comp = component_basis(a.representative.complex, support, a.total_degree + b.total_degree)
+    return is_coboundary(comp, a.representative.bar() * b.representative)
+
+
+def koszul_indeterminate(input):
+    """Slow-path test whether a triple's indeterminacy is nonzero, without its value.
+
+    True at the first shift product that is not a coboundary in the value's
+    component; the 1-skeleton rule of ``massey.search_triple_products`` is
+    compared with it.
+    """
+    target = component_basis(
+        input.complex, input.window_support(1, 3), input.window_total_degree(1, 3)
+    )
+    return not all(is_coboundary(target, prod) for prod in _shift_products(input))
 
 
 def component_monomials(comp):

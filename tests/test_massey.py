@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from moment_angle import massey
 from moment_angle.cli import _massey_report_dict
-from moment_angle.complexes import SimplicialComplex, stellar_vertex_cut
+from moment_angle.complexes import SimplicialComplex, _tuple_of, stellar_vertex_cut
 from moment_angle.errors import CapacityError, InputError, VerificationError
 from moment_angle.families import polygon_nerve
 from moment_angle.graphs import Graph, associahedron_nerve
@@ -31,7 +31,13 @@ from moment_angle.massey import (
 )
 from moment_angle.rational_linalg import SparseMatrix, reduced_cohomology_rank
 
-from conftest import CORPUS_GRAPHS, corpus_nerve, small_complexes
+from conftest import (
+    CORPUS_GRAPHS,
+    corpus_nerve,
+    koszul_cup_is_zero,
+    koszul_indeterminate,
+    small_complexes,
+)
 
 SEARCH_PROFILES = [(3, 3, 3), (3, 4, 3), (5, 3, 5)]
 
@@ -553,7 +559,7 @@ def test_strict_rejection_matches_the_value_set():
     for name in ("k3", "p4", "star4", "c4"):
         for inp, ds in defined_canonical_triples(corpus_nerve(name)):
             strict = triple_value_set(inp, ds).strictly_defined
-            assert massey._indeterminate(inp) == (not strict)
+            assert koszul_indeterminate(inp) == (not strict)
             seen[name, strict] += 1
     assert {strict for _, strict in seen} == {False, True}, seen
 
@@ -572,12 +578,11 @@ def test_strict_search_builds_values_of_strict_triples_only(monkeypatch):
     witness = search_triple_products(corpus_nerve("k4"), (5, 3, 5), require_strict=True)
     assert witness.status == massey.STATUS_DEFINED_STRICT
     assert len(values) == 6
-    assert not any(massey._indeterminate(inp) for inp in values)
+    assert not any(koszul_indeterminate(inp) for inp in values)
 
 
 def test_strict_search_checks_each_class_once(monkeypatch):
-    # 59 canonical classes, each checked when made; the parent re-checked all
-    # three classes of each of the 91 defined triples, 372 differentials in all
+    # each canonical class is checked once, when made
     made, differentials = [], []
     check, differential = MasseyClassInput.__post_init__, KoszulCochain.differential
 
@@ -591,9 +596,153 @@ def test_strict_search_checks_each_class_once(monkeypatch):
 
     monkeypatch.setattr(MasseyClassInput, "__post_init__", counting_check)
     monkeypatch.setattr(KoszulCochain, "differential", counting_differential)
-    search_triple_products(corpus_nerve("k4"), (5, 3, 5), require_strict=True)
-    assert len(made) == len(set(made)) == 59
-    assert len(differentials) <= 158
+    witness = search_triple_products(corpus_nerve("k4"), (5, 3, 5), require_strict=True)
+    assert witness.supports == ((1, 2, 3, 5), (6, 7), (9, 12, 13, 14))
+    # the 1-skeleton tests reject the other 85 defined triples before any class
+    # is made, so only the 9 classes of the 6 strict triples are
+    assert len(made) == len(set(made)) == 9
+    assert len(differentials) <= 22
+
+
+def test_default_search_builds_no_condition_table_before_its_witness(monkeypatch):
+    # the K4 nerve's 4,056 defined triples with a nonzero target are read by
+    # their value sets alone; a witness is given the one report it returns
+    tables = []
+    real = massey.strict_conditions_check
+
+    def counting(input):
+        tables.append(input)
+        return real(input)
+
+    monkeypatch.setattr(massey, "strict_conditions_check", counting)
+    assert search_triple_products(corpus_nerve("k4")) is None
+    assert tables == []
+    witness = search_triple_products(corpus_nerve("p4"))
+    assert witness.triple.nontrivial and len(tables) == 1
+
+
+def nonzero_target_triples(K, profile):
+    """The disjoint candidate triples of a search whose target H~^1 is nonzero, in scan order."""
+    sizes = [d - 1 for d in profile]
+    candidates = {
+        size: massey._h0_candidates(K, size, massey.SEARCH_TRIPLE_CAPACITY) for size in set(sizes)
+    }
+    for triple in itertools.product(*(candidates[size] for size in sizes)):
+        union = triple[0].mask | triple[1].mask | triple[2].mask
+        if union.bit_count() == sum(sizes) and _window_rank(K, _tuple_of(union), 1):
+            yield triple
+
+
+def skeleton_decisions(K, s1, s2, s3):
+    """The search's tests 2 and 3 on the 1-skeleton: (a1 a2 zero, a2 a3 zero, shifts zero)."""
+    return (
+        massey._cup_is_zero(s1, s2),
+        massey._cup_is_zero(s2, s3),
+        massey._shifts_are_zero(K, s1, s2, s3),
+    )
+
+
+def koszul_decisions(K, classes):
+    """The same three decisions read in the Koszul model, on canonical classes."""
+    c1, c2, c3 = classes
+    return (
+        koszul_cup_is_zero(c1, c2),
+        koszul_cup_is_zero(c2, c3),
+        not koszul_indeterminate(MasseyInput(K, classes)),
+    )
+
+
+def assert_skeleton_decisions_match(K, profile, last=None):
+    """Compare the decisions on every nonzero-target triple, up to the supports ``last``."""
+    classes = {}
+
+    def cls(J):
+        if J not in classes:
+            classes[J] = canonical_class(K, J)
+        return classes[J]
+
+    seen = Counter()
+    for triple in nonzero_target_triples(K, profile):
+        fast = skeleton_decisions(K, *triple)
+        assert fast == koszul_decisions(K, [cls(s.vertices) for s in triple]), triple
+        seen[fast] += 1
+        if tuple(s.vertices for s in triple) == last:
+            break
+    return seen
+
+
+@pytest.mark.parametrize("profile", [(3, 3, 3), (5, 3, 5)], ids=["3,3,3", "5,3,5"])
+@pytest.mark.parametrize("name", sorted(CORPUS_GRAPHS))
+def test_skeleton_decisions_match_the_koszul_model_on_corpus_nerves(name, profile):
+    # every nonzero-target triple under (3, 3, 3), 14,250 in all; under (5, 3, 5)
+    # the K4 nerve alone has 385,458, so there the triples the strict search
+    # decides, up to its witness, are compared (every one where it has none)
+    K = corpus_nerve(name)
+    last = None
+    if profile == (5, 3, 5):
+        witness = search_triple_products(K, profile, require_strict=True)
+        last = witness and witness.supports
+    seen = assert_skeleton_decisions_match(K, profile, last)
+    if name in ("c4", "k4"):  # both outcomes of the second cup and of the shifts are met
+        assert {fast[1] for fast in seen} == {fast[2] for fast in seen} == {False, True}, seen
+
+
+@st.composite
+def nonflag_corpus_nerves(draw):
+    """An induced corpus nerve with one to three of its faces of 3 or 4 vertices made non-faces.
+
+    Such a non-face keeps the 1-skeleton and removes higher faces, so the
+    target ranks move while the 1-skeleton rules must still hold.
+    """
+    K = draw(induced_corpus_nerves())
+    faces = K.faces(3) + K.faces(4)
+    if not faces:
+        return K
+    extra = draw(st.lists(st.sampled_from(faces), min_size=1, max_size=3))
+    return SimplicialComplex(K.m, list(K.minimal_nonfaces) + extra)
+
+
+SKELETON_PROFILES = [(3, 3, 3), (3, 4, 3)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(small_complexes(max_m=7), induced_corpus_nerves(), nonflag_corpus_nerves()),
+    st.sampled_from(SKELETON_PROFILES),
+)
+def test_skeleton_decisions_match_the_koszul_model(K, profile):
+    assert_skeleton_decisions_match(K, profile)
+
+
+def triple_decision(K, supports):
+    """What the search reads of one triple: its 1-skeleton tests, status and nontriviality."""
+    records = {
+        s.vertices: s
+        for size in {len(J) for J in supports}
+        for s in massey._h0_candidates(K, size, massey.SEARCH_TRIPLE_CAPACITY)
+    }
+    report = massey_product(MasseyInput(K, [canonical_class(K, J) for J in supports]))
+    nontrivial = report.triple is not None and report.triple.nontrivial
+    return skeleton_decisions(K, *(records[J] for J in supports)), report.status, nontrivial
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(induced_corpus_nerves(), nonflag_corpus_nerves()),
+    st.sampled_from(SKELETON_PROFILES),
+    st.data(),
+)
+def test_triple_decision_is_local(K, profile, data):
+    # K_J is a full subcomplex, so Z of it is a retract of Z_K: a triple's
+    # decision in K is its decision in K_J, J the union of its supports
+    triples = list(nonzero_target_triples(K, profile))
+    if not triples:
+        return
+    supports = tuple(s.vertices for s in data.draw(st.sampled_from(triples)))
+    J = sorted(sum(supports, ()))
+    local = {v: i for i, v in enumerate(J, start=1)}
+    relabelled = tuple(tuple(local[v] for v in support) for support in supports)
+    assert triple_decision(K, supports) == triple_decision(K.induced(J), relabelled)
 
 
 def test_search_reads_each_target_rank_once(monkeypatch):
