@@ -22,13 +22,13 @@ non-greedy choices could still succeed, and deciding that is not attempted.
 When the vanishing conditions on the window cohomology hold, the product is
 strictly defined and greedy cannot fail.
 
-Each class checks its representative once, when it is made.  Only
-``massey_product`` decides a status; the witness search returns its report.
-The search decides whether the cup products and the indeterminacy of a
-triple of degree-0 classes vanish on the 1-skeleton, from which components
-of one support's induced subcomplex are joined by edges to both components
-of another's (proof at ``search_triple_products``), and builds classes and
-cochains only for the triples that pass.
+Each class checks its representative once, when it is made.  One report
+builder decides every status: ``massey_product`` and the witness search
+both hand it the value set they read, so no value is built twice.  The
+search decides whether the cup products and the indeterminacy of a triple
+of degree-0 classes vanish on the 1-skeleton (proof at
+``search_triple_products``), and builds classes and cochains only for the
+triples that pass.
 
 All class-level comparisons against named representatives are made up to a
 nonzero rational scalar, since printed representatives are only well defined
@@ -38,7 +38,7 @@ up to sign conventions.
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import NamedTuple, Optional
 
 from .complexes import _mask_of, _tuple_of
@@ -443,13 +443,21 @@ def massey_product(input, ds=None):
 
     ``ds`` is a defining system (or failure) already built for the input.
     """
+    conditions = strict_conditions_check(input) if input.k >= 3 else None
+    if ds is None:
+        ds = build_defining_system(input)
+    triple = None
+    if input.k == 3 and not isinstance(ds, CellFailure):
+        triple = triple_value_set(input, ds)
+    return _report(input, conditions, ds, triple)
+
+
+def _report(input, conditions, ds, triple):
+    """The report on ``ds`` (or its failure) with its condition table and,
+    for k = 3, the value set ``triple`` already read from ``ds``."""
     k = input.k
     supports = tuple(cl.support for cl in input.classes)
     degrees = tuple(cl.reduced_degree for cl in input.classes)
-    conditions = strict_conditions_check(input) if k >= 3 else None
-
-    if ds is None:
-        ds = build_defining_system(input)
     if isinstance(ds, CellFailure):
         status = STATUS_NOT_DEFINED if k == 3 else STATUS_GREEDY_FAILED
         if k >= 4 and conditions.strict_guarantee:
@@ -458,9 +466,7 @@ def massey_product(input, ds=None):
             )
         return MasseyReport(k, supports, degrees, status, conditions, None, None, ds)
 
-    triple = None
     if k == 3:
-        triple = triple_value_set(input, ds)
         value = triple.representative
         if conditions.strict_guarantee and not triple.strictly_defined:
             raise VerificationError("vanishing conditions hold but indeterminacy is nonzero")
@@ -551,19 +557,21 @@ def search_triple_products(K, profile=None, capacity=SEARCH_TRIPLE_CAPACITY,
     ``capacity`` bounds both the supports scanned for each class size and
     the candidate triples examined.
 
-    Each candidate triple meets the tests in this order, and the first that
-    fails rejects it:
+    Each candidate triple meets one chain of tests in both modes, and the
+    first that fails rejects it (a rejected triple still counts toward
+    ``capacity``):
 
-    1. the target rank: by Hochster's formula the value lies in H~^1 of K
-       on J = J1 u J2 u J3, and a triple with that rank zero can never be a
-       witness.  It is read once per J in a search, and a skipped triple
-       still counts toward ``capacity``;
-    2. the cup cells: a_1 a_2 and a_2 a_3 must vanish;
-    3. with ``require_strict`` only, the shifts: the indeterminacy must be
+    1. with ``require_strict`` only, the shifts: the indeterminacy must be
        zero;
-    4. the value set, which must miss zero.
+    2. the target rank: by Hochster's formula the value lies in H~^1 of K
+       on J = J1 u J2 u J3, and a triple with that rank zero can never be a
+       witness.  It is read once per J in a search;
+    3. the cup cells: a_1 a_2 and a_2 a_3 must vanish;
+    4. the value set, read once by ``triple_value_set``, which must miss
+       zero.  With ``require_strict`` a value set that is not a single
+       class raises ``VerificationError``, since test 1 decided it is one.
 
-    Tests 2 and 3 are read on the 1-skeleton, and no class or cochain is
+    Tests 1 and 3 are read on the 1-skeleton, and no class or cochain is
     built for a triple that fails them.  Each support J_i has two
     components P_i and Q_i; a component D of K_B bridges J_i when some edge
     of K joins D to P_i and some edge joins D to Q_i.  Then
@@ -592,10 +600,10 @@ def search_triple_products(K, profile=None, capacity=SEARCH_TRIPLE_CAPACITY,
     coboundary reads only the 1-skeleton, so the rules hold for every
     complex, flag or not.
 
-    A triple that passes is given its canonical classes and its two solved
-    cup cells, and its value set is read by ``triple_value_set``; only the
-    returned witness (or, with ``require_strict``, each triple that reaches
-    test 4) is given the report of ``massey_product``.
+    A triple that reaches test 4 is given its canonical classes and its two
+    solved cup cells.  Only the returned witness gets a report: its
+    condition table, with the value set that decided it, as
+    ``massey_product`` would build it.
     """
     if profile is None:
         profile = (3, 3, 3)
@@ -604,30 +612,27 @@ def search_triple_products(K, profile=None, capacity=SEARCH_TRIPLE_CAPACITY,
         raise InputError(f"profile must list three class dimensions >= 3, got {profile}")
     sizes = tuple(d - 1 for d in profile)
     candidates = {size: _h0_candidates(K, size, capacity) for size in set(sizes)}
-    cell_cache = {}
 
-    def cup_cell(cl_a, cl_b):
+    @cache
+    def cls(J):
+        return canonical_class(K, J)
+
+    @cache
+    def cup_cell(Ja, Jb):
         """Solved cell for <a, b>, whose product the 1-skeleton rule found zero."""
-        key = (cl_a.support, cl_b.support)
-        if key not in cell_cache:
-            rhs = cl_a.representative.bar() * cl_b.representative
-            support = tuple(sorted(cl_a.support + cl_b.support))
-            degree = cl_a.total_degree + cl_b.total_degree
-            cell = component_basis(K, support, degree).primitive(rhs)
-            if cell is None:
-                raise VerificationError(f"cup product on {key} is not zero: 1-skeleton rule broken")
-            cell_cache[key] = cell
-        return cell_cache[key]
+        a, b = cls(Ja), cls(Jb)
+        comp = component_basis(K, tuple(sorted(Ja + Jb)), a.total_degree + b.total_degree)
+        cell = comp.primitive(a.representative.bar() * b.representative)
+        if cell is None:
+            raise VerificationError(f"cup product on {Ja}, {Jb} is not zero: 1-skeleton rule broken")
+        return cell
+
+    @cache
+    def target_rank(union):
+        # the value lies in reduced degree d(1, 3) = 1 on J1 u J2 u J3
+        return _window_rank(K, _tuple_of(union), 1)
 
     examined = 0
-    class_cache = {}
-    target_ranks = {}  # union mask -> H~^1 of K on it
-
-    def cls(J):
-        if J not in class_cache:
-            class_cache[J] = canonical_class(K, J)
-        return class_cache[J]
-
     for s1 in candidates[sizes[0]]:
         for s2 in candidates[sizes[1]]:
             if s1.mask & s2.mask:
@@ -642,26 +647,20 @@ def search_triple_products(K, profile=None, capacity=SEARCH_TRIPLE_CAPACITY,
                         "triple-search",
                         f"examined more than {capacity} candidate triples",
                     )
-                # the value lies in reduced degree d(1, 3) = 1 on J1 u J2 u J3
-                union = mask12 | s3.mask
-                rank = target_ranks.get(union)
-                if rank is None:
-                    rank = target_ranks[union] = _window_rank(K, _tuple_of(union), 1)
-                if rank == 0 or not (_cup_is_zero(s1, s2) and _cup_is_zero(s2, s3)):
-                    continue
                 if require_strict and not _shifts_are_zero(K, s1, s2, s3):
                     continue
-                c1, c2, c3 = cls(s1.vertices), cls(s2.vertices), cls(s3.vertices)
-                input = MasseyInput(K, (c1, c2, c3))
-                ds = DefiningSystem(input, {(1, 3): cup_cell(c1, c2), (2, 4): cup_cell(c2, c3)})
-                if require_strict:  # test 3 passed: the value set is a single class
-                    report = massey_product(input, ds)
-                    if report.status != STATUS_DEFINED_STRICT:
-                        raise VerificationError("indeterminacy is not zero: 1-skeleton rule broken")
-                    if report.triple.nontrivial:
-                        return report
-                elif triple_value_set(input, ds).nontrivial:
-                    return massey_product(input, ds)
+                if not target_rank(mask12 | s3.mask):
+                    continue
+                if not (_cup_is_zero(s1, s2) and _cup_is_zero(s2, s3)):
+                    continue
+                J1, J2, J3 = s1.vertices, s2.vertices, s3.vertices
+                input = MasseyInput(K, (cls(J1), cls(J2), cls(J3)))
+                ds = DefiningSystem(input, {(1, 3): cup_cell(J1, J2), (2, 4): cup_cell(J2, J3)})
+                triple = triple_value_set(input, ds)
+                if require_strict and not triple.strictly_defined:
+                    raise VerificationError("indeterminacy is not zero: 1-skeleton rule broken")
+                if triple.nontrivial:
+                    return _report(input, strict_conditions_check(input), ds, triple)
     return None
 
 

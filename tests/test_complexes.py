@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import threading
@@ -69,6 +70,18 @@ def test_constructor_errors():
         from_minimal_nonfaces(3, [(2,)])
     with pytest.raises(InputError):
         from_minimal_nonfaces(3, [(1, 1)])
+
+
+def test_each_nonface_is_read_once():
+    # an iterator holds its vertices only until it is read
+    assert SimplicialComplex(3, [iter((1, 2))]).minimal_nonfaces == ((1, 2),)
+    with pytest.raises(GhostVertexError, match="singletons must be faces"):
+        SimplicialComplex(3, [iter((2,))])
+    # a mapping is no list of vertices, inside the outer list or as it
+    with pytest.raises(InputError, match="must be a list"):
+        SimplicialComplex(3, [{1: 0, 2: 0}])
+    with pytest.raises(InputError, match="must be a list"):
+        SimplicialComplex(3, {(1, 2): 0})
 
 
 def test_from_maximal_faces_requires_covering():
@@ -474,6 +487,20 @@ def test_equality_ignores_labels():
     A = SimplicialComplex(3, [(1, 2)], labels=("a", "b", "c"))
     B = SimplicialComplex(3, [(1, 2)])
     assert A == B and hash(A) == hash(B)
+
+
+def test_equal_complexes_built_four_ways_hash_and_compare_equal():
+    K = SimplicialComplex(6, HEXAGON_MF)
+    built = (
+        SimplicialComplex.from_maximal_faces(6, K.maximal_faces()),
+        SimplicialComplex(7, HEXAGON_MF).induced(range(1, 7)),
+        SimplicialComplex.from_json_dict(json.loads(json.dumps(K.to_json_dict()))),
+    )
+    for other in built:
+        assert other is not K and other == K and K == other
+        assert hash(other) == hash(K)
+    assert K == K and K._cache["hash"] == hash(K)  # hashed once, then kept
+    assert K != SimplicialComplex(6, HEXAGON_MF[1:])
 
 
 def test_json_round_trip():

@@ -8,6 +8,7 @@ certificates, the witness search and the formality verdicts.
 """
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -29,6 +30,14 @@ CROSS_POLYTOPE_4 = '{"m":8,"minimal_nonfaces":[[1,2],[3,4],[5,6],[7,8]]}'
 P4 = '{"n":4,"edges":[[1,2],[2,3],[3,4]]}'
 K3 = '{"n":3,"edges":[[1,2],[1,3],[2,3]]}'
 K4 = '{"n":4,"edges":[[1,2],[1,3],[1,4],[2,3],[2,4],[3,4]]}'
+C5 = '{"n":5,"edges":[[1,2],[2,3],[3,4],[4,5],[1,5]]}'
+
+
+def complete_graph_minus_12(n):
+    pairs = [list(e) for e in itertools.combinations(range(1, n + 1), 2) if e != (1, 2)]
+    return json.dumps({"n": n, "edges": pairs})
+
+
 # graphs whose nerves have several blocks: P3, K3 and a point (formal); P4, an
 # edge and a point (the witness search runs on a joined nerve)
 P3_K3_POINT = '{"n":7,"edges":[[1,2],[2,3],[4,5],[5,6],[4,6]]}'
@@ -109,6 +118,15 @@ GOLDEN = (
      "9ba1d71471a37bb62b781f52a463f2198079852d1dd8c55153faa3a62c4bc1a3"),
     ("formality-k4", ["graphassoc", "--formality", "--inline", K4],
      "0b1f132534be5c303aeb6bf0684fb2a67113109fdda8056b2673109a11d1623d"),
+    # formality verdicts of graphs on 5 and 6 vertices
+    ("formality-c5", ["graphassoc", "--formality", "--inline", C5],
+     "9b41500cb531ba2c5bae16be7d16e162969f9f7f592f9a9676f4cc6fcb5bb0e2"),
+    ("formality-k5-minus-edge",
+     ["graphassoc", "--formality", "--inline", complete_graph_minus_12(5)],
+     "e17bcf3dfaa246b9c800cc6b31f5673f7e679e9a95ec5a0fa395e77c77250a5d"),
+    ("formality-k6-minus-edge",
+     ["graphassoc", "--formality", "--inline", complete_graph_minus_12(6)],
+     "14c58533fa92f2a6fa6040f1ae00e76e59cc01d3d1e4d3c51106d8520eba58ae"),
     ("graphassoc-p3-k3-point", ["graphassoc", "--inline", P3_K3_POINT],
      "3eaca613165796f151307234d4d54ddac37ea11b26d9432a8ce4b7da541c399d"),
     ("formality-p3-k3-point", ["graphassoc", "--formality", "--inline", P3_K3_POINT],

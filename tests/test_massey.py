@@ -621,6 +621,40 @@ def test_default_search_builds_no_condition_table_before_its_witness(monkeypatch
     assert witness.triple.nontrivial and len(tables) == 1
 
 
+def count_calls(monkeypatch, *names):
+    """Count the calls of the named ``massey`` functions, by name."""
+    calls = Counter()
+    for name in names:
+        def counting(*args, _real=getattr(massey, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(massey, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name,profile,strict,expected",
+    [
+        # the strict shift test runs before the rank, so 23 target ranks are
+        # read; only the witness gets a condition table, with its 4 ranks
+        ("k4", (5, 3, 5), True, (27, 1, 6)),
+        ("c4", (3, 3, 3), True, (12, 1, 1)),
+        # the witness's report reuses the value set that decided it
+        ("p4", (3, 3, 3), False, (8, 1, 3)),
+    ],
+    ids=["k4-strict-5,3,5", "c4-strict-3,3,3", "p4-default-3,3,3"],
+)
+def test_search_runs_one_chain_of_tests(monkeypatch, name, profile, strict, expected):
+    # counted: window ranks (target ranks and the witness's table), condition
+    # tables and values
+    names = ("_window_rank", "strict_conditions_check", "massey_value")
+    calls = count_calls(monkeypatch, *names)
+    witness = search_triple_products(corpus_nerve(name), profile, require_strict=strict)
+    assert witness.triple.nontrivial
+    assert tuple(calls[n] for n in names) == expected
+
+
 def nonzero_target_triples(K, profile):
     """The disjoint candidate triples of a search whose target H~^1 is nonzero, in scan order."""
     sizes = [d - 1 for d in profile]
