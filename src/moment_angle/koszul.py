@@ -22,6 +22,17 @@ A component's matrix is written from the masks alone: the entry at (row of
 T + i, column of T) is (-1)^k, k the number of vertices of J - T below i,
 wherever T + i is a face.
 
+Classes are read on the core of J.  Stripping the dominated vertices R of
+K_J, as ``hochster.multigraded_betti`` does, leaves a full subcomplex onto
+which K_J strong-collapses, and the contraction by d/du_v for each v in R,
+the restriction to it, maps the component (J, t) to (J - R, t - |R|)
+isomorphically on cohomology.  The canonical cocycles stay J's, and a
+cocycle is read modulo the coboundaries of the core component, so the
+cohomology basis and every class vector are what they are on J, while J's
+own matrix from below, the largest one a Massey value has, is built only
+for a primitive or for ``cohomology_dimension`` (the Hochster cross-oracle
+of ``koszul_bigraded_ranks``).
+
 Normal form and signs: u-variables first in ascending order, then
 v-variables ascending.  v's are even (degree 2) and contribute no signs;
 u's are odd, so merging two u-blocks contributes the parity of the shuffle,
@@ -258,9 +269,17 @@ class ComponentBasis:
     ``primitive`` (a back substitution over its pivot rows), the cocycles
     of the component below (its kernel, built one vector at a time, so the
     basis scan builds only the cocycles it reads) and cohomology read
-    modulo the coboundaries: ``cohomology_basis`` and ``class_vector`` work
-    on residuals under that matrix (see ``SparseMatrix.residual``), held in
-    an ``Echelon``, with no matrix of cocycle or class columns.
+    modulo the coboundaries.
+
+    ``cohomology_basis`` and ``class_vector`` read cohomology on the core
+    component (J - R, t - |R|), R the dominated vertices stripped from J
+    (``_core``): a cocycle of J is contracted onto it (``_contract``) and
+    reduced to its residual under the core's matrix from below (see
+    ``SparseMatrix.residual``); the residuals are held in an ``Echelon``,
+    with no matrix of cocycle or class columns.  The basis is still J's
+    canonical cocycles, kept greedily in their canonical order, and the
+    number kept is the core's ``cohomology_dimension`` (0, with no core
+    component built, when the core is one vertex and R is nonempty).
     """
 
     __slots__ = ("complex", "multidegree", "total_degree", "_mask", "_faces", "_cache")
@@ -330,26 +349,78 @@ class ComponentBasis:
 
         Canonical cocycle basis vectors are kept greedily, in their canonical
         order, when independent of the coboundary space and of the vectors
-        kept before them, until there are ``cohomology_dimension`` of them.
-        A cocycle is read modulo the coboundaries as its residual under
+        kept before them, until there are as many as the core's
+        ``cohomology_dimension``.  A cocycle is read modulo the coboundaries
+        as the residual of its contraction under the core's
         ``matrix_from_below``, and the residuals are kept by an ``Echelon``.
         """
         return self._classes()[0]
 
     def _classes(self):
-        """(cohomology basis, ``Echelon`` of its residuals)."""
+        """(cohomology basis, ``Echelon`` of its residuals on the core)."""
         if "hbasis" not in self._cache:
             basis, span = [], Echelon()
-            hdim = self.cohomology_dimension()
+            core = self._core()[0]
+            hdim = core.cohomology_dimension() if core else 0
             if hdim:
-                below = self.matrix_from_below()
                 for z in self.cocycle_basis():
-                    if span.add(below.residual(z)):
+                    if span.add(self._core_residual(z)):
                         basis.append(z)
                         if len(basis) == hdim:
                             break
             self._cache["hbasis"] = (tuple(basis), span)
         return self._cache["hbasis"]
+
+    def _core(self):
+        """(core component, mask R of the vertices stripped from J).
+
+        The dominated vertices of K_J are stripped one at a time, as in
+        ``hochster.multigraded_betti``, and the core component is
+        (J - R, t - |R|), the component itself when R is empty.  When R is
+        nonempty and the core is one vertex, K_J has no cohomology, no core
+        component is built and the component is None.
+        """
+        if "core" not in self._cache:
+            K, mask = self.complex, self._mask
+            while v := K.dominated_vertex(mask):
+                mask ^= 1 << (v - 1)
+            R, core = self._mask ^ mask, None
+            if R and mask & (mask - 1):
+                core = component_basis(K, _tuple_of(mask), self.total_degree - R.bit_count())
+            self._cache["core"] = (core, R)  # not self, which would make a cycle
+        core, R = self._cache["core"]
+        return (core if R else self), R
+
+    def _core_residual(self, vec):
+        """The residual of ``_contract(vec)`` under the core's ``matrix_from_below``.
+
+        Zero exactly when the cocycle of vec is a coboundary, and linear in vec.
+        """
+        return self._core()[0].matrix_from_below().residual(self._contract(vec))
+
+    def _contract(self, vec):
+        """iota(vec): the core component's coordinates of the cochain with coordinates vec.
+
+        iota, the contraction by d/du_v for each v in R, sends u_S v_T to 0
+        when T meets R, and otherwise to u_{S-R} v_T with the sign (-1)^n, n
+        the number of pairs (v, s) with v in R, s in S and s < v.
+        It anticommutes with d for each v, and on K_J it is the restriction
+        to the full subcomplex K_{J-R}, onto which K_J strong-collapses, so
+        it is an isomorphism on cohomology.  With R empty it is the identity.
+        """
+        core, R = self._core()
+        if not R:
+            return vec
+        image, rows, J = [0] * len(core), core._rows(), self._mask
+        for T, c in zip(self._faces, vec):
+            if c and not T & R:
+                S, rest, flips = J ^ T, R, 0
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    flips += (S & (low - 1)).bit_count()
+                image[rows[T]] = -c if flips & 1 else c
+        return image
 
     def coordinates(self, cochain):
         """Coefficient vector of a cochain that lies in this component."""
@@ -381,16 +452,16 @@ class ComponentBasis:
     def class_vector(self, cochain):
         """Coordinates of [cochain] in the cohomology basis (zero iff coboundary).
 
-        The residual of the cochain modulo the coboundaries is reduced by the
-        echelon of the basis residuals, which are independent, so the
-        coordinates are unique.
+        The residual of the cochain modulo the coboundaries, read on the
+        core, is reduced by the echelon of the basis residuals, which are
+        independent, so the coordinates are unique.
         """
         if not cochain.differential().is_zero():
             raise NotACocycleError(f"d({cochain!r}) != 0")
         basis, span = self._classes()
         if not basis:
             return ()
-        rest, x = span.reduce(self.matrix_from_below().residual(self.coordinates(cochain)))
+        rest, x = span.reduce(self._core_residual(self.coordinates(cochain)))
         if rest:  # cannot happen for a cocycle of this component
             raise NotACocycleError("cocycle not in span of coboundaries + cohomology basis")
         return x

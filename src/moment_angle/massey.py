@@ -49,11 +49,12 @@ from .koszul import KoszulCochain, component_basis
 from .multiwedge import wedge_vertex_map
 from .rational_linalg import Echelon
 
-# order n of a certified family product; K(n, 1) certifies in 0.03 s at 17 MB
-# for n = 6, 0.07 s at 18 MB for n = 8 and 7.0 s at 151 MB for n = 20, and
-# (6, 2) in 2.6 s at 109 MB; for n <= 8 every other s is refused (guard
-# face-level, or family-size past m = 128) within 7.7 s and 160 MB, while the
-# refusal of (10, 2) takes 7.0 s and 231 MB (one fresh process each, 2-vCPU
+# order n of a certified family product; K(n, 1) certifies in 0.015 s at 21 MB
+# for n = 6, 0.06 s at 21 MB for n = 8 and 4.5 s at 47 MB for n = 20, and
+# (6, 2) in 1.1 s at 80 MB; for n <= 8 every other s is refused (guard
+# face-level, or family-size past m = 128), (8, 15) after 8.1 s and (8, 2)
+# after 3.8 s at 164 MB, while the refusal of (10, 2) takes 6.8 s and 235 MB
+# (one fresh process each, verify_family_massey with this cap lifted, 2-vCPU
 # Xeon, Python 3.11.7, Fraction backend)
 FAMILY_ORDER_CAPACITY = 8
 SEARCH_TRIPLE_CAPACITY = 2_000_000
@@ -535,11 +536,16 @@ def _cup_is_zero(a, b):
     return _bridging(b.parts, a) < 2
 
 
-def _shifts_are_zero(K, s1, s2, s3):
-    """Whether the indeterminacy of the triple on the supports s1, s2, s3 is zero."""
+def _shifts_are_zero(K, s1, s2, s3, parts12):
+    """Whether the indeterminacy of the triple on the supports s1, s2, s3 is zero.
+
+    ``parts12`` are the components of K_{J1 u J2}, found once per pair (s1,
+    s2); the components of K_{J2 u J3} are found only when at most one of
+    ``parts12`` bridges s3.
+    """
     return (
-        _bridging(K.component_masks(s2.mask | s3.mask), s1) < 2
-        and _bridging(K.component_masks(s1.mask | s2.mask), s3) < 2
+        _bridging(parts12, s3) < 2
+        and _bridging(K.component_masks(s2.mask | s3.mask), s1) < 2
     )
 
 
@@ -638,6 +644,7 @@ def search_triple_products(K, profile=None, capacity=SEARCH_TRIPLE_CAPACITY,
             if s1.mask & s2.mask:
                 continue
             mask12 = s1.mask | s2.mask
+            parts12 = K.component_masks(mask12) if require_strict else None
             for s3 in candidates[sizes[2]]:
                 if mask12 & s3.mask:
                     continue
@@ -647,7 +654,7 @@ def search_triple_products(K, profile=None, capacity=SEARCH_TRIPLE_CAPACITY,
                         "triple-search",
                         f"examined more than {capacity} candidate triples",
                     )
-                if require_strict and not _shifts_are_zero(K, s1, s2, s3):
+                if require_strict and not _shifts_are_zero(K, s1, s2, s3, parts12):
                     continue
                 if not target_rank(mask12 | s3.mask):
                     continue

@@ -19,7 +19,7 @@ from moment_angle.errors import NotACocycleError
 from moment_angle.graphs import Graph, associahedron_nerve
 from moment_angle.koszul import KoszulCochain, component_basis
 from moment_angle.massey import _shift_products
-from moment_angle.rational_linalg import SparseMatrix
+from moment_angle.rational_linalg import Echelon, SparseMatrix
 from moment_angle.real_cochains import RealCochain
 
 
@@ -295,6 +295,23 @@ def small_complexes(draw, min_m=3, max_m=5):
     return SimplicialComplex(m, [tuple(sorted(f)) for f in nonfaces])
 
 
+@st.composite
+def dense_complexes(draw, min_m=4, max_m=7):
+    """Hypothesis strategy: a complex with many non-faces of 2 or 3 vertices.
+
+    Its induced subcomplexes often strong-collapse onto a core of two or
+    more vertices, which the few large non-faces of ``small_complexes``
+    seldom leave.
+    """
+    m = draw(st.integers(min_m, max_m))
+    nonfaces = draw(
+        st.lists(
+            st.sets(st.integers(1, m), min_size=2, max_size=3), min_size=m // 2, max_size=2 * m
+        )
+    )
+    return SimplicialComplex(m, [tuple(sorted(f)) for f in nonfaces])
+
+
 def random_complexes(seed, count, max_m=6, min_m=3):
     rng = random.Random(seed)
     out = []
@@ -337,3 +354,33 @@ def homogeneous_pieces(cochain):
         degree = cls(cochain.complex, {key: 1}).degree()
         by_degree.setdefault(degree, {})[key] = coeff
     return [cls(cochain.complex, terms) for _, terms in sorted(by_degree.items())]
+
+
+def oracle_classes(comp):
+    """Slow-path cohomology basis of a Koszul component, read on its own J.
+
+    The greedy scan of ``ComponentBasis.cohomology_basis`` without the core:
+    canonical cocycles are kept while their residuals under J's own
+    ``matrix_from_below`` stay independent, up to J's own
+    ``cohomology_dimension``.  Returns the basis and the ``Echelon`` of the
+    kept residuals.
+    """
+    basis, span = [], Echelon()
+    hdim = comp.cohomology_dimension()
+    below = comp.matrix_from_below()
+    for z in comp.cocycle_basis() if hdim else ():
+        if span.add(below.residual(z)):
+            basis.append(z)
+            if len(basis) == hdim:
+                break
+    return tuple(basis), span
+
+
+def oracle_class_vector(comp, cochain):
+    """Slow-path class coordinates of a cocycle in ``oracle_classes``' basis, read on J."""
+    basis, span = oracle_classes(comp)
+    if not basis:
+        return ()
+    rest, x = span.reduce(comp.matrix_from_below().residual(comp.coordinates(cochain)))
+    assert not rest
+    return x

@@ -3,8 +3,10 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from moment_angle.complexes import SimplicialComplex
+from moment_angle import koszul
+from moment_angle.complexes import SimplicialComplex, _tuple_of
 from moment_angle.errors import (
     AmbientMismatchError,
     CapacityError,
@@ -20,16 +22,21 @@ from moment_angle.koszul import (
     component_basis,
     koszul_bigraded_ranks,
 )
-from moment_angle.massey import family_massey_input
+from moment_angle.graphs import Graph, formality_classify
+from moment_angle.massey import family_massey_input, verify_family_massey
 from moment_angle.rational_linalg import Rational, SparseMatrix
 from moment_angle.real_cochains import RealCochain
 
 from conftest import (
+    CORPUS_GRAPHS,
     component_monomials,
+    dense_complexes,
     differential_matrix,
     homogeneous_pieces,
     is_coboundary,
     mask_pair,
+    oracle_class_vector,
+    oracle_classes,
     random_complex,
     random_koszul_cochain,
     small_complexes,
@@ -245,6 +252,90 @@ def test_top_class_reads_one_of_its_cocycles(monkeypatch):
     assert above.ncols - above.rank() == 2366
     assert built == [1]
     assert comp.cohomology_basis() == component_basis(inp.complex, J, degree).cohomology_basis()
+
+
+def components(K):
+    """Every component (J, t) of K with J nonempty, as built by ``component_basis``."""
+    for size in range(1, K.m + 1):
+        for J in itertools.combinations(range(1, K.m + 1), size):
+            for degree in range(size, 2 * size + 1):
+                yield component_basis(K, J, degree)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dense_complexes(), st.integers(0, 2**32))
+def test_classes_read_on_the_core_match_the_classes_read_on_J(K, seed):
+    # the core-read basis and class vectors against J's own residuals and dimension,
+    # on cocycles that are a combination of basis classes plus a coboundary
+    rng = random.Random(seed)
+    for comp in components(K):
+        basis, _ = oracle_classes(comp)
+        assert comp.cohomology_basis() == basis
+        below = comp._neighbor(-1)
+        for _ in range(2):
+            a = [rng.randint(-2, 2) for _ in basis]
+            z = below.cochain_from_coordinates([rng.randint(-2, 2) for _ in range(len(below))])
+            z = z.differential()
+            for coeff, vec in zip(a, basis):
+                z = z + comp.cochain_from_coordinates(vec).scaled(coeff)
+            assert comp.class_vector(z) == oracle_class_vector(comp, z) == tuple(a)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dense_complexes(), st.integers(0, 2**32))
+def test_contraction_onto_the_core_is_a_chain_map_up_to_sign(K, seed):
+    # d iota = (-1)^|R| iota d from (J, t - 1) to the core component (J - R, t - |R|)
+    rng = random.Random(seed)
+    for comp in components(K):
+        core, R = comp._core()
+        if not R or core is None:
+            continue
+        below = comp._neighbor(-1)
+        assert below._core() == (core._neighbor(-1), R)
+        y = [rng.randint(-2, 2) for _ in range(len(below))]
+        left = core._neighbor(-1).cochain_from_coordinates(below._contract(y)).differential()
+        dc = below.cochain_from_coordinates(y).differential()
+        right = core.cochain_from_coordinates(comp._contract(comp.coordinates(dc)))
+        assert left == (-right if R.bit_count() & 1 else right)
+
+
+def fresh_components(monkeypatch):
+    """Route ``component_basis`` through a new memo for one test; the components it builds, by key."""
+    built = {}
+
+    def build(K, J, degree):
+        if (K, J, degree) not in built:
+            built[K, J, degree] = ComponentBasis(K, J, degree)
+        return built[K, J, degree]
+
+    monkeypatch.setattr(koszul, "_component_cached", build)
+    return built
+
+
+def test_family_value_component_is_never_eliminated_on_J(monkeypatch):
+    # the value of the (4, 2) product lives on all 12 vertices; its classes are read on
+    # the core, so its largest matrix, 403 x 529, is never built
+    built = fresh_components(monkeypatch)
+    verify_family_massey(4, 2)
+    inp = family_massey_input(4, 2)
+    value = built[inp.complex, tuple(range(1, 13)), inp.window_total_degree(1, 4)]
+    assert "hbasis" in value._cache
+    assert "from_below" not in value._cache
+    assert value._core()[1]
+
+
+def test_window_with_a_one_vertex_core_builds_no_core_component(monkeypatch):
+    # C4 formality reads shift-product windows whose K_J strong-collapses onto one vertex
+    built = fresh_components(monkeypatch)
+    formality_classify(Graph.from_edges(**CORPUS_GRAPHS["c4"]))
+    read = [comp for comp in built.values() if "core" in comp._cache]
+    cones = [comp for comp in read if comp._core()[0] is None]
+    assert cones
+    singletons = {J for _, J, _ in built if len(J) == 1}
+    for comp in cones:
+        assert comp.cohomology_basis() == ()
+        core = _tuple_of(comp._mask ^ comp._core()[1])
+        assert len(core) == 1 and core not in singletons
 
 
 def test_d_squared_zero():

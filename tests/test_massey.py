@@ -672,7 +672,7 @@ def skeleton_decisions(K, s1, s2, s3):
     return (
         massey._cup_is_zero(s1, s2),
         massey._cup_is_zero(s2, s3),
-        massey._shifts_are_zero(K, s1, s2, s3),
+        massey._shifts_are_zero(K, s1, s2, s3, K.component_masks(s1.mask | s2.mask)),
     )
 
 
