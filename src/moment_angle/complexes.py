@@ -347,6 +347,17 @@ class SimplicialComplex:
         """
         return self._dominating_pair(mask)[0]
 
+    def strong_core(self, mask):
+        """The mask of the core of K_J, J given by the bitmask ``mask``.
+
+        The lowest dominated vertex is stripped while there is one; K_J
+        strong-collapses onto the full subcomplex on the vertices left, so
+        the two have the same homotopy type.
+        """
+        while v := self.dominated_vertex(mask):
+            mask ^= 1 << (v - 1)
+        return mask
+
     def dominates(self, v, w, mask):
         """Whether vertex w dominates vertex v in K_J, J given by the bitmask ``mask``.
 

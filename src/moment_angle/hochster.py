@@ -64,9 +64,7 @@ def multigraded_betti(K, i, J):
     J = sorted(set(J))
     if i < 0 or i > len(J):
         raise InputError(f"homological degree {i} outside 0..{len(J)}")
-    mask = _mask_of(J, K.m)
-    while v := K.dominated_vertex(mask):
-        mask ^= 1 << (v - 1)
+    mask = K.strong_core(_mask_of(J, K.m))
     if J and mask & (mask - 1) == 0:
         return 0
     size = len(J) - i  # faces of size d + 1 carry degree d = |J| - i - 1

@@ -23,15 +23,18 @@ T + i, column of T) is (-1)^k, k the number of vertices of J - T below i,
 wherever T + i is a face.
 
 Classes are read on the core of J.  Stripping the dominated vertices R of
-K_J, as ``hochster.multigraded_betti`` does, leaves a full subcomplex onto
-which K_J strong-collapses, and the contraction by d/du_v for each v in R,
-the restriction to it, maps the component (J, t) to (J - R, t - |R|)
-isomorphically on cohomology.  The canonical cocycles stay J's, and a
-cocycle is read modulo the coboundaries of the core component, so the
-cohomology basis and every class vector are what they are on J, while J's
-own matrix from below, the largest one a Massey value has, is built only
-for a primitive or for ``cohomology_dimension`` (the Hochster cross-oracle
-of ``koszul_bigraded_ranks``).
+K_J (``SimplicialComplex.strong_core``, as ``hochster.multigraded_betti``
+does) leaves a full subcomplex onto which K_J strong-collapses, and the
+contraction by d/du_v for each v in R, the restriction to it, maps the
+component (J, t) to (J - R, t - |R|) isomorphically on cohomology.  The
+canonical cocycles stay J's, and a cocycle is read modulo the coboundaries
+of the core component; the basis is the package's one greedy scan
+(``rational_linalg.greedy_span``) over those residuals, and a class vector
+is solved over the kept ones.  So the cohomology basis and every class
+vector are what they are on J, while J's own matrix from below, the
+largest one a Massey value has, is built only for a primitive or for
+``cohomology_dimension`` (the Hochster cross-oracle of
+``koszul_bigraded_ranks``).
 
 Normal form and signs: u-variables first in ascending order, then
 v-variables ascending.  v's are even (degree 2) and contribute no signs;
@@ -44,7 +47,7 @@ from functools import lru_cache
 
 from .complexes import _mask_of, _tuple_of
 from .errors import AmbientMismatchError, CapacityError, InputError, NotACocycleError
-from .rational_linalg import Echelon, Rational, SparseMatrix
+from .rational_linalg import Rational, SparseMatrix, greedy_span
 
 _ONE = Rational(1)
 
@@ -275,11 +278,12 @@ class ComponentBasis:
     component (J - R, t - |R|), R the dominated vertices stripped from J
     (``_core``): a cocycle of J is contracted onto it (``_contract``) and
     reduced to its residual under the core's matrix from below (see
-    ``SparseMatrix.residual``); the residuals are held in an ``Echelon``,
-    with no matrix of cocycle or class columns.  The basis is still J's
-    canonical cocycles, kept greedily in their canonical order, and the
-    number kept is the core's ``cohomology_dimension`` (0, with no core
-    component built, when the core is one vertex and R is nonempty).
+    ``SparseMatrix.residual``).  The basis is still J's canonical cocycles,
+    kept greedily in their canonical order by ``greedy_span`` while their
+    residuals stay independent, and the number kept is the core's
+    ``cohomology_dimension`` (0, with no core component built, when the core
+    is one vertex and R is nonempty).  The kept residuals are the columns of
+    one small matrix, over which a class vector is a solution.
     """
 
     __slots__ = ("complex", "multidegree", "total_degree", "_mask", "_faces", "_cache")
@@ -334,8 +338,11 @@ class ComponentBasis:
         return self._neighbor(+1).matrix_from_below()
 
     def cocycle_basis(self):
-        """The canonical cocycles: the kernel of ``matrix_to_above``, built lazily."""
-        return self.matrix_to_above().kernel()
+        """The canonical cocycles: the kernel of ``matrix_to_above``, built lazily.
+
+        Nothing, not even the matrix, is built before the first cocycle is read.
+        """
+        yield from self.matrix_to_above().kernel()
 
     def cohomology_dimension(self):
         if "hdim" not in self._cache:
@@ -352,38 +359,32 @@ class ComponentBasis:
         kept before them, until there are as many as the core's
         ``cohomology_dimension``.  A cocycle is read modulo the coboundaries
         as the residual of its contraction under the core's
-        ``matrix_from_below``, and the residuals are kept by an ``Echelon``.
+        ``matrix_from_below`` (see ``greedy_span``).
         """
         return self._classes()[0]
 
     def _classes(self):
-        """(cohomology basis, ``Echelon`` of its residuals on the core)."""
+        """(cohomology basis, the matrix whose columns are its residuals on the core)."""
         if "hbasis" not in self._cache:
-            basis, span = [], Echelon()
             core = self._core()[0]
             hdim = core.cohomology_dimension() if core else 0
-            if hdim:
-                for z in self.cocycle_basis():
-                    if span.add(self._core_residual(z)):
-                        basis.append(z)
-                        if len(basis) == hdim:
-                            break
-            self._cache["hbasis"] = (tuple(basis), span)
+            self._cache["hbasis"] = greedy_span(
+                self.cocycle_basis(), self._core_residual, len(core) if core else 0, hdim
+            )
         return self._cache["hbasis"]
 
     def _core(self):
         """(core component, mask R of the vertices stripped from J).
 
-        The dominated vertices of K_J are stripped one at a time, as in
-        ``hochster.multigraded_betti``, and the core component is
+        The dominated vertices of K_J are stripped one at a time
+        (``SimplicialComplex.strong_core``), and the core component is
         (J - R, t - |R|), the component itself when R is empty.  When R is
         nonempty and the core is one vertex, K_J has no cohomology, no core
         component is built and the component is None.
         """
         if "core" not in self._cache:
-            K, mask = self.complex, self._mask
-            while v := K.dominated_vertex(mask):
-                mask ^= 1 << (v - 1)
+            K = self.complex
+            mask = K.strong_core(self._mask)
             R, core = self._mask ^ mask, None
             if R and mask & (mask - 1):
                 core = component_basis(K, _tuple_of(mask), self.total_degree - R.bit_count())
@@ -453,16 +454,16 @@ class ComponentBasis:
         """Coordinates of [cochain] in the cohomology basis (zero iff coboundary).
 
         The residual of the cochain modulo the coboundaries, read on the
-        core, is reduced by the echelon of the basis residuals, which are
-        independent, so the coordinates are unique.
+        core, is solved over the basis residuals, which are independent, so
+        the coordinates are unique.
         """
         if not cochain.differential().is_zero():
             raise NotACocycleError(f"d({cochain!r}) != 0")
         basis, span = self._classes()
         if not basis:
             return ()
-        rest, x = span.reduce(self._core_residual(self.coordinates(cochain)))
-        if rest:  # cannot happen for a cocycle of this component
+        x = span.solve(self._core_residual(self.coordinates(cochain)))
+        if x is None:  # cannot happen for a cocycle of this component
             raise NotACocycleError("cocycle not in span of coboundaries + cohomology basis")
         return x
 
@@ -477,11 +478,7 @@ def _component_cached(complex, multidegree, total_degree):
 
 def component_basis(K, J, total_degree):
     """Memoized component for multidegree J (any iterable of vertices)."""
-    J = tuple(sorted(set(J)))
-    for v in J:
-        if v < 1 or v > K.m:
-            raise InputError(f"vertex {v} outside 1..{K.m}")
-    return _component_cached(K, J, total_degree)
+    return _component_cached(K, _tuple_of(_mask_of(J, K.m)), total_degree)
 
 
 def component_of(cochain):

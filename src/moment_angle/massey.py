@@ -47,7 +47,7 @@ from .families import FamilySpec, family_complex
 from .hochster import multigraded_betti
 from .koszul import KoszulCochain, component_basis
 from .multiwedge import wedge_vertex_map
-from .rational_linalg import Echelon
+from .rational_linalg import greedy_span
 
 # order n of a certified family product; K(n, 1) certifies in 0.015 s at 21 MB
 # for n = 6, 0.06 s at 21 MB for n = 8 and 4.5 s at 47 MB for n = 20, and
@@ -401,19 +401,14 @@ def triple_value_set(input, ds=None):
     target = component_basis(input.complex, value.support, value.total_degree)
     hdim = len(value.class_coordinates)
 
-    basis, span = [], Echelon()
-    # a target with no cohomology keeps no vector
-    for prod in _shift_products(input) if hdim else ():
-        vec = target.class_vector(prod)
-        if span.add(vec):
-            basis.append(vec)
-            if len(basis) == hdim:
-                break  # the span is the whole target: no later product is kept
-
-    contains_zero = not span.reduce(value.class_coordinates)[0]
+    # no product is read for a target with no cohomology, or past the one
+    # whose class completes a basis of the whole target
+    vectors = map(target.class_vector, _shift_products(input))
+    basis, span = greedy_span(vectors, lambda vec: vec, hdim, hdim)
+    contains_zero = span.solve(value.class_coordinates) is not None
     return TripleValueSet(
         representative=value,
-        indeterminacy_basis=tuple(basis),
+        indeterminacy_basis=basis,
         contains_zero=contains_zero,
         strictly_defined=not basis,
         nontrivial=not contains_zero,

@@ -18,12 +18,15 @@ The determinism convention lives here: the answers are those of the
 canonical reduced row echelon form with the fixed left-to-right column
 order.  Every basis choice keeps the candidates, in order, that are
 independent of the ones before them, which are the pivot columns of a
-matrix whose columns are the candidates.  That greedy scan is read through
-one incremental ``Echelon``, never through such a matrix: the independent
-indeterminacy vectors are the ones it keeps, and the cohomology
-representatives are the cocycles whose residuals modulo the coboundary
-matrix (see ``residual``) it keeps.  The RREF is canonical, so the answers
-do not depend on pivot-row choices (which are made to limit fill-in).
+matrix whose columns are the candidates.  That greedy scan is
+``greedy_span``, which grows the matrix of the vectors kept so far one
+column at a time and keeps a candidate when ``solve`` finds it off that
+span, so it reads no candidate past the last one it needs: the independent
+indeterminacy vectors are the ones it keeps, the cohomology representatives
+are the cocycles whose residuals modulo the coboundary matrix (see
+``residual``) it keeps, and a class's coordinates are the solution over the
+kept residuals.  The RREF is canonical, so the answers do not depend on
+pivot-row choices (which are made to limit fill-in).
 
 Each matrix is eliminated once: its forward pass runs with a log of the
 integer row operations and keeps the pivots, that log and the pivot rows.
@@ -38,9 +41,6 @@ with the free variables zero; ``kernel`` yields the canonical kernel
 vectors one free column at a time by the same back substitution.  Exact
 rationals are canonical, so these are the values the RREF would give.  The
 stored state is never mutated, so threads may race to compute it.
-
-``rank_mod_p`` is a separate GF(p) elimination, kept on purpose as an
-independent oracle for the rational path.
 
 Coefficients are arbitrary-precision rationals: gmpy2.mpq when available
 (it is a drop-in, much faster implementation), fractions.Fraction otherwise.
@@ -82,7 +82,7 @@ class SparseMatrix:
             for (r, c), v in entries.items():
                 if not (0 <= r < nrows and 0 <= c < ncols):
                     raise InputError(f"entry ({r},{c}) outside {nrows}x{ncols}")
-                if type(v) is not int:
+                if type(v) is not int and type(v) is not Rational:
                     v = Rational(v)
                 if v:
                     rows[r][c] = v
@@ -123,12 +123,16 @@ class SparseMatrix:
 
     def with_columns(self, vectors):
         """The matrix [self | vectors]: each vector (length nrows) becomes a new column."""
-        entries = self.entries
+        rows = self.rows_as_dicts()
         for c, vec in enumerate(vectors, start=self.ncols):
-            for r, v in enumerate(vec):
+            if len(vec) != self.nrows:
+                raise InputError(f"column has length {len(vec)}, expected {self.nrows}")
+            for row, v in zip(rows, vec):
+                if type(v) is not int and type(v) is not Rational:
+                    v = Rational(v)
                 if v:
-                    entries[(r, c)] = v
-        return SparseMatrix(self.nrows, self.ncols + len(vectors), entries)
+                    row[c] = v
+        return SparseMatrix.from_rows(self.ncols + len(vectors), rows)
 
     def matmul(self, other):
         if self.ncols != other.nrows:
@@ -152,12 +156,12 @@ class SparseMatrix:
         their rows, the log of the forward row operations (see ``_reduce``)
         and the integer pivot rows.  Every other row is zero afterwards.
         """
-        if self._forward is None:
+        if self._forward is None and not self.ncols:  # an empty span: nothing to eliminate
+            self._forward = ((), (), (), ())
+        elif self._forward is None:
             rows = self.rows_as_dicts()
             log = []
-            pivots = _reduce(rows, self.ncols, log)
-            columns = tuple(c for c, _ in pivots)
-            positions = tuple(j for _, j in pivots)
+            columns, positions = tuple(zip(*_reduce(rows, self.ncols, log))) or ((), ())
             self._forward = (columns, positions, tuple(log), tuple(rows[j] for j in positions))
         return self._forward
 
@@ -176,7 +180,7 @@ class SparseMatrix:
     def _rhs(self, b):
         if len(b) != self.nrows:
             raise InputError(f"right-hand side has length {len(b)}, expected {self.nrows}")
-        return [Rational(v) if v else _ZERO for v in b]
+        return [v if type(v) is Rational else Rational(v) if v else _ZERO for v in b]
 
     def residual(self, b):
         """``b`` reduced by the forward pass: zero exactly when self x = b is solvable.
@@ -240,7 +244,7 @@ class SparseMatrix:
                     v -= a * y
             if v:
                 p = row[c]
-                x[c] = v / p if p != 1 else v
+                x[c] = v if p == 1 else -v if p == -1 else v / p
         vec = [_ZERO] * self.ncols
         for i, v in x.items():
             vec[i] = v
@@ -264,7 +268,9 @@ def _replay(b, log):
     for i, j, q, f, g in log:
         u, v = b[i], b[j]
         if f and v:
-            u = (q * u if q != 1 else u) - (v if f == 1 else f * v)
+            if q != 1:
+                u = q * u
+            u = u - v if f == 1 else u + v if f == -1 else u - f * v
         elif not u:
             continue
         elif q != 1:
@@ -303,7 +309,7 @@ def _reduce(rows, ncols, log):
             g = gcd(*row.values())
         except TypeError:  # gcd takes ints only: the row has Rational entries
             den = lcm(*(v.denominator for v in row.values()))
-            row = {c: int(v * den) for c, v in row.items()}
+            row = {c: int(v.numerator * (den // v.denominator)) for c, v in row.items()}
             g = gcd(*row.values())
         if g != 1:
             row = {c: v // g for c, v in row.items()}
@@ -323,8 +329,9 @@ def _reduce(rows, ncols, log):
             j = min(targets, key=lambda i: (len(rows[i]), i))
         for k in rows[j]:
             index[k].discard(j)
-        _clear(rows, index, log, c, j, targets)
-        targets.clear()
+        if targets:  # j has left it: these are the rows to clear
+            _clear(rows, index, log, c, j, targets)
+            targets.clear()
         pivots.append((c, j))
     return pivots
 
@@ -368,51 +375,26 @@ def _clear(rows, index, log, c, j, targets):
         log.append((i, j, q, f, g))
 
 
-class Echelon:
-    """The span of the vectors kept so far, for greedy left-to-right basis choices.
+def greedy_span(candidates, vector, nrows, limit):
+    """(kept, span): the candidates whose vectors are independent of those kept before them.
 
-    Each kept vector is held as one row: its reduction by the rows before
-    it, scaled to 1 at its first nonzero position (zero in every later row),
-    with the combination of kept vectors that the row equals.
+    The candidates are read in order, and each is kept when its vector
+    ``vector(candidate)``, of length ``nrows``, is off the span of the
+    vectors kept so far, until ``limit`` are kept; those are the first
+    pivot columns of the matrix whose columns are all the vectors.  ``span`` is
+    the matrix whose columns are the kept vectors, grown by one column per
+    kept vector, and ``span.solve`` gives a vector's unique coordinates over
+    them, or None off their span.  With ``limit`` 0 no candidate is read.
     """
-
-    __slots__ = ("_rows",)
-
-    def __init__(self):
-        self._rows = []  # (position, row, combination), both dicts
-
-    def reduce(self, vec):
-        """(rest, x) with vec = rest + sum of x[k] times kept vector k.
-
-        ``rest`` holds the nonzero entries left, none at an echelon position;
-        it is empty exactly when vec lies in the span of the kept vectors.
-        """
-        rest = {i: v for i, v in enumerate(vec) if v}
-        x = [_ZERO] * len(self._rows)
-        for p, row, combo in self._rows:
-            a = rest.get(p)
-            if not a:
-                continue
-            for k, v in row.items():
-                s = rest.get(k, 0) - a * v
-                if s:
-                    rest[k] = s
-                else:
-                    del rest[k]
-            for k, v in combo.items():
-                x[k] += a * v
-        return rest, tuple(x)
-
-    def add(self, vec):
-        """Keep vec if it is independent of the kept vectors; whether it was kept."""
-        rest, x = self.reduce(vec)
-        if rest:
-            p = min(rest)
-            a = Rational(rest[p])
-            combo = {k: -v / a for k, v in enumerate(x) if v}
-            combo[len(self._rows)] = _ONE / a
-            self._rows.append((p, {k: v / a for k, v in rest.items()}, combo))
-        return bool(rest)
+    kept, span = [], SparseMatrix(nrows, 0)
+    for candidate in candidates if limit else ():
+        vec = vector(candidate)
+        if span.solve(vec) is None:
+            kept.append(candidate)
+            span = span.with_columns([vec])
+            if len(kept) == limit:
+                break
+    return tuple(kept), span
 
 
 @dataclass(frozen=True)
@@ -449,60 +431,6 @@ def solve_linear(A, b):
 
 def nullspace_basis(A):
     return tuple(A.kernel())
-
-
-CROSS_CHECK_PRIMES = (2, 3)
-
-
-def rank_mod_p(A, p):
-    """Rank over the prime field GF(p); a cross-check mode only (p = 2 or 3).
-
-    The prime-field rank can drop below the rational rank (torsion), never
-    exceed it, so agreement on torsion-free inputs validates the exact path.
-    """
-    if p not in CROSS_CHECK_PRIMES:
-        raise InputError(f"cross-check primes are {CROSS_CHECK_PRIMES}, got {p}")
-    rows = []
-    for row in A.rows_as_dicts():
-        reduced = {}
-        for c, v in row.items():
-            num = int(v.numerator) % p
-            den = int(v.denominator) % p
-            val = (num * pow(den, -1, p)) % p
-            if val:
-                reduced[c] = val
-        if reduced:
-            rows.append(reduced)
-    rank = 0
-    for col in range(A.ncols):
-        piv_idx = next((i for i, r in enumerate(rows) if col in r), None)
-        if piv_idx is None:
-            continue
-        piv = rows.pop(piv_idx)
-        inv = pow(piv[col], -1, p)
-        piv = {c: (v * inv) % p for c, v in piv.items()}
-        survivors = []
-        for r in rows:
-            f = r.get(col)
-            if f:
-                for c, v in piv.items():
-                    nv = (r.get(c, 0) - f * v) % p
-                    if nv:
-                        r[c] = nv
-                    else:
-                        r.pop(c, None)
-            if r:
-                survivors.append(r)
-        rows = survivors
-        rank += 1
-    return rank
-
-
-def reduced_cohomology_ranks_mod_p(K, p):
-    """Reduced cohomology ranks over GF(p), for cross-checking only."""
-    levels = list(itertools.takewhile(bool, map(K.face_masks, itertools.count())))
-    dranks = [rank_mod_p(_coboundary(low, up), p) for low, up in zip(levels, levels[1:])]
-    return CohomologyProfile(cohomology_ranks(map(len, levels), dranks))
 
 
 def cohomology_ranks(dims, dranks):

@@ -15,11 +15,16 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from moment_angle.complexes import SimplicialComplex
-from moment_angle.errors import NotACocycleError
+from moment_angle.errors import InputError, NotACocycleError
 from moment_angle.graphs import Graph, associahedron_nerve
 from moment_angle.koszul import KoszulCochain, component_basis
 from moment_angle.massey import _shift_products
-from moment_angle.rational_linalg import Echelon, SparseMatrix
+from moment_angle.rational_linalg import (
+    CohomologyProfile,
+    SparseMatrix,
+    coboundary_matrix,
+    cohomology_ranks,
+)
 from moment_angle.real_cochains import RealCochain
 
 
@@ -359,21 +364,23 @@ def homogeneous_pieces(cochain):
 def oracle_classes(comp):
     """Slow-path cohomology basis of a Koszul component, read on its own J.
 
-    The greedy scan of ``ComponentBasis.cohomology_basis`` without the core:
-    canonical cocycles are kept while their residuals under J's own
-    ``matrix_from_below`` stay independent, up to J's own
-    ``cohomology_dimension``.  Returns the basis and the ``Echelon`` of the
-    kept residuals.
+    The greedy choice of ``ComponentBasis.cohomology_basis``, read in one
+    batch and without the core: the residuals of every canonical cocycle
+    under J's own ``matrix_from_below`` are the columns of one matrix, and
+    the basis is the cocycles at its pivot columns, as many as J's own
+    ``cohomology_dimension``.  Returns the basis and the matrix whose
+    columns are the kept residuals (None when the basis is empty).
     """
-    basis, span = [], Echelon()
     hdim = comp.cohomology_dimension()
+    if not hdim:
+        return (), None
     below = comp.matrix_from_below()
-    for z in comp.cocycle_basis() if hdim else ():
-        if span.add(below.residual(z)):
-            basis.append(z)
-            if len(basis) == hdim:
-                break
-    return tuple(basis), span
+    cocycles = tuple(comp.cocycle_basis())
+    residuals = [below.residual(z) for z in cocycles]
+    pivots = SparseMatrix(len(comp), 0).with_columns(residuals).pivot_columns()
+    assert len(pivots) == hdim
+    span = SparseMatrix(len(comp), 0).with_columns([residuals[i] for i in pivots])
+    return tuple(cocycles[i] for i in pivots), span
 
 
 def oracle_class_vector(comp, cochain):
@@ -381,6 +388,60 @@ def oracle_class_vector(comp, cochain):
     basis, span = oracle_classes(comp)
     if not basis:
         return ()
-    rest, x = span.reduce(comp.matrix_from_below().residual(comp.coordinates(cochain)))
-    assert not rest
+    x = span.solve(comp.matrix_from_below().residual(comp.coordinates(cochain)))
+    assert x is not None
     return x
+
+
+CROSS_CHECK_PRIMES = (2, 3)
+
+
+def rank_mod_p(A, p):
+    """Rank over the prime field GF(p) (p = 2 or 3): an elimination independent of the package's.
+
+    The prime-field rank can drop below the rational rank (torsion), never
+    exceed it, so agreement on torsion-free inputs validates the exact path.
+    """
+    if p not in CROSS_CHECK_PRIMES:
+        raise InputError(f"cross-check primes are {CROSS_CHECK_PRIMES}, got {p}")
+    rows = []
+    for row in A.rows_as_dicts():
+        reduced = {}
+        for c, v in row.items():
+            num = int(v.numerator) % p
+            den = int(v.denominator) % p
+            val = (num * pow(den, -1, p)) % p
+            if val:
+                reduced[c] = val
+        if reduced:
+            rows.append(reduced)
+    rank = 0
+    for col in range(A.ncols):
+        piv_idx = next((i for i, r in enumerate(rows) if col in r), None)
+        if piv_idx is None:
+            continue
+        piv = rows.pop(piv_idx)
+        inv = pow(piv[col], -1, p)
+        piv = {c: (v * inv) % p for c, v in piv.items()}
+        survivors = []
+        for r in rows:
+            f = r.get(col)
+            if f:
+                for c, v in piv.items():
+                    nv = (r.get(c, 0) - f * v) % p
+                    if nv:
+                        r[c] = nv
+                    else:
+                        r.pop(c, None)
+            if r:
+                survivors.append(r)
+        rows = survivors
+        rank += 1
+    return rank
+
+
+def reduced_cohomology_ranks_mod_p(K, p):
+    """Reduced cohomology ranks of K over GF(p), from the package's coboundaries."""
+    dims = [len(level) for level in itertools.takewhile(bool, map(K.face_masks, itertools.count()))]
+    dranks = [rank_mod_p(coboundary_matrix(K, d), p) for d in range(-1, len(dims) - 2)]
+    return CohomologyProfile(cohomology_ranks(dims, dranks))

@@ -312,6 +312,21 @@ def fresh_components(monkeypatch):
     return built
 
 
+@pytest.mark.parametrize("cached", [False, True])
+def test_component_basis_refuses_a_bool_vertex_in_either_cache_order(monkeypatch, cached):
+    # True == 1 and hashes alike, so a memo lookup before the vertex check would hand
+    # back the cached (1, 3) component
+    built = fresh_components(monkeypatch)
+    K = polygon_nerve(5)
+    if cached:
+        component_basis(K, [1, 3], 3)
+        assert (K, (1, 3), 3) in built
+    with pytest.raises(InputError):
+        component_basis(K, [True, 3], 3)
+    with pytest.raises(InputError):
+        component_basis(K, [0, 3], 3)
+
+
 def test_family_value_component_is_never_eliminated_on_J(monkeypatch):
     # the value of the (4, 2) product lives on all 12 vertices; its classes are read on
     # the core, so its largest matrix, 403 x 529, is never built

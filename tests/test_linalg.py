@@ -11,18 +11,24 @@ from moment_angle.errors import InputError, NotACocycleError
 from moment_angle.families import polygon_nerve
 from moment_angle.koszul import ComponentBasis, component_basis
 from moment_angle.rational_linalg import (
-    Echelon,
     Rational,
     SparseMatrix,
     coboundary_matrix,
     cohomology_ranks,
+    greedy_span,
     nullspace_basis,
     reduced_cohomology_rank,
     reduced_cohomology_ranks,
     solve_linear,
 )
 
-from conftest import all_complexes, random_complex, small_complexes
+from conftest import (
+    all_complexes,
+    random_complex,
+    rank_mod_p,
+    reduced_cohomology_ranks_mod_p,
+    small_complexes,
+)
 
 
 def dense(rows):
@@ -180,8 +186,6 @@ def test_cones_are_acyclic():
 
 
 def test_prime_field_cross_check():
-    from moment_angle.rational_linalg import rank_mod_p, reduced_cohomology_ranks_mod_p
-
     rng = random.Random(83)
     for _ in range(25):
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
@@ -436,25 +440,48 @@ def vector_lists(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(vector_lists())
-def test_echelon_matches_pivot_columns_and_solves(case):
+def test_greedy_span_matches_pivot_columns_and_solves(case):
     vectors, probes = case
     n = len(vectors[0])
-    span = Echelon()
-    kept = [i for i, vec in enumerate(vectors) if span.add(vec)]
-    assert kept == greedy_keep([], vectors)
-    assert tuple(kept) == SparseMatrix(n, 0).with_columns(vectors).pivot_columns()
-    A = SparseMatrix(n, 0).with_columns([vectors[i] for i in kept])
+    kept, span = greedy_span(range(len(vectors)), vectors.__getitem__, n, len(vectors))
+    assert list(kept) == greedy_keep([], vectors)
+    assert kept == SparseMatrix(n, 0).with_columns(vectors).pivot_columns()
+    columns = [vectors[i] for i in kept]
+    A = SparseMatrix(n, 0).with_columns(columns)
+    assert span == A
     for b in vectors + probes:
-        rest, x = span.reduce(b)
+        x = span.solve(b)
         solution = solve_linear(A, b)
-        assert (not rest) == (solution is not None)
-        assert len(x) == len(kept) and all_rational([x]) and all(rest.values())
-        # b = rest + sum of x[k] times kept vector k
-        for r in range(n):
-            spanned = sum(c * Fraction(vectors[i][r]) for c, i in zip(x, kept))
-            assert Fraction(b[r]) - spanned == rest.get(r, 0)
-        if solution is not None:
+        assert (x is None) == (solution is None)
+        assert (x is None) == (reference_rank(columns + [b]) > len(kept))
+        if x is not None:
             assert x == solution.vector
+            assert len(x) == len(kept) and all_rational([x])
+            # b = sum of x[k] times kept vector k
+            for r in range(n):
+                assert Fraction(b[r]) == sum(c * Fraction(col[r]) for c, col in zip(x, columns))
+
+
+@settings(max_examples=100, deadline=None)
+@given(vector_lists(), st.integers(0, 7))
+def test_greedy_span_stops_at_its_limit(case, limit):
+    vectors, _ = case
+    n = len(vectors[0])
+    everything, _ = greedy_span(range(len(vectors)), vectors.__getitem__, n, len(vectors))
+    read = []
+
+    def vector(i):
+        read.append(i)
+        return vectors[i]
+
+    kept, span = greedy_span(range(len(vectors)), vector, n, limit)
+    assert kept == everything[:limit] and span.ncols == len(kept)
+    if not limit:
+        assert read == []
+    elif len(kept) == limit:  # no candidate is read past the one that reaches the limit
+        assert read == list(range(kept[-1] + 1))
+    else:
+        assert read == list(range(len(vectors)))
 
 
 def test_int_entries_stay_ints():
