@@ -3,15 +3,18 @@
 A complex is stored by its set of minimal non-faces (the generators of the
 corresponding squarefree monomial ideal); the maximal faces are derived
 lazily by hypergraph dualization and cached.  The faces of K and of each
-induced subcomplex K_J form bitmask lattices grown one level (face size) at
-a time from the non-faces indexed by top vertex, only as far as a caller
-asks, and kept in one store per complex keyed by the vertex mask of J; a
-walk over all 2^m subsets grows its levels without keeping them.  A face
-test reads the same index of non-faces by top vertex.  Every
-singleton {i} is required to be a face, so complexes carry no ghost
-vertices.  All values are canonicalized and immutable after construction;
-equality and hashing use the canonical form (vertex labels are carried along
-but never affect any computation).
+induced subcomplex K_J form bitmask lattices, built one level (face size)
+at a time from the nearer end: a lower level grows from the level below it
+by the non-faces indexed by top vertex, and an upper level (more than half
+of J) is read off the complements in J that meet every non-face inside J.
+Only the levels a caller asks for, and those below them on the bottom-up
+side, are built, and they are kept in one store per complex keyed by the
+vertex mask of J; a walk over all 2^m subsets grows its levels bottom-up
+without keeping them.  A face test reads the same index of non-faces by top
+vertex.  Every singleton {i} is required to be a face, so complexes carry no
+ghost vertices.  All values are canonicalized and immutable after
+construction; equality and hashing use the canonical form (vertex labels are
+carried along but never affect any computation).
 
 Vertices are 1-indexed everywhere in the public API.  Internally subsets are
 represented both as sorted tuples and as bitmasks (bit v-1 for vertex v).
@@ -38,8 +41,13 @@ TRANSVERSAL_CAPACITY = 5000
 # faces of one size in a face lattice; the homology of the full simplex, whose
 # middle level is the largest, took 0.5 s and 31 MB at m = 14 (3,432 faces),
 # 2.4 s and 65 MB at m = 16 (12,870) and 11.4 s and 213 MB at m = 18 (48,620),
-# about 5x the time per two vertices (2-vCPU Xeon, Python 3.11.7); the largest
-# level in the tier-1 tests has 9,832 faces, and in the benchmark workloads 798
+# about 5x the time per two vertices (2-vCPU Xeon, Python 3.11.7); a level
+# grown bottom-up is refused as soon as it passes this, and a level read off
+# its complements is built only when it has at most this many candidates, so
+# it needs no guard of its own; outside the capacity tests the largest level
+# built in the tier-1 tests has 14,768 faces (read off its complements, in
+# `massey --family 4,4`; 9,832 grown bottom-up), and in the benchmark
+# workloads 529
 FACE_LEVEL_CAPACITY = 50_000
 
 
@@ -152,7 +160,7 @@ class StructureReport(NamedTuple):
 class SimplicialComplex:
     """A simplicial complex given by vertex count and minimal non-faces."""
 
-    __slots__ = ("m", "labels", "_mf_masks", "_full_mask", "_cache")
+    __slots__ = ("m", "labels", "_mf_masks", "_full_mask", "_cache", "__weakref__")
 
     def __init__(self, m, minimal_nonfaces=(), labels=None):
         _check_vertex_count(m)
@@ -178,7 +186,7 @@ class SimplicialComplex:
             if len(labels) != m:
                 raise InputError(f"expected {m} labels, got {len(labels)}")
         self.labels = labels
-        self._cache = {"face_levels": {}}
+        self._cache = {"face_levels": {}, "cores": {}}
 
     # -- constructors ------------------------------------------------------
 
@@ -352,11 +360,17 @@ class SimplicialComplex:
 
         The lowest dominated vertex is stripped while there is one; K_J
         strong-collapses onto the full subcomplex on the vertices left, so
-        the two have the same homotopy type.
+        the two have the same homotopy type.  The answer is kept per mask in
+        ``_cache``.
         """
-        while v := self.dominated_vertex(mask):
-            mask ^= 1 << (v - 1)
-        return mask
+        cores = self._cache["cores"]
+        core = cores.get(mask)
+        if core is None:
+            core = mask
+            while v := self.dominated_vertex(core):
+                core ^= 1 << (v - 1)
+            cores[mask] = core
+        return core
 
     def dominates(self, v, w, mask):
         """Whether vertex w dominates vertex v in K_J, J given by the bitmask ``mask``.
@@ -440,27 +454,59 @@ class SimplicialComplex:
         """The faces of K_J with ``size`` vertices, as bitmasks in lex order of their tuples.
 
         J is given by the bitmask ``mask``, all of K by default.  The levels
-        of each J are kept in one store in ``_cache``, keyed by the mask, and
-        grown only as far as a caller asks.  New levels are grown onto a
-        local copy that is stored whole, so threads racing on one J each
-        store a prefix of the same levels, never a level twice; a shorter
-        prefix does not replace a longer one stored first.
+        of each J are kept in one store in ``_cache``, keyed by the mask, as
+        a map from size to level, and each is built from its nearer end.
+        With n = |J|, a level with size > n - size and at most
+        ``FACE_LEVEL_CAPACITY`` candidates, C(n, size), is read off the
+        complements of its faces (``_level_from_top``); any other level
+        grows bottom-up (``_grow``) from the highest level stored below it,
+        storing every level between.  A level above an empty stored level is
+        empty.  Each level is built locally and stored whole unless one is
+        there already, so threads racing on one J never store a level twice.
         """
-        if size < 0:
-            return ()
         if mask is None:
             mask = self._full_mask
+        n = mask.bit_count()
+        if size < 0 or size > n:
+            return ()
         store = self._cache["face_levels"]
-        levels = store.get(mask, ((0,),))
-        if len(levels) <= size and levels[-1]:
-            rests = self._rests_in(mask)
-            grown = list(levels)
-            while len(grown) <= size and grown[-1]:
-                grown.append(self._grow(grown[-1], mask, rests))
-            levels = tuple(grown)
-            if len(levels) > len(store.get(mask, ())):
-                store[mask] = levels
-        return levels[size] if size < len(levels) else ()
+        levels = store.get(mask) or store.setdefault(mask, {0: (0,)})
+        known = size
+        while known not in levels:
+            known -= 1
+        level = levels[known]
+        if known == size:
+            return level
+        if not level:  # an empty level below has no faces above it
+            return ()
+        if size > n - size and math.comb(n, size) <= FACE_LEVEL_CAPACITY:
+            return levels.setdefault(size, self._level_from_top(size, mask))
+        rests = self._rests_in(mask)
+        while known < size and level:
+            known += 1
+            level = levels.setdefault(known, self._grow(level, mask, rests))
+        return level if known == size else ()
+
+    def _level_from_top(self, size, mask):
+        """The faces of K_J with ``size`` vertices, J the bitmask ``mask``, from their complements.
+
+        T is a face of K_J exactly when C = J - T meets every minimal
+        non-face inside J, read from ``_nonface_rests`` for the vertices of J
+        only, pairs first.  The (|J| - size)-subsets C come in lex order, so
+        their complements come in reverse lex order, and the kept faces are
+        reversed.
+        """
+        rests = self._nonface_rests()
+        bits = [1 << (v - 1) for v in _tuple_of(mask)]
+        pairs, larger = [], []
+        for top in bits:
+            near, far = rests[top.bit_length()]
+            pairs.extend(top | 1 << (u - 1) for u in _tuple_of(near & mask))
+            larger.extend(top | r for r in far if r & mask == r)
+        complements = list(map(sum, itertools.combinations(bits, len(bits) - size)))
+        for nf in pairs + larger:  # one pass per non-face over the complements left
+            complements = list(filter(nf.__and__, complements))
+        return tuple(mask ^ c for c in reversed(complements))
 
     def induced_face_levels(self, mask):
         """The face levels of K_J, J given by the bitmask ``mask``, kept nowhere.

@@ -16,25 +16,29 @@ By Hochster's isomorphism the component (J, t) is a sign-twisted copy of
 the cochains of the induced subcomplex K_J: its basis is the level of K_J's
 faces T with t - |J| vertices, held as bitmasks in reverse lex order of T
 (which is the order of the monomials u_{J-T} v_T by u-part).  The levels of
-each K_J are kept in K's own face-level store and grown only as far as a
-component or its two neighbours read them (``SimplicialComplex.face_masks``).
-A component's matrix is written from the masks alone: the entry at (row of
-T + i, column of T) is (-1)^k, k the number of vertices of J - T below i,
-wherever T + i is a face.
+each K_J are kept in K's own face-level store, and only the levels a
+component or its two neighbours read are built, each from its nearer end
+(``SimplicialComplex.face_masks``): a level of more than half of J is read
+off its complements in J, so the top value component of a family product
+reads its few upper levels without growing the large middle ones; a lower
+level grows bottom-up through the levels below it.  A component's matrix
+is written from the masks alone: the entry at (row of T + i, column of T)
+is (-1)^k, k the number of vertices of J - T below i, wherever T + i is a
+face.
 
 Classes are read on the core of J.  Stripping the dominated vertices R of
 K_J (``SimplicialComplex.strong_core``, as ``hochster.multigraded_betti``
-does) leaves a full subcomplex onto which K_J strong-collapses, and the
-contraction by d/du_v for each v in R, the restriction to it, maps the
-component (J, t) to (J - R, t - |R|) isomorphically on cohomology.  The
-canonical cocycles stay J's, and a cocycle is read modulo the coboundaries
-of the core component; the basis is the package's one greedy scan
-(``rational_linalg.greedy_span``) over those residuals, and a class vector
-is solved over the kept ones.  So the cohomology basis and every class
-vector are what they are on J, while J's own matrix from below, the
-largest one a Massey value has, is built only for a primitive or for
-``cohomology_dimension`` (the Hochster cross-oracle of
-``koszul_bigraded_ranks``).
+does, kept per mask by the complex) leaves a full subcomplex onto which
+K_J strong-collapses, and the contraction by d/du_v for each v in R, the
+restriction to it, maps the component (J, t) to (J - R, t - |R|)
+isomorphically on cohomology.  The canonical cocycles stay J's, and a
+cocycle is read modulo the coboundaries of the core component; the basis
+is the package's one greedy scan (``rational_linalg.greedy_span``) over
+those residuals, and a class vector is solved over the kept ones.  So the
+cohomology basis and every class vector are what they are on J, while J's
+own matrix from below, the largest one a Massey value has, is built only
+for a primitive or for ``cohomology_dimension`` (the Hochster cross-oracle
+of ``koszul_bigraded_ranks``).
 
 Normal form and signs: u-variables first in ascending order, then
 v-variables ascending.  v's are even (degree 2) and contribute no signs;
@@ -290,17 +294,17 @@ class ComponentBasis:
 
     def __init__(self, complex, multidegree, total_degree):
         self.complex = complex
-        self.multidegree = multidegree
-        self.total_degree = total_degree
         self._mask = mask = _mask_of(multidegree, complex.m)
-        self._faces = complex.face_masks(total_degree - len(multidegree), mask)[::-1]
+        self.multidegree = _tuple_of(mask)
+        self.total_degree = total_degree
+        self._faces = complex.face_masks(total_degree - mask.bit_count(), mask)[::-1]
         self._cache = {}
 
     def __len__(self):
         return len(self._faces)
 
     def _neighbor(self, offset):
-        return component_basis(self.complex, self.multidegree, self.total_degree + offset)
+        return _component_cached(self.complex, self.multidegree, self.total_degree + offset)
 
     def matrix_from_below(self):
         """Differential (degree-1 component) -> (this component), target rows.
@@ -387,7 +391,7 @@ class ComponentBasis:
             mask = K.strong_core(self._mask)
             R, core = self._mask ^ mask, None
             if R and mask & (mask - 1):
-                core = component_basis(K, _tuple_of(mask), self.total_degree - R.bit_count())
+                core = _component_cached(K, _tuple_of(mask), self.total_degree - R.bit_count())
             self._cache["core"] = (core, R)  # not self, which would make a cycle
         core, R = self._cache["core"]
         return (core if R else self), R

@@ -49,11 +49,12 @@ from .koszul import KoszulCochain, component_basis
 from .multiwedge import wedge_vertex_map
 from .rational_linalg import greedy_span
 
-# order n of a certified family product; K(n, 1) certifies in 0.015 s at 21 MB
-# for n = 6, 0.06 s at 21 MB for n = 8 and 4.5 s at 47 MB for n = 20, and
-# (6, 2) in 1.1 s at 80 MB; for n <= 8 every other s is refused (guard
-# face-level, or family-size past m = 128), (8, 15) after 8.1 s and (8, 2)
-# after 3.8 s at 164 MB, while the refusal of (10, 2) takes 6.8 s and 235 MB
+# order n of a certified family product; K(n, 1) certifies in 0.02 s at 17 MB
+# for n = 6, 0.06 s at 17 MB for n = 8 and 3.8 s at 43 MB for n = 20, (6, 2)
+# in 1.2 s at 76 MB, (3, 8) in 0.12 s at 25 MB and (4, 4) in 0.6 s at 40 MB;
+# guard face-level (or family-size past m = 128) refuses (4, 5), (5, 3) and
+# (7, 2) after 0.2-2.4 s, (8, 15) after 3.7 s and (8, 2) after 3.6 s at
+# 159 MB, while the refusal of (10, 2) takes 6.5 s and 231 MB
 # (one fresh process each, verify_family_massey with this cap lifted, 2-vCPU
 # Xeon, Python 3.11.7, Fraction backend)
 FAMILY_ORDER_CAPACITY = 8

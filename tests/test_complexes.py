@@ -1,8 +1,10 @@
+import gc
 import itertools
 import json
 import math
 import random
 import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -23,13 +25,19 @@ from moment_angle.complexes import (
     structure_report,
 )
 from moment_angle.errors import CapacityError, GhostVertexError, InputError
-from moment_angle.families import polygon_nerve
+from moment_angle.families import (
+    FamilySpec,
+    degree_prescribed_complex,
+    family_complex,
+    polygon_nerve,
+)
 
 from conftest import (
     all_complexes,
     brute_faces,
     brute_maximal_faces,
     brute_minimal_nonfaces,
+    dense_complexes,
     nonface_scan_is_face,
     random_complex,
     small_complexes,
@@ -202,7 +210,8 @@ def test_indexed_face_test_matches_nonface_scan(K):
 
 def test_racing_first_reads_store_each_level_once(monkeypatch):
     # two threads held at a barrier inside _grow on the same level of a fresh
-    # complex: each must store whole levels, so neither adds a level twice
+    # complex: each must store whole levels, so neither adds a level twice; the
+    # 7-gon's empty level 3 is the highest one grown bottom-up
     K, untouched = polygon_nerve(7), polygon_nerve(7)
     expected = [untouched.face_masks(k) for k in range(K.m + 2)]
     grow = SimplicialComplex._grow
@@ -215,7 +224,7 @@ def test_racing_first_reads_store_each_level_once(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(SimplicialComplex, "_grow", staticmethod(held))
-        threads = [threading.Thread(target=K.face_masks, args=(K.m + 1,)) for _ in range(2)]
+        threads = [threading.Thread(target=K.face_masks, args=(3,)) for _ in range(2)]
         for t in threads:
             t.start()
         for t in threads:
@@ -246,7 +255,11 @@ def test_a_shorter_racing_grower_keeps_the_longer_levels(monkeypatch):
         full = [K.face_masks(k) for k in range(K.m + 2)]
         stored.set()
         short.join(timeout=60)
-    assert K._cache["face_levels"][K._full_mask] == tuple(full[:4])  # up to the empty size 3
+    # up to the empty size 3, above which no level is built; the held thread's
+    # level 1 came second, so the stored one is still the first
+    kept = K._cache["face_levels"][K._full_mask]
+    assert kept == dict(enumerate(full[:4]))
+    assert all(kept[size] is full[size] for size in kept)
 
 
 def test_face_levels_grow_only_as_asked():
@@ -269,6 +282,80 @@ def test_level_one_is_refused_before_it_is_grown():
 
 def _mask(vertices):
     return sum(1 << (v - 1) for v in vertices)
+
+
+# multiwedges of the paper's family on at most 12 vertices
+WEDGE_FAMILY = [
+    family_complex(FamilySpec(name, n=n, s=s))
+    for name in ("kns", "kbarns")
+    for n, s in [(2, 1), (2, 2), (3, 1), (2, 5), (3, 2), (3, 3), (4, 2), (6, 1)]
+] + [degree_prescribed_complex(ks) for ks in [(3, 5, 3), (5, 3, 3), (3, 3, 3, 3), (7, 5)]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(small_complexes(min_m=1, max_m=8), dense_complexes(), st.sampled_from(WEDGE_FAMILY)),
+    st.data(),
+)
+def test_levels_from_either_end_match_the_bottom_up_walk(K, data):
+    # the levels of a fresh store, asked upper ones first, lower ones first or
+    # mixed, against the levels of induced_face_levels, which keeps none
+    mask = data.draw(st.integers(0, K._full_mask))
+    expected = dict(enumerate(K.induced_face_levels(mask)))
+    sizes = list(range(-1, mask.bit_count() + 3))
+    order = data.draw(
+        st.one_of(st.just(sizes[::-1]), st.just(sizes), st.permutations(sizes)), label="order"
+    )
+    fresh = SimplicialComplex(K.m, K.minimal_nonfaces)
+    assert [fresh.face_masks(k, mask) for k in order] == [expected.get(k, ()) for k in order]
+    kept = fresh._cache["face_levels"][mask]
+    assert all(level == expected.get(size, ()) for size, level in kept.items())
+
+
+def test_an_upper_level_of_a_sparse_complex_is_found_bottom_up():
+    # C(40, 25) candidates are over the capacity, so level 25 of the 40-gon is
+    # reached bottom-up, from its empty level 3
+    K = polygon_nerve(40)
+    assert K.face_masks(25) == ()
+    levels = K._cache["face_levels"][K._full_mask]
+    assert {size: len(level) for size, level in levels.items()} == {0: 1, 1: 40, 2: 40, 3: 0}
+
+
+def test_upper_levels_skip_the_levels_below_them():
+    # two disjoint 10-simplices: on J = {1, ..., 12} the levels 7-12 are read off
+    # the complements of at most C(12, 5) candidates, with nothing grown below them
+    K = SimplicialComplex(20, [(a, b) for a in range(1, 11) for b in range(11, 21)])
+    J = _mask(range(1, 13))
+    assert [len(K.face_masks(k, J)) for k in (12, 11, 10, 9, 8, 7)] == [0, 0, 1, 10, 45, 120]
+    assert sorted(K._cache["face_levels"][J]) == [0, 7, 8, 9, 10, 11, 12]
+    assert K.face_masks(10, J) == (_mask(range(1, 11)),)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_complexes(min_m=1, max_m=7), dense_complexes()))
+def test_kept_cores_match_the_lowest_first_strip(K):
+    def strip(mask):
+        while v := K.dominated_vertex(mask):
+            mask ^= 1 << (v - 1)
+        return mask
+
+    masks = range(K._full_mask + 1)
+    expected = [strip(mask) for mask in masks]
+    assert [K.strong_core(mask) for mask in masks] == expected
+    assert [K.strong_core(mask) for mask in reversed(masks)] == expected[::-1]  # kept answers
+    assert K._cache["cores"] == dict(zip(masks, expected))
+
+
+def test_a_dropped_complex_leaves_nothing_cached():
+    # the kept cores and face levels live on the complex, so nothing else holds it
+    K = polygon_nerve(9)
+    assert K.strong_core(K._full_mask) == K._full_mask
+    assert K.strong_core(_mask([1, 2, 3, 5])) == _mask([3, 5])  # a path and a point
+    assert len(K.face_masks(2)) == len(K.face_masks(2, _mask(range(1, 8)))) + 3
+    gone = weakref.ref(K)
+    del K
+    gc.collect()
+    assert gone() is None
 
 
 @st.composite

@@ -110,6 +110,13 @@ GOLDEN = (
      "a82b81003a9072b1b2328bfce9ba8d45e82def1ecaed550d92d033f354b37b3f"),
     ("massey-family-4-2", ["massey", "--family", "4,2"],
      "f9de7f7af84c062fd36358b960c229518491731d8e6aa65582800990d734da04"),
+    # m = 21 and m = 20: certified once the upper face levels of the value
+    # components were read off their complements; both digests agree with the
+    # bottom-up levels run with the face-level capacity lifted
+    ("massey-family-3-6", ["massey", "--family", "3,6"],
+     "4d29e198ce3a8fab07fb66877b95ca64dd9b860c281043cd607e488a894864d1"),
+    ("massey-family-4-4", ["massey", "--family", "4,4"],
+     "d882748c3fbe5e386c074bbe24f02b75fb8a22ecab5dc81e427ff3ecbc2d33db"),
     ("graphassoc-p4", ["graphassoc", "--inline", P4],
      "544f9bde5424a3b13da77fb02e62c25a8ccd2b2c92539822d9f9cb2b2ae573cd"),
     ("search-p4-nerve", ["massey", "--inline", P4_NERVE, "--search-triples"],

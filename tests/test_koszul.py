@@ -327,6 +327,19 @@ def test_component_basis_refuses_a_bool_vertex_in_either_cache_order(monkeypatch
         component_basis(K, [0, 3], 3)
 
 
+def test_neighbours_and_cores_skip_the_public_vertex_check(monkeypatch):
+    # a component's neighbours and its core are keyed by its own sorted tuple, so
+    # they go to the memo directly; only the first component passes component_basis
+    built = fresh_components(monkeypatch)
+    K = family_massey_input(3, 1).complex
+    comp = component_basis(K, range(1, 7), 8)
+    monkeypatch.setattr(koszul, "component_basis", None)  # any call would fail
+    assert comp._core()[1]  # the core is a smaller component
+    assert len(comp.cohomology_basis()) == comp.cohomology_dimension() == 1
+    assert (K, comp._core()[0].multidegree, 8 - comp._core()[1].bit_count()) in built
+    assert {(K, tuple(range(1, 7)), t) for t in (7, 9)} <= set(built)
+
+
 def test_family_value_component_is_never_eliminated_on_J(monkeypatch):
     # the value of the (4, 2) product lives on all 12 vertices; its classes are read on
     # the core, so its largest matrix, 403 x 529, is never built

@@ -593,15 +593,38 @@ def test_concurrent_first_solves_agree():
                 ]
                 assert all(f.result(timeout=60) == expected for f in futures)
                 mask = sum(1 << (v - 1) for v in J)
-                levels[mask] = (*K.induced_face_levels(mask), ())  # grown to its end
-            # a thread that grew fewer levels may store last, but only whole levels
+                levels[mask] = dict(enumerate(K.induced_face_levels(mask)))  # bottom-up
+            # threads may store in any order, but only whole levels: every stored level,
+            # from either end, is the bottom-up level of its size
             store = K._cache["face_levels"]
             assert set(store) == set(levels)
-            assert all(levels[mask][: len(kept)] == kept for mask, kept in store.items())
             assert all(
-                [K.face_masks(k, mask) for k in range(len(full))] == list(full)
-                for mask, full in levels.items()
+                level == levels[mask].get(size, ())
+                for mask, kept in store.items()
+                for size, level in kept.items()
             )
+            assert all(
+                K.face_masks(k, mask) == full.get(k, ())
+                for mask, full in levels.items()
+                for k in range(12)
+            )
+            # an upper level (read off the complements) and a lower one (grown
+            # bottom-up) of one fresh mask, raced in both orders
+            K = SimplicialComplex(10, nonfaces)
+            full = dict(enumerate(K.induced_face_levels(K._full_mask)))
+            assert full[6] and 7 not in full
+
+            def read(order):
+                start.wait()
+                return [K.face_masks(k) for k in order]
+
+            orders = [(6, 3), (3, 6), (7, 2), (2, 7)] * 2
+            futures = [pool.submit(read, order) for order in orders]
+            for future, order in zip(futures, orders):
+                assert future.result(timeout=60) == [full.get(k, ()) for k in order]
+            kept = K._cache["face_levels"][K._full_mask]
+            assert {6, 3, 2} <= set(kept)
+            assert all(level == full.get(size, ()) for size, level in kept.items())
     finally:
         sys.setswitchinterval(interval)
 
