@@ -9,12 +9,12 @@ by the non-faces indexed by top vertex, and an upper level (more than half
 of J) is read off the complements in J that meet every non-face inside J.
 Only the levels a caller asks for, and those below them on the bottom-up
 side, are built, and they are kept in one store per complex keyed by the
-vertex mask of J; a walk over all 2^m subsets grows its levels bottom-up
-without keeping them.  A face test reads the same index of non-faces by top
-vertex.  Every singleton {i} is required to be a face, so complexes carry no
-ghost vertices.  All values are canonicalized and immutable after
-construction; equality and hashing use the canonical form (vertex labels are
-carried along but never affect any computation).
+vertex mask of J, for every reader of one K_J; only the walk over all 2^m
+subsets grows its levels bottom-up without keeping them.  A face test reads
+the same index of non-faces by top vertex.  Every singleton {i} must be a
+face, so complexes carry no ghost vertices.  All values are canonicalized
+and immutable after construction; equality and hashing use the canonical
+form (vertex labels are carried along but never affect any computation).
 
 Vertices are 1-indexed everywhere in the public API.  Internally subsets are
 represented both as sorted tuples and as bitmasks (bit v-1 for vertex v).
@@ -513,8 +513,8 @@ class SimplicialComplex:
 
         Yields the faces of K_J with 0, 1, 2, ... vertices, up to the last
         nonempty level, as bitmasks over K's own vertices in lex order: the
-        levels of ``face_masks``, for a walk over all 2^m subsets that would
-        otherwise store 2^m entries.
+        levels of ``face_masks``, for their one reader: the walk over all 2^m
+        subsets, which would otherwise store 2^m entries.
         """
         rests = self._rests_in(mask)
         level = (0,)

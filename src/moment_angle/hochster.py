@@ -6,11 +6,11 @@ subcomplex K_J in degree j-i-1; the same per-subset ranks assemble the
 Poincare vectors of the moment-angle complex Z_K and of the real
 moment-angle complex R_K.
 
-No induced subcomplex is built: the face lattice of each K_J is grown level
-by level from the minimal non-faces inside J, using vertices of J only, so a
-subset costs the faces of K_J however large K is.  The faces come in the
-same lexicographic order as the faces of the relabeled K_J, so each subset
-gets exactly the coboundary matrices of K_J.
+No induced subcomplex is built: the face levels of each K_J come from the
+minimal non-faces inside J, using vertices of J only, so a subset costs the
+faces of K_J however large K is.  The faces come in the same lexicographic
+order as the faces of the relabeled K_J, so each subset gets exactly the
+coboundary matrices of K_J.
 
 Most subsets need no elimination at all.  A vertex v of K_J is dominated
 by a vertex w != v when every maximal face of K_J through v contains w, i.e.
@@ -40,11 +40,12 @@ tuples), so every proper subset of J has been walked before J:
   eliminates coboundaries: in the 13-gon, 15 of 8,192 subsets (the empty
   set, the singletons and the cycle).
 
-A single query (``multigraded_betti``) strips dominated vertices from J one
-at a time and reads its rank on the core that is left, which is 0 when the
-core is one vertex; a listed multidegree of the table is computed on its
-own K_J.  The table counts each distinct (|J|, ranks) pair and expands the
-counts once.
+A single subset, asked by ``multigraded_betti`` or listed for the table, is
+read on its core, J with its dominated vertices stripped one at a time: its
+ranks are J's, read from the core's levels in the complex's store, which
+the Koszul components of that core read too (0 in ``multigraded_betti``
+when the core is one vertex).  The table counts each distinct (|J|, ranks)
+pair and expands the counts once.
 """
 
 import itertools
@@ -54,24 +55,20 @@ from dataclasses import dataclass
 
 from .complexes import _mask_of
 from .errors import CapacityError, InputError
-from .rational_linalg import cohomology_profile, cohomology_rank
+from .rational_linalg import cohomology_profile, reduced_cohomology_rank, reduced_cohomology_ranks
 
 FULL_TABLE_CAPACITY = 22
 
 
 def multigraded_betti(K, i, J):
-    """beta^{-i, 2J}: rank of reduced H^{|J|-i-1} of K_J, read on the core of J."""
+    """beta^{-i, 2J}: reduced H^{|J|-i-1} of K_J, read on the stored levels of J's core."""
     J = sorted(set(J))
     if i < 0 or i > len(J):
         raise InputError(f"homological degree {i} outside 0..{len(J)}")
-    mask = K.strong_core(_mask_of(J, K.m))
-    if J and mask & (mask - 1) == 0:
+    core = K.strong_core(_mask_of(J, K.m))
+    if J and core & (core - 1) == 0:
         return 0
-    size = len(J) - i  # faces of size d + 1 carry degree d = |J| - i - 1
-    # levels[k + 1] holds the faces with k vertices; levels[0] is the empty size -1
-    levels = [(), *itertools.islice(K.induced_face_levels(mask), size + 2)]
-    levels += [()] * (size + 3 - len(levels))
-    return cohomology_rank(*levels[size : size + 3])
+    return reduced_cohomology_rank(K, len(J) - i - 1, core)
 
 
 @dataclass(frozen=True)
@@ -90,14 +87,15 @@ class BettiTable:
 def _profile_counts(K, multidegrees):
     """Counter of (|J|, reduced cohomology ranks of K_J) over the listed J, or over all J.
 
-    The full walk takes the subsets as bitmasks in increasing order and keeps
+    A listed J takes the ranks of its core: J's up to trailing zeros.  The
+    full walk takes the subsets as bitmasks in increasing order and keeps
     one rank tuple per mask: when a vertex v is dominated in K_J, K_J
     collapses onto K_{J - v}, and a disconnected K_J is the disjoint union
     of two smaller ones, all of whose masks were walked already.
     """
     if multidegrees is not None:
         masks = [_mask_of(J, K.m) for J in multidegrees]
-        ranks = [cohomology_profile(K.induced_face_levels(mask)).ranks for mask in masks]
+        ranks = [reduced_cohomology_ranks(K, K.strong_core(mask)).ranks for mask in masks]
     else:
         masks = range(1 << K.m)
         ranks = [cohomology_profile(K.induced_face_levels(0)).ranks]

@@ -37,8 +37,8 @@ is the package's one greedy scan (``rational_linalg.greedy_span``) over
 those residuals, and a class vector is solved over the kept ones.  So the
 cohomology basis and every class vector are what they are on J, while J's
 own matrix from below, the largest one a Massey value has, is built only
-for a primitive or for ``cohomology_dimension`` (the Hochster cross-oracle
-of ``koszul_bigraded_ranks``).
+for a primitive or for ``cohomology_dimension`` (checked in the tests
+against the Hochster ranks).
 
 Normal form and signs: u-variables first in ascending order, then
 v-variables ascending.  v's are even (degree 2) and contribute no signs;
@@ -46,20 +46,13 @@ u's are odd, so merging two u-blocks contributes the parity of the shuffle,
 and dropping u_i from position k (0-based) of a u-block contributes (-1)^k.
 """
 
-import itertools
 from functools import lru_cache
 
 from .complexes import _mask_of, _tuple_of
-from .errors import AmbientMismatchError, CapacityError, InputError, NotACocycleError
+from .errors import AmbientMismatchError, InputError, NotACocycleError
 from .rational_linalg import Rational, SparseMatrix, greedy_span
 
 _ONE = Rational(1)
-
-# the full table builds and keeps every component, up to 3^m basis faces: on the
-# full simplex (2-vCPU Xeon, Python 3.11.7, Fraction backend) m = 11 took 2.8-3.0 s
-# and 167 MB peak RSS, m = 12 took 8.1-8.5 s and 498 MB; at m = 10, 80 % of the
-# memory kept is the matrices' entries and forward eliminations (tracemalloc)
-KOSZUL_TABLE_CAPACITY = 12
 
 
 def normal_part(vertices, m, what):
@@ -498,25 +491,3 @@ def cohomology_class(cochain):
     """Class coordinates of a homogeneous cocycle in its component's basis."""
     return component_of(cochain).class_vector(cochain)
 
-
-def koszul_bigraded_ranks(K):
-    """Cohomology ranks of the model by bidegree (i, j): the Hochster cross-oracle.
-
-    Enumerates all 2^m vertex subsets; above KOSZUL_TABLE_CAPACITY vertices
-    it fails loudly rather than truncating.
-    """
-    if K.m > KOSZUL_TABLE_CAPACITY:
-        raise CapacityError(
-            "koszul-table",
-            f"full Koszul table needs 2^{K.m} subsets; "
-            f"capacity is m <= {KOSZUL_TABLE_CAPACITY}",
-        )
-    out = {}
-    for size in range(K.m + 1):
-        for J in itertools.combinations(range(1, K.m + 1), size):
-            for t in range(size, 2 * size + 1):
-                dim = component_basis(K, J, t).cohomology_dimension()
-                if dim:
-                    key = (2 * size - t, size)
-                    out[key] = out.get(key, 0) + dim
-    return out

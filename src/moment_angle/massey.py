@@ -314,8 +314,8 @@ def _window_rank(K, support, degree):
     """Reduced H^degree of K_support: the Betti number beta^{-i, 2 support}.
 
     Zero outside degrees -1 .. |support| - 1, which zero representatives of
-    any reduced degree can ask for.  Read on the core of the support, so a
-    window that strong-collapses to a vertex grows no faces.
+    any reduced degree can ask for.  Read on the stored levels of the
+    support's core, so a window that collapses to a vertex grows no faces.
     """
     if not -1 <= degree < len(support):
         return 0

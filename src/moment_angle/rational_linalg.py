@@ -519,28 +519,24 @@ def cohomology_profile(levels):
     return CohomologyProfile(cohomology_ranks(map(len, levels), dranks))
 
 
-def reduced_cohomology_ranks(K):
-    """Reduced rational cohomology ranks of K in all degrees.
+def reduced_cohomology_ranks(K, mask=None):
+    """Reduced rational cohomology ranks of K_J, J the bitmask ``mask`` (K by default).
 
-    For the complex {emptyset} the profile is (1,): rank 1 in degree -1.
+    For {emptyset}, and for the empty J, the profile is (1,): rank 1 in degree -1.
     """
-    return cohomology_profile(map(K.face_masks, itertools.count()))
+    return cohomology_profile(K.face_masks(size, mask) for size in itertools.count())
 
 
-def cohomology_rank(lower, middle, upper):
-    """Rank of reduced cohomology at the face level ``middle``.
+def reduced_cohomology_rank(K, d, mask=None):
+    """Rank of reduced H^d of K_J, J the bitmask ``mask`` (all of K by default).
 
-    ``lower`` and ``upper`` are the face levels one size below and above
-    (as bitmasks; empty where there are none).  Cheaper than the profile,
-    which eliminates every differential.
+    Reads the three face levels around degree d, none past an empty middle
+    one: cheaper than the profile, which eliminates every differential.
     """
+    middle = K.face_masks(d + 1, mask)
     if not middle:
         return 0
+    lower, upper = K.face_masks(d, mask), K.face_masks(d + 2, mask)
     r_out = _coboundary(middle, upper).rank() if upper else 0
     r_in = _coboundary(lower, middle).rank() if lower else 0
     return len(middle) - r_out - r_in
-
-
-def reduced_cohomology_rank(K, d):
-    """Rank of a single reduced cohomology group (cheaper than the profile)."""
-    return cohomology_rank(K.face_masks(d), K.face_masks(d + 1), K.face_masks(d + 2))

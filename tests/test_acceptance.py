@@ -21,7 +21,7 @@ from moment_angle.graphs import (
     graphical_building_set,
 )
 from moment_angle.hochster import bigraded_betti_table, multigraded_betti
-from moment_angle.koszul import KoszulCochain, component_basis, koszul_bigraded_ranks
+from moment_angle.koszul import KoszulCochain, component_basis
 from moment_angle.massey import (
     MasseyClassInput,
     MasseyInput,
@@ -33,7 +33,7 @@ from moment_angle.massey import (
 from moment_angle.rational_linalg import reduced_cohomology_ranks
 from moment_angle.real_cochains import doubling_complex, real_cohomology_ranks
 
-from conftest import random_complexes
+from conftest import koszul_bigraded_ranks, random_complexes
 
 
 @contextmanager

@@ -285,20 +285,35 @@ def test_wedge_size_capacity_exit_code(capsys):
     assert "1000005 vertices" in document["error"]
 
 
+FULL_SIMPLEX_30 = '{"m":30,"minimal_nonfaces":[]}'
+ALL_OF_30 = ",".join(map(str, range(1, 31)))
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["homology"],
-        ["betti", "--multidegree", ",".join(map(str, range(1, 31)))],
+        # the full 30-simplex: its face levels reach 155 million faces
+        ["homology", "--inline", FULL_SIMPLEX_30],
+        # the boundary of the 29-simplex is its own core, with as many faces
+        # below the top level
+        ["betti", "--multidegree", ALL_OF_30, "--inline",
+         '{"m":30,"minimal_nonfaces":[[%s]]}' % ALL_OF_30],
     ],
     ids=lambda argv: argv[0],
 )
 def test_face_level_capacity_exit_code(capsys, argv):
-    # the full 30-simplex: its face levels reach 155 million faces
-    code, out, err = run(capsys, [*argv, "--inline", '{"m":30,"minimal_nonfaces":[]}'])
+    code, out, err = run(capsys, argv)
     assert out == ""
     document = assert_one_capacity_error(code, err, "face-level")
     assert "50001 faces of size 5 grown from" in document["error"]
+
+
+def test_betti_multidegree_reads_the_core(capsys):
+    # the full 30-simplex strong-collapses onto one vertex, so the listed
+    # multidegree reads two levels of one face each: the empty table
+    code, out, err = run(capsys, ["betti", "--multidegree", ALL_OF_30, "--inline", FULL_SIMPLEX_30])
+    assert code == 0 and err == ""
+    assert json.loads(out)["result"] == {"bigraded": [], "rk_poincare": [0], "zk_poincare": [0]}
 
 
 def test_vertex_count_capacity_exit_code(capsys):

@@ -25,14 +25,10 @@ from moment_angle.complexes import (
     structure_report,
 )
 from moment_angle.errors import CapacityError, GhostVertexError, InputError
-from moment_angle.families import (
-    FamilySpec,
-    degree_prescribed_complex,
-    family_complex,
-    polygon_nerve,
-)
+from moment_angle.families import polygon_nerve
 
 from conftest import (
+    WEDGE_FAMILY,
     all_complexes,
     brute_faces,
     brute_maximal_faces,
@@ -282,14 +278,6 @@ def test_level_one_is_refused_before_it_is_grown():
 
 def _mask(vertices):
     return sum(1 << (v - 1) for v in vertices)
-
-
-# multiwedges of the paper's family on at most 12 vertices
-WEDGE_FAMILY = [
-    family_complex(FamilySpec(name, n=n, s=s))
-    for name in ("kns", "kbarns")
-    for n, s in [(2, 1), (2, 2), (3, 1), (2, 5), (3, 2), (3, 3), (4, 2), (6, 1)]
-] + [degree_prescribed_complex(ks) for ks in [(3, 5, 3), (5, 3, 3), (3, 3, 3, 3), (7, 5)]]
 
 
 @settings(max_examples=200, deadline=None)

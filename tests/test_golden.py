@@ -15,6 +15,7 @@ import pytest
 
 from moment_angle.cli import main
 from moment_angle.graphs import Graph, associahedron_nerve
+from moment_angle.massey import family_massey_input
 
 SQUARE = '{"m":4,"minimal_nonfaces":[[1,3],[2,4]]}'
 HEXAGON = json.dumps(
@@ -64,6 +65,9 @@ NINE_GON = json.dumps(
         ],
     }
 )
+# the complex of the (4, 2) family product, m = 12; its value lies in
+# multidegree 1..12, whose core drops vertices 10 and 11
+FAMILY_4_2 = json.dumps(family_massey_input(4, 2).complex.to_json_dict())
 # dense and not flag: nearly every induced subcomplex is close to a full simplex
 DENSE_12 = '{"m":12,"minimal_nonfaces":[[1,2,3],[3,6,9],[4,8,12],[2,7,11],[5,10,12]]}'
 
@@ -87,6 +91,17 @@ GOLDEN = (
      "de216cf8afc2cef298295a91bffb38e43fde48c47ade2d255fc2fe0fc76d31df"),
     ("betti-hexagon-multidegree", ["betti", "--inline", HEXAGON, "--multidegree", "1,3"],
      "9e4037169a24c0cdd52ca04cd38f90ce9e3c975081541d263f719d39ec4dffe7"),
+    # single subsets read on their cores: a path that collapses to a vertex, a
+    # J of the K4 nerve whose core is {1, 2, 11, 12}, and the (4, 2) value
+    ("betti-hexagon-multidegree-path",
+     ["betti", "--inline", HEXAGON, "--multidegree", "1,2,3"],
+     "b7034e19c2976f4984bbd6f4b85aa54f83b089f0c3a819c51471fcd6881f5c4a"),
+    ("betti-k4-nerve-multidegree-core",
+     ["betti", "--inline", K4_NERVE, "--multidegree", "1,2,3,4,11,12"],
+     "301dc257537bc37f8a386ff230d01061f8de47e4b69a5a4443b3c62e4c2f5366"),
+    ("betti-family-4-2-value",
+     ["betti", "--inline", FAMILY_4_2, "--multidegree", ",".join(map(str, range(1, 13)))],
+     "be3c69c9881c3fc9a38e6c11e0259c374cb85aeede9989eb4de692d42b8a0d26"),
     ("multiwedge", ["multiwedge", "--inline", '{"m":2,"minimal_nonfaces":[[1,2]]}',
                     "--j", "2,1"],
      "fa4b85aaaa795cb260911357ea6b8ae76a708d3f2f715e5a2c89c40e296e1c94"),
@@ -104,6 +119,11 @@ GOLDEN = (
     ("massey-cross-polytope", ["massey", "--inline", CROSS_POLYTOPE_4,
                                "--supports", "[[1,2],[3,4],[5,6],[7,8]]"],
      "ed26819700a963a679286d52ea4497768c727e75d165dddc222fcb575c63cc94"),
+    # window ranks on proper cores of 3 vertices, {2, 4, 6} and {4, 5, 6},
+    # each of rank 2 below the obstruction degree
+    ("massey-k4-nerve-windows", ["massey", "--inline", K4_NERVE,
+                                 "--supports", "[[1,2],[4,6],[3,5]]"],
+     "cd4b936cab97d23feae84e9f508d0701be53c7c74c6d1b3de955bc07c0d8b5a3"),
     ("massey-family-3-1", ["massey", "--family", "3,1"],
      "64ffa8081033def5d07e7d94733b99d7eb7f6cd591218359cc01138566a054a3"),
     ("massey-family-2-2", ["massey", "--family", "2,2"],

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from moment_angle.complexes import SimplicialComplex
+from moment_angle.complexes import SimplicialComplex, _tuple_of
 from moment_angle.errors import CapacityError, InputError
 from moment_angle.families import FamilySpec, family_complex, polygon_nerve
 from moment_angle.hochster import (
@@ -13,10 +13,19 @@ from moment_angle.hochster import (
     component_count_betti,
     multigraded_betti,
 )
+from moment_angle.koszul import _component_cached, component_basis
+from moment_angle.massey import family_massey_input
 from moment_angle.multiwedge import j_construction
 from moment_angle.rational_linalg import cohomology_profile, reduced_cohomology_ranks
 
-from conftest import CORPUS_GRAPHS, corpus_nerve, random_complex, small_complexes
+from conftest import (
+    CORPUS_GRAPHS,
+    WEDGE_FAMILY,
+    corpus_nerve,
+    dense_complexes,
+    random_complex,
+    small_complexes,
+)
 
 
 def test_multigraded_examples():
@@ -99,6 +108,20 @@ def test_targeted_queries_cost_only_the_subset():
     assert multigraded_betti(SimplicialComplex(40, [(1, 2)]), 0, J) == 0
 
 
+def test_a_family_value_multidegree_reads_its_levels_from_the_top():
+    # the (3, 6) family value lies in multidegree J = 1..21 and reduced degree
+    # 16; the core of J drops vertex 20, and its levels of 16, 17 and 18 faces
+    # are read off their complements, where growing K_J bottom-up passes the
+    # face-level capacity at 7 faces
+    input = family_massey_input(3, 6)
+    K, J = input.complex, range(1, 22)
+    assert input.window_reduced_degree(1, 3) == 16
+    assert multigraded_betti(K, 4, J) == 1
+    core = K._full_mask ^ 1 << 19
+    assert K.strong_core(K._full_mask) == core
+    assert set(K._cache["face_levels"][core]) == {0, 16, 17, 18}
+
+
 def test_full_table_eliminates_only_connected_uncollapsible_subsets(monkeypatch):
     # in the 13-gon every proper subset is a union of paths, each collapsing
     # to a point; the disjoint union of points takes the sum of its sides, so
@@ -119,19 +142,34 @@ def test_full_table_eliminates_only_connected_uncollapsible_subsets(monkeypatch)
     assert table.rank(1, 2) == 13 * 10 // 2  # one per non-adjacent pair
 
 
-def keeps_no_induced_levels(K):
-    """Whether K's face-level store holds no entry for a proper K_J."""
-    return set(K._cache["face_levels"]) <= {K._full_mask}
+def stored_induced_masks(K):
+    """The masks of the proper K_J in K's face-level store.
+
+    Each kept level, of K_J or of K itself, must be the level that
+    ``induced_face_levels`` grows bottom-up for the same J.
+    """
+    store = K._cache["face_levels"]
+    for mask, kept in store.items():
+        grown = dict(enumerate(K.induced_face_levels(mask)))
+        assert all(level == grown.get(size, ()) for size, level in kept.items())
+    return set(store) - {K._full_mask}
 
 
-def test_betti_paths_keep_no_face_levels():
+def test_betti_paths_keep_only_core_levels():
     # the Koszul components keep the face levels of each K_J in K's face-level
-    # store; a full table would then keep 2^m entries, so the Hochster paths must not
+    # store; a full table would then keep 2^m entries, so the walk keeps none,
+    # while a single J keeps the levels of its core, which the components of
+    # that core read too
     K = polygon_nerve(7)
     bigraded_betti_table(K)
-    bigraded_betti_table(K, multidegrees=[(1, 3, 5)])
-    multigraded_betti(K, 1, (1, 3, 5))
-    assert keeps_no_induced_levels(K)
+    assert stored_induced_masks(K) == set()
+    J = (1, 2, 3, 5)  # the path 1-2-3 collapses onto 3, so the core is {3, 5}
+    assert bigraded_betti_table(K, multidegrees=[J]).bigraded == {(3, 4): 1}
+    assert stored_induced_masks(K) == {0b10100}
+    K = polygon_nerve(7)
+    assert multigraded_betti(K, 3, J) == 1
+    assert multigraded_betti(K, 1, (1, 2)) == 0  # an edge: a one-vertex core keeps nothing
+    assert stored_induced_masks(K) == {0b10100}
 
 
 def assert_core_rank_matches_direct_rank(K, J):
@@ -166,15 +204,47 @@ def test_core_ranks_match_direct_ranks(K, data):
         assert_core_rank_matches_direct_rank(K, J)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(small_complexes(min_m=1, max_m=8), dense_complexes(), st.sampled_from(WEDGE_FAMILY)),
+    st.data(),
+)
+def test_core_reader_matches_the_levels_of_K_J(K, data):
+    # multigraded_betti and the listed profile read the levels of J's core from
+    # a store that Koszul components and upper-level reads, on J, its core or
+    # any subset, have filled first in random order; both must agree with the
+    # profile of K_J's own levels, grown bottom-up and kept nowhere
+    _component_cached.cache_clear()  # a component of an equal complex reads that one's store
+    K = SimplicialComplex(K.m, K.minimal_nonfaces)
+    mask = data.draw(st.integers(0, K._full_mask), label="J")
+    subsets = st.sampled_from([mask, K.strong_core(mask)]) | st.integers(0, K._full_mask)
+    for _ in range(data.draw(st.integers(0, 6), label="fills")):
+        sub = data.draw(subsets, label="fill subset")
+        n = sub.bit_count()
+        if data.draw(st.booleans(), label="component"):
+            component_basis(K, _tuple_of(sub), n + data.draw(st.integers(0, n))).cohomology_basis()
+        else:
+            K.face_masks(data.draw(st.integers(n // 2, n + 1)), sub)
+    J = _tuple_of(mask)
+    direct = cohomology_profile(K.induced_face_levels(mask))
+    assert [multigraded_betti(K, i, J) for i in range(len(J) + 1)] == [
+        direct.rank(len(J) - i - 1) for i in range(len(J) + 1)
+    ]
+    listed = bigraded_betti_table(K, multidegrees=[J]).bigraded
+    assert listed == {(len(J) - d - 1, len(J)): r for d, r in direct.items() if r}
+    stored_induced_masks(K)  # every level kept, by either reader, is the grown one
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS_GRAPHS))
 def test_core_ranks_match_direct_ranks_on_corpus_nerves(name):
-    K = corpus_nerve(name)
+    K = corpus_nerve.__wrapped__(name)  # a fresh nerve: its face-level store starts empty
     rng = random.Random(name)
     subsets = [(), tuple(range(1, min(K.m, 1) + 1)), tuple(range(1, K.m + 1))]
     subsets += [tuple(rng.sample(range(1, K.m + 1), rng.randint(0, K.m))) for _ in range(40)]
     for J in subsets:
         assert_core_rank_matches_direct_rank(K, J)
-    assert keeps_no_induced_levels(K)
+    cores = {K.strong_core(sum(1 << (v - 1) for v in set(J))) for J in subsets}
+    assert stored_induced_masks(K) == {c for c in cores if c & (c - 1) or not c} - {K._full_mask}
 
 
 def test_multidegree_filter_restricts_sums():

@@ -20,7 +20,6 @@ from moment_angle.koszul import (
     KoszulCochain,
     cohomology_class,
     component_basis,
-    koszul_bigraded_ranks,
 )
 from moment_angle.graphs import Graph, formality_classify
 from moment_angle.massey import family_massey_input, verify_family_massey
@@ -34,6 +33,7 @@ from conftest import (
     differential_matrix,
     homogeneous_pieces,
     is_coboundary,
+    koszul_bigraded_ranks,
     mask_pair,
     oracle_class_vector,
     oracle_classes,
