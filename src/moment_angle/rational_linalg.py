@@ -28,19 +28,26 @@ are the cocycles whose residuals modulo the coboundary matrix (see
 kept residuals.  The RREF is canonical, so the answers do not depend on
 pivot-row choices (which are made to limit fill-in).
 
-Each matrix is eliminated once: its forward pass runs with a log of the
-integer row operations and keeps the pivots, that log and the pivot rows.
-The pivot row of column c holds no column below c (every other row that
-held an earlier column was cleared when that column was taken, and fill-in
-adds only columns above the pivot), so the pivot rows are a row echelon
-form and no backward pass is needed.  Rank and pivot columns are read off
-the pivots.  ``residual`` replays the forward log on a vector, which leaves
-it nonzero only at the positions holding no pivot; ``solve`` does the same
-and then solves the pivot rows by one back substitution, last pivot first,
-with the free variables zero; ``kernel`` yields the canonical kernel
-vectors one free column at a time by the same back substitution.  Exact
-rationals are canonical, so these are the values the RREF would give.  The
-stored state is never mutated, so threads may race to compute it.
+Each matrix is eliminated once.  A matrix whose only reader is its rank
+(every simplicial coboundary and real-model differential read for a
+cohomology rank) goes to ``rank_of_columns``, which hands its shorter
+side to ``_reduce`` as rows, in place, with no log and no copy, and
+keeps nothing: a forward pass zeroes nrows - rank rows, so the shorter
+side zeroes the fewest.  A ``SparseMatrix`` runs its forward pass on a
+copy of its rows, with a log of the integer row operations, and keeps
+the pivots, that log and the pivot rows.  The pivot row of column c
+holds no column below c (every other row that held an earlier column was
+cleared when that column was taken, and fill-in adds only columns above
+the pivot), so the pivot rows are a row echelon form and no backward
+pass is needed.  Rank and pivot columns are read off the pivots.
+``residual`` replays the forward log on a vector, which leaves it
+nonzero only at the positions holding no pivot; ``solve`` does the same
+and then solves the pivot rows by one back substitution, last pivot
+first, with the free variables zero; ``kernel`` yields the canonical
+kernel vectors one free column at a time by the same back substitution.
+Exact rationals are canonical, so these are the values the RREF would
+give.  The stored state is never mutated, so threads may race to compute
+it.
 
 Coefficients are arbitrary-precision rationals: gmpy2.mpq when available
 (it is a drop-in, much faster implementation), fractions.Fraction otherwise.
@@ -278,7 +285,7 @@ def _replay(b, log):
         b[i] = u / g if g != 1 else u
 
 
-def _reduce(rows, ncols, log):
+def _reduce(rows, ncols, log=None):
     """Fraction-free forward elimination over the integers: the pivots of the canonical RREF.
 
     ``rows`` is a list of dicts (column -> nonzero int or Rational), one per
@@ -296,9 +303,10 @@ def _reduce(rows, ncols, log):
     row, q / f is p's entry over r's entry in the column in lowest terms
     (q > 0), and g is the content of the result.
 
-    ``log`` receives every row operation in order as (i, j, q, f, g): the
-    row at position i became (q * row i - f * row j) / g.  The initial
-    scaling of row i is logged as (i, i, q, 0, g).
+    ``log``, when given, receives every row operation in order as
+    (i, j, q, f, g): the row at position i became (q * row i - f * row j) / g.
+    The initial scaling of row i is logged as (i, i, q, 0, g).  Without a
+    log only the pivots are read.
     """
     index = [set() for _ in range(ncols)]
     for i, row in enumerate(rows):
@@ -313,7 +321,7 @@ def _reduce(rows, ncols, log):
             g = gcd(*row.values())
         if g != 1:
             row = {c: v // g for c, v in row.items()}
-        if den != 1 or g != 1:
+        if log is not None and (den != 1 or g != 1):
             log.append((i, i, den, 0, g))
         rows[i] = row
         for c in row:
@@ -340,8 +348,8 @@ def _clear(rows, index, log, c, j, targets):
     """Clear column c from the rows at the positions ``targets`` with the pivot row j.
 
     Each target row r becomes (q r - f p) / g (see ``_reduce``) and is
-    logged; ``index`` (column -> positions of the rows holding it) is kept
-    current.  Row j is not changed.
+    logged when there is a log; ``index`` (column -> positions of the rows
+    holding it) is kept current.  Row j is not changed.
     """
     pivot = rows[j]
     p = pivot[c]
@@ -372,7 +380,31 @@ def _clear(rows, index, log, c, j, targets):
         if g != 1:
             for k in row:
                 row[k] //= g
-        log.append((i, j, q, f, g))
+        if log is not None:
+            log.append((i, j, q, f, g))
+
+
+def _transpose(nrows, columns):
+    """The row dicts (column -> entry) of the matrix whose column c is the dict ``columns[c]``."""
+    rows = [{} for _ in range(nrows)]
+    for c, column in enumerate(columns):
+        for r, v in column.items():
+            rows[r][c] = v
+    return rows
+
+
+def rank_of_columns(nrows, columns):
+    """Rank of the matrix with ``nrows`` rows whose column c is the dict ``columns[c]``.
+
+    Each column maps a row to a nonzero int or Rational entry.  The matrix is
+    eliminated once by ``_reduce`` on its shorter side, with no log: the
+    columns themselves are the rows when there are fewer of them, and are
+    changed in place; otherwise the row dicts are written from them.
+    Nothing is kept.
+    """
+    if len(columns) < nrows:
+        return len(_reduce(columns, nrows))
+    return len(_reduce(_transpose(nrows, columns), len(columns)))
 
 
 def greedy_span(candidates, vector, nrows, limit):
@@ -451,25 +483,33 @@ def cohomology_ranks(dims, dranks):
 # -- simplicial cochain complexes ----------------------------------------------
 
 
-def _coboundary(domain, target):
-    """Coboundary matrix from a list of face masks of one size to the next size up.
+def _coboundary_columns(domain, target):
+    """Columns of the coboundary from a list of face masks of one size to the next size up.
 
-    Row and column order is the order of the two lists.  Inserting vertex v
-    into a face contributes (-1)^k, where k counts the vertices of the target
-    face below v (its 0-based position there).  Every module in the package
-    inherits this ascending-orientation convention.
+    Column j maps the row of each face tau - v of ``domain``, tau =
+    ``target[j]``, to its entry: inserting vertex v contributes (-1)^k,
+    where k counts the vertices of tau below v (its 0-based position there).
+    Rows and columns come in the order of the two lists.  Every module in
+    the package inherits this ascending-orientation convention.
     """
     index = {f: i for i, f in enumerate(domain)}
-    rows = [{} for _ in domain]
-    for col, tau in enumerate(target):
+    columns = []
+    for tau in target:
+        column = {}
         rest = tau
         k = 0
         while rest:
             low = rest & -rest
-            rows[index[tau ^ low]][col] = -1 if k & 1 else 1
+            column[index[tau ^ low]] = -1 if k & 1 else 1
             rest ^= low
             k += 1
-    return SparseMatrix.from_rows(len(target), rows)
+        columns.append(column)
+    return columns
+
+
+def _coboundary_rank(domain, target):
+    """Rank of the coboundary from the face masks ``domain`` to ``target``, read by its columns."""
+    return rank_of_columns(len(domain), _coboundary_columns(domain, target))
 
 
 def coboundary_matrix(K, d):
@@ -482,7 +522,10 @@ def coboundary_matrix(K, d):
     domain = K.face_masks(d + 1)
     if d < -1 or not domain:
         raise InputError(f"degree {d} outside -1..dim K: no faces with {d + 1} vertices")
-    return _coboundary(domain, K.face_masks(d + 2))
+    target = K.face_masks(d + 2)
+    return SparseMatrix.from_rows(
+        len(target), _transpose(len(domain), _coboundary_columns(domain, target))
+    )
 
 
 @dataclass(frozen=True)
@@ -515,7 +558,7 @@ def cohomology_profile(levels):
     = dim ker(delta: C^d -> C^{d+1}) - rank(delta: C^{d-1} -> C^d).
     """
     levels = list(itertools.takewhile(bool, levels))
-    dranks = [_coboundary(lower, upper).rank() for lower, upper in zip(levels, levels[1:])]
+    dranks = [_coboundary_rank(lower, upper) for lower, upper in zip(levels, levels[1:])]
     return CohomologyProfile(cohomology_ranks(map(len, levels), dranks))
 
 
@@ -537,6 +580,6 @@ def reduced_cohomology_rank(K, d, mask=None):
     if not middle:
         return 0
     lower, upper = K.face_masks(d, mask), K.face_masks(d + 2, mask)
-    r_out = _coboundary(middle, upper).rank() if upper else 0
-    r_in = _coboundary(lower, middle).rank() if lower else 0
+    r_out = _coboundary_rank(middle, upper) if upper else 0
+    r_in = _coboundary_rank(lower, middle) if lower else 0
     return len(middle) - r_out - r_in

@@ -22,9 +22,12 @@ of one monomial, which ``differential`` reads.
 
 The ranks are computed on bases of the same mask pairs (S, T): degree p
 takes S from the face masks with p vertices and T from the subsets of the
-other vertices, and its matrix is written from the bits with the sign rule
-of ``differential_terms``.  As the independent oracle for Hochster's sum,
-this build shares only the face masks and the elimination kernel with it.
+other vertices, and the columns of its differential are written from the
+bits with the sign rule of ``differential_terms``.  Only the rank of each
+differential is read, so ``rational_linalg.rank_of_columns`` eliminates it
+once on its shorter side, unlogged and in place, and keeps nothing.  As
+the independent oracle for Hochster's sum, this build shares only the face
+masks and the elimination kernel with it.
 """
 
 import itertools
@@ -33,8 +36,13 @@ from .complexes import _tuple_of
 from .errors import CapacityError, InputError
 from .koszul import Cochain, normal_part, shuffle_sign
 from .multiwedge import j_construction, wedge_vertex_map
-from .rational_linalg import Rational, SparseMatrix, cohomology_ranks
+from .rational_linalg import Rational, cohomology_ranks, rank_of_columns
 
+# vertices of a complex whose full real model is ranked: the bases hold one
+# pair (S, T) per face S and subset T of the other vertices, up to 3^m in all;
+# one fresh process each (2-vCPU Xeon, Python 3.11.7, Fraction backend), the
+# full simplex at m = 9 (19,683 pairs) took 0.09 s at 22 MB, and at m = 10,
+# with this cap lifted, the cross-polytope (32,768 pairs) took 0.16 s at 29 MB
 REAL_RANKS_CAPACITY = 9
 
 
@@ -110,26 +118,28 @@ def _degree_basis(K, p):
     return [(S, T) for S in K.face_masks(p) for T in _lex_subsets([b for b in bits if not b & S])]
 
 
-def _differential_matrix(K, lower, upper):
-    """Matrix of d from the mask basis ``lower`` of one degree to ``upper``, the next.
+def _differential_columns(K, lower, upper):
+    """Columns of d from the mask basis ``lower`` of one degree to ``upper``, the next.
 
-    Column (S, T) holds, for each vertex i of T with S + i a face, the entry
-    (-1)^k in the row of (S + i, T - i), k the number of vertices of S below
-    i (the signs of ``RealCochain.differential_terms``).  ``upper`` holds
-    every pair with a face S + i, so the row lookup is the face test.
+    Column (S, T) maps, for each vertex i of T with S + i a face, the row of
+    (S + i, T - i) to (-1)^k, k the number of vertices of S below i (the
+    signs of ``RealCochain.differential_terms``).  ``upper`` holds every
+    pair with a face S + i, so the row lookup is the face test.
     """
     m = K.m
     index = {S << m | T: r for r, (S, T) in enumerate(upper)}
-    rows = [{} for _ in upper]
-    for col, (S, T) in enumerate(lower):
+    columns = []
+    for S, T in lower:
+        column = {}
         rest = T
         while rest:
             low = rest & -rest
             rest ^= low
             r = index.get((S | low) << m | T ^ low)
             if r is not None:
-                rows[r][col] = -1 if (S & (low - 1)).bit_count() & 1 else 1
-    return SparseMatrix.from_rows(len(lower), rows)
+                column[r] = -1 if (S & (low - 1)).bit_count() & 1 else 1
+        columns.append(column)
+    return columns
 
 
 def real_cohomology_ranks(K):
@@ -146,7 +156,8 @@ def real_cohomology_ranks(K):
         )
     bases = list(itertools.takewhile(bool, (_degree_basis(K, p) for p in itertools.count())))
     dranks = [
-        _differential_matrix(K, lower, upper).rank() for lower, upper in zip(bases, bases[1:])
+        rank_of_columns(len(upper), _differential_columns(K, lower, upper))
+        for lower, upper in zip(bases, bases[1:])
     ]
     return cohomology_ranks(map(len, bases), dranks)
 

@@ -6,24 +6,35 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from moment_angle import rational_linalg
 from moment_angle.complexes import SimplicialComplex
 from moment_angle.errors import InputError, NotACocycleError
 from moment_angle.families import polygon_nerve
+from moment_angle.hochster import bigraded_betti_table, multigraded_betti
 from moment_angle.koszul import ComponentBasis, component_basis
 from moment_angle.rational_linalg import (
     Rational,
     SparseMatrix,
+    _coboundary_columns,
     coboundary_matrix,
     cohomology_ranks,
     greedy_span,
     nullspace_basis,
+    rank_of_columns,
     reduced_cohomology_rank,
     reduced_cohomology_ranks,
     solve_linear,
 )
+from moment_angle.real_cochains import (
+    _degree_basis,
+    _differential_columns,
+    real_cohomology_ranks,
+)
 
 from conftest import (
     all_complexes,
+    corpus_nerve,
+    dense_complexes,
     random_complex,
     rank_mod_p,
     reduced_cohomology_ranks_mod_p,
@@ -260,6 +271,107 @@ def test_pivot_columns_match_greedy_rank_scan(columns):
     A = SparseMatrix(len(columns[0]), 0).with_columns(columns)
     assert A.pivot_columns() == tuple(greedy_keep([], columns))
     assert A.rank() == reference_rank(columns)
+
+
+# -- rank-only eliminations (shorter side, no log) against the logged forward pass ----
+
+
+@st.composite
+def column_matrices(draw):
+    """(nrows, columns): a tall, wide or square matrix as column dicts (row -> entry).
+
+    Entries are small ints or Rationals, about half of them zero, so the
+    rank is often below both sides; 0 rows and 0 columns are drawn too.
+    """
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    entry = st.one_of(
+        st.just(0),
+        st.integers(-3, 3),
+        st.fractions(-3, 3, max_denominator=4).map(Rational),
+    )
+    columns = []
+    for _ in range(ncols):
+        values = draw(st.lists(entry, min_size=nrows, max_size=nrows))
+        columns.append({r: v for r, v in enumerate(values) if v})
+    return nrows, columns
+
+
+def spy_on_reduce(monkeypatch):
+    """Record (rows, ncols, logged) of every ``_reduce`` call from then on."""
+    calls, reduce = [], rational_linalg._reduce
+
+    def spy(rows, ncols, log=None):
+        calls.append((len(rows), ncols, log is not None))
+        return reduce(rows, ncols, log)
+
+    monkeypatch.setattr(rational_linalg, "_reduce", spy)
+    return calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(column_matrices())
+@example((0, []))
+@example((4, []))
+@example((0, [{}, {}, {}]))
+@example((2, [{0: 1, 1: 2}, {0: 2, 1: 4}, {1: Rational(1, 3)}]))
+def test_rank_of_columns_matches_the_logged_rank_and_a_dense_rank(case):
+    nrows, columns = case
+    entries = {(r, c): v for c, column in enumerate(columns) for r, v in column.items()}
+    expected = reference_rank([[column.get(r, 0) for r in range(nrows)] for column in columns])
+    assert SparseMatrix(nrows, len(columns), entries).rank() == expected
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = spy_on_reduce(monkeypatch)
+        assert rank_of_columns(nrows, [dict(column) for column in columns]) == expected
+    # one unlogged elimination, with the shorter side as its rows
+    short, long = sorted((nrows, len(columns)))
+    assert calls == [(short, long, False)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(small_complexes(min_m=1, max_m=6), dense_complexes(max_m=6)))
+def test_rank_only_ranks_match_the_logged_ranks(K):
+    levels = list(itertools.takewhile(bool, (K.face_masks(size) for size in itertools.count())))
+    logged = [coboundary_matrix(K, d).rank() for d in range(-1, len(levels) - 2)]
+    assert reduced_cohomology_ranks(K).ranks == cohomology_ranks(map(len, levels), logged)
+    bases = list(itertools.takewhile(bool, (_degree_basis(K, p) for p in itertools.count())))
+    logged = []
+    for lower, upper in zip(bases, bases[1:]):
+        columns = _differential_columns(K, lower, upper)
+        entries = {(r, c): v for c, column in enumerate(columns) for r, v in column.items()}
+        logged.append(SparseMatrix(len(upper), len(lower), entries).rank())
+    assert real_cohomology_ranks(K) == cohomology_ranks(map(len, bases), logged)
+
+
+def test_rank_only_paths_build_no_matrix_and_log_nothing(monkeypatch):
+    built, init = [], SparseMatrix._init
+
+    def counting_init(self, nrows, ncols, rows):
+        built.append((nrows, ncols))
+        init(self, nrows, ncols, rows)
+
+    monkeypatch.setattr(SparseMatrix, "_init", counting_init)
+    calls = spy_on_reduce(monkeypatch)
+    table = bigraded_betti_table(corpus_nerve.__wrapped__("c4"))
+    assert table.zk_poincare[0] == 1
+    # the 4-gon minus two opposite vertices is two points: a core of two vertices
+    assert multigraded_betti(polygon_nerve(4), 1, (1, 3)) == 1
+    assert sum(real_cohomology_ranks(corpus_nerve.__wrapped__("p4"))) > 0
+    assert built == []
+    assert calls and not any(logged for _, _, logged in calls)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_complexes(min_m=1, max_m=7))
+@example(SimplicialComplex(7, [(1, 2, 3), (3, 4), (4, 5, 6), (1, 6, 7)]))
+def test_coboundary_columns_match_the_entry_built_coboundary(K):
+    d = -1
+    while K.face_masks(d + 1):
+        slow = coboundary_from_entries(K, d)
+        domain, target = K.face_masks(d + 1), K.face_masks(d + 2)
+        columns = _coboundary_columns(domain, target)
+        fast = {(r, c): v for c, column in enumerate(columns) for r, v in column.items()}
+        assert (len(domain), len(columns), fast) == (slow.nrows, slow.ncols, slow.entries)
+        d += 1
 
 
 # three isolated vertices: the component J = {1, 2, 3} in degree 4 has dimension 2

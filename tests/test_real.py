@@ -13,7 +13,7 @@ from moment_angle.rational_linalg import reduced_cohomology_ranks
 from moment_angle.real_cochains import (
     RealCochain,
     _degree_basis,
-    _differential_matrix,
+    _differential_columns,
     doubling_cochain,
     doubling_complex,
     real_cohomology_ranks,
@@ -143,7 +143,7 @@ def _tuple_basis(K, p):
 
 
 def check_mask_build(K):
-    """The mask bases and matrices of every degree against the tuple-built ones."""
+    """The mask bases and differential columns of every degree against the tuple-built matrices."""
     p = 0
     lower = _degree_basis(K, 0)
     while lower:
@@ -152,8 +152,9 @@ def check_mask_build(K):
         assert [tuple_pair(pair) for pair in lower] == slow_lower
         index = {mono: i for i, mono in enumerate(slow_upper)}
         slow = differential_matrix(RealCochain, K, slow_lower, index)
-        fast = _differential_matrix(K, lower, upper)
-        assert (fast.nrows, fast.ncols, fast.entries) == (slow.nrows, slow.ncols, slow.entries)
+        columns = _differential_columns(K, lower, upper)
+        fast = {(r, c): v for c, column in enumerate(columns) for r, v in column.items()}
+        assert (len(upper), len(columns), fast) == (slow.nrows, slow.ncols, slow.entries)
         p, lower = p + 1, upper
 
 
