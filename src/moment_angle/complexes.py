@@ -329,8 +329,8 @@ class SimplicialComplex:
         """Minimal non-faces through each vertex w (cached).
 
         Entry w is a pair: the bitmask of the vertices u with {u, w} a
-        minimal non-face, and the list of the larger minimal non-faces that
-        contain w.
+        minimal non-face, and the rests N - w of the larger minimal
+        non-faces N that contain w.
         """
         if "nonface_stars" not in self._cache:
             pairs = [0] * (self.m + 1)
@@ -342,7 +342,7 @@ class SimplicialComplex:
                     pairs[b.bit_length()] |= a
                     continue
                 for w in _tuple_of(nf):
-                    larger[w].append(nf)
+                    larger[w].append(nf ^ 1 << (w - 1))
             self._cache["nonface_stars"] = list(zip(pairs, larger))
         return self._cache["nonface_stars"]
 
@@ -384,15 +384,22 @@ class SimplicialComplex:
         """
         stars = self._nonface_stars()
         low, apex = 1 << (v - 1), 1 << (w - 1)
-        apart = stars[v][0]  # the u with {u, v} a non-face
+        apart, own = stars[v]  # the u with {u, v} a non-face, and v's larger rests
         pairs, larger = stars[w]
         if v == w or low & ~mask or apex & ~mask or apart & apex or pairs & mask & ~apart:
             return False
-        return not larger or self._larger_nonfaces_allow(low, apex, mask, larger)
+        return not larger or self._larger_nonfaces_allow(apart, own, mask, larger)
 
-    def _larger_nonfaces_allow(self, low, apex, mask, larger):
-        """Whether (N - w) + v is a non-face for each N in ``larger`` inside J (bits of v, w)."""
-        return not any(nf & mask == nf and self.is_face_mask(nf ^ apex | low) for nf in larger)
+    @staticmethod
+    def _larger_nonfaces_allow(apart, own, mask, larger):
+        """Whether (N - w) + v is a non-face for each rest N - w in ``larger`` inside J.
+
+        ``apart`` and ``own`` are v's entry of ``_nonface_stars``.  N - w is
+        a face, so (N - w) + v is a non-face exactly when it holds a minimal
+        non-face through v: N - w meets a u with {u, v} a non-face, or holds
+        the rest of a larger minimal non-face through v.
+        """
+        return all(r & apart or any(s & ~r == 0 for s in own) for r in larger if r & mask == r)
 
     def _dominating_pair(self, mask):
         """(v, w): the lowest vertex v dominated in K_J and the lowest w dominating it; (0, 0) if none.
@@ -406,7 +413,7 @@ class SimplicialComplex:
         while rest:
             low = rest & -rest
             rest ^= low
-            apart = stars[low.bit_length()][0]
+            apart, own = stars[low.bit_length()]
             candidates = mask & ~apart & ~low  # the w with {v, w} a face
             while candidates:
                 apex = candidates & -candidates
@@ -414,7 +421,7 @@ class SimplicialComplex:
                 pairs, larger = stars[apex.bit_length()]
                 if pairs & mask & ~apart:
                     continue
-                if not larger or self._larger_nonfaces_allow(low, apex, mask, larger):
+                if not larger or self._larger_nonfaces_allow(apart, own, mask, larger):
                     return low.bit_length(), apex.bit_length()
         return 0, 0
 

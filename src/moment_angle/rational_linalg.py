@@ -32,14 +32,32 @@ Each matrix is eliminated once.  A matrix whose only reader is its rank
 (every simplicial coboundary and real-model differential read for a
 cohomology rank) goes to ``rank_of_columns``, which hands its shorter
 side to ``_reduce`` as rows, in place, with no log and no copy, and
-keeps nothing: a forward pass zeroes nrows - rank rows, so the shorter
-side zeroes the fewest.  A ``SparseMatrix`` runs its forward pass on a
-copy of its rows, with a log of the integer row operations, and keeps
-the pivots, that log and the pivot rows.  The pivot row of column c
-holds no column below c (every other row that held an earlier column was
-cleared when that column was taken, and fill-in adds only columns above
-the pivot), so the pivot rows are a row echelon form and no backward
-pass is needed.  Rank and pivot columns are read off the pivots.
+keeps only the pivots: a forward pass zeroes nrows - rank rows, so the
+shorter side zeroes the fewest.  These matrices come in chains D_0, D_1,
+... with D_{k+1} D_k = 0, and a chain is eliminated lowest first, each
+differential without the cells of its domain that the pivots of the one
+before it cover: the clearing of persistent homology (Chen and Kerber,
+"Persistent homology computation with a twist", 2011; Bauer, Kerber and
+Reininghaus, "Clear and compress", 2014).  The clearing lemma: write
+consecutive maps D: C^k -> C^{k+1} and E: C^{k+1} -> C^{k+2}, E D = 0,
+with their codomains as rows, and let P be cells of C^{k+1} whose rows of
+D are independent and span D's row space; the pivots of D have such rows
+on whichever side D was eliminated, and ``rank_of_columns`` returns both
+sides.  D has columns whose block on P is invertible, and they lie in the
+kernel of E, so each column p in P of E is a combination of E's columns
+outside P, and E keeps its rank without them; the pivots of E so reduced
+again have independent rows spanning E's row space.  A cleared
+differential keeps rank + (cohomology of its domain) cells on its domain
+side, so its forward pass zeroes at most one row per cohomology class of
+that level.
+
+A ``SparseMatrix`` runs its forward pass on a copy of its rows, with a
+log of the integer row operations, and keeps the pivots, that log and
+the pivot rows.  The pivot row of column c holds no column below c
+(every other row that held an earlier column was cleared when that
+column was taken, and fill-in adds only columns above the pivot), so the
+pivot rows are a row echelon form and no backward pass is needed.  Rank
+and pivot columns are read off the pivots.
 ``residual`` replays the forward log on a vector, which leaves it
 nonzero only at the positions holding no pivot; ``solve`` does the same
 and then solves the pivot rows by one back substitution, last pivot
@@ -394,17 +412,22 @@ def _transpose(nrows, columns):
 
 
 def rank_of_columns(nrows, columns):
-    """Rank of the matrix with ``nrows`` rows whose column c is the dict ``columns[c]``.
+    """The pivots of the matrix with ``nrows`` rows whose column c is the dict ``columns[c]``.
 
     Each column maps a row to a nonzero int or Rational entry.  The matrix is
     eliminated once by ``_reduce`` on its shorter side, with no log: the
     columns themselves are the rows when there are fewer of them, and are
     changed in place; otherwise the row dicts are written from them.
-    Nothing is kept.
+    Nothing is kept.  The pivots come as (row, column) pairs, as many as the
+    rank: their rows are independent and span the row space, and their
+    columns span the column space.  A chain of differentials reads the
+    cells that one of them covers and leaves those out of the next (see the
+    module docstring).
     """
+    # _reduce gives (column, position) pairs of the rows it eliminates
     if len(columns) < nrows:
-        return len(_reduce(columns, nrows))
-    return len(_reduce(_transpose(nrows, columns), len(columns)))
+        return _reduce(columns, nrows)
+    return [(r, c) for c, r in _reduce(_transpose(nrows, columns), len(columns))]
 
 
 def greedy_span(candidates, vector, nrows, limit):
@@ -480,6 +503,23 @@ def cohomology_ranks(dims, dranks):
     return tuple(ranks)
 
 
+def cleared_ranks(levels, cover):
+    """Ranks of the differentials between consecutive ``levels`` of a cochain complex, lowest first.
+
+    ``cover(lower, upper, covered)`` eliminates the differential from
+    ``lower`` to ``upper`` without the cells at the positions ``covered`` of
+    ``lower`` and returns the positions in ``upper`` that its pivots cover,
+    as many as its rank; each differential is read without the cells that
+    the pivots of the one below it covered, which keeps its rank (the
+    clearing lemma of the module docstring).
+    """
+    dranks, covered = [], ()
+    for lower, upper in zip(levels, levels[1:]):
+        covered = cover(lower, upper, covered)
+        dranks.append(len(covered))
+    return dranks
+
+
 # -- simplicial cochain complexes ----------------------------------------------
 
 
@@ -489,8 +529,9 @@ def _coboundary_columns(domain, target):
     Column j maps the row of each face tau - v of ``domain``, tau =
     ``target[j]``, to its entry: inserting vertex v contributes (-1)^k,
     where k counts the vertices of tau below v (its 0-based position there).
-    Rows and columns come in the order of the two lists.  Every module in
-    the package inherits this ascending-orientation convention.
+    Rows and columns come in the order of the two lists, and a face tau - v
+    left out of ``domain`` has no row.  Every module in the package inherits
+    this ascending-orientation convention.
     """
     index = {f: i for i, f in enumerate(domain)}
     columns = []
@@ -500,16 +541,25 @@ def _coboundary_columns(domain, target):
         k = 0
         while rest:
             low = rest & -rest
-            column[index[tau ^ low]] = -1 if k & 1 else 1
+            r = index.get(tau ^ low)
+            if r is not None:
+                column[r] = -1 if k & 1 else 1
             rest ^= low
             k += 1
         columns.append(column)
     return columns
 
 
-def _coboundary_rank(domain, target):
-    """Rank of the coboundary from the face masks ``domain`` to ``target``, read by its columns."""
-    return rank_of_columns(len(domain), _coboundary_columns(domain, target))
+def _coboundary_pivots(domain, target, covered=()):
+    """The positions in ``target`` covered by the pivots of the coboundary from ``domain``.
+
+    The rows at the positions ``covered`` of ``domain``, those the
+    coboundary into ``domain`` covered, are left out; that keeps the rank,
+    which is the number of positions returned.
+    """
+    if covered:
+        domain = [f for i, f in enumerate(domain) if i not in covered]
+    return {c for _, c in rank_of_columns(len(domain), _coboundary_columns(domain, target))}
 
 
 def coboundary_matrix(K, d):
@@ -555,10 +605,13 @@ def cohomology_profile(levels):
 
     ``levels`` yields the faces with 0, 1, 2, ... vertices as bitmasks, each
     level in a fixed order; it is read up to the first empty level.  rank H^d
-    = dim ker(delta: C^d -> C^{d+1}) - rank(delta: C^{d-1} -> C^d).
+    = dim ker(delta: C^d -> C^{d+1}) - rank(delta: C^{d-1} -> C^d).  The
+    coboundaries are eliminated upward, each without the rows of the faces
+    that the pivots of the one below it covered (the clearing lemma of the
+    module docstring), so each eliminates about its rank plus its cohomology.
     """
     levels = list(itertools.takewhile(bool, levels))
-    dranks = [_coboundary_rank(lower, upper) for lower, upper in zip(levels, levels[1:])]
+    dranks = cleared_ranks(levels, _coboundary_pivots)
     return CohomologyProfile(cohomology_ranks(map(len, levels), dranks))
 
 
@@ -573,13 +626,19 @@ def reduced_cohomology_ranks(K, mask=None):
 def reduced_cohomology_rank(K, d, mask=None):
     """Rank of reduced H^d of K_J, J the bitmask ``mask`` (all of K by default).
 
-    Reads the three face levels around degree d, none past an empty middle
-    one: cheaper than the profile, which eliminates every differential.
+    Reads the face levels around degree d, none past an empty middle one:
+    cheaper than the profile, which eliminates every differential.  The
+    coboundary into the middle level goes first, and the middle faces its
+    pivots cover are left out of the coboundary out of it.  When they cover
+    the whole middle level, H^d is zero and the level above is not read.
     """
     middle = K.face_masks(d + 1, mask)
     if not middle:
         return 0
-    lower, upper = K.face_masks(d, mask), K.face_masks(d + 2, mask)
-    r_out = _coboundary_rank(middle, upper) if upper else 0
-    r_in = _coboundary_rank(lower, middle) if lower else 0
-    return len(middle) - r_out - r_in
+    lower = K.face_masks(d, mask)
+    covered = _coboundary_pivots(lower, middle) if lower else ()
+    if len(covered) == len(middle):
+        return 0
+    upper = K.face_masks(d + 2, mask)
+    r_out = len(_coboundary_pivots(middle, upper, covered)) if upper else 0
+    return len(middle) - len(covered) - r_out

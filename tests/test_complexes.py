@@ -429,6 +429,31 @@ def test_dominated_vertex_matches_maximal_faces(K, data):
     assert K._dominating_pair(mask) == (expected[0] if expected else (0, 0))
 
 
+def dominates_by_face_tests(K, v, w, mask):
+    """The minimal non-face rule of ``dominates``, each (N - w) + v read by ``is_face_mask``."""
+    low, apex = 1 << (v - 1), 1 << (w - 1)
+    if v == w or low & ~mask or apex & ~mask or not K.is_face_mask(low | apex):
+        return False
+    return not any(
+        nf & mask == nf and nf & apex and K.is_face_mask(nf ^ apex | low) for nf in K._mf_masks
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(dense_complexes(), st.sampled_from(WEDGE_FAMILY)), st.data())
+def test_domination_matches_the_face_test_rule(K, data):
+    # the larger non-faces are read from the stars of v and w, never by a face test
+    mask = data.draw(st.integers(0, (1 << K.m) - 1))
+    vertices = range(1, K.m + 1)
+    expected = [
+        (v, w) for v, w in itertools.product(vertices, repeat=2)
+        if dominates_by_face_tests(K, v, w, mask)
+    ]
+    for v, w in itertools.product(vertices, repeat=2):
+        assert K.dominates(v, w, mask) == ((v, w) in expected)
+    assert K._dominating_pair(mask) == (expected[0] if expected else (0, 0))
+
+
 def test_induced_hexagon_pair():
     K = polygon_nerve(6)
     sub = induced_subcomplex(K, (1, 4))

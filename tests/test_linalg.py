@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from moment_angle.rational_linalg import (
     Rational,
     SparseMatrix,
     _coboundary_columns,
+    _coboundary_pivots,
     coboundary_matrix,
     cohomology_ranks,
     greedy_span,
@@ -28,6 +30,7 @@ from moment_angle.rational_linalg import (
 from moment_angle.real_cochains import (
     _degree_basis,
     _differential_columns,
+    _differential_pivots,
     real_cohomology_ranks,
 )
 
@@ -321,10 +324,16 @@ def test_rank_of_columns_matches_the_logged_rank_and_a_dense_rank(case):
     assert SparseMatrix(nrows, len(columns), entries).rank() == expected
     with pytest.MonkeyPatch.context() as monkeypatch:
         calls = spy_on_reduce(monkeypatch)
-        assert rank_of_columns(nrows, [dict(column) for column in columns]) == expected
+        pivots = rank_of_columns(nrows, [dict(column) for column in columns])
     # one unlogged elimination, with the shorter side as its rows
     short, long = sorted((nrows, len(columns)))
     assert calls == [(short, long, False)]
+    # one pivot per unit of rank: its rows are independent, and so are its columns
+    dense_columns = [[column.get(r, 0) for r in range(nrows)] for column in columns]
+    rows, cols = {r for r, _ in pivots}, {c for _, c in pivots}
+    assert len(pivots) == len(rows) == len(cols) == expected
+    assert reference_rank([dense_columns[c] for c in cols]) == expected
+    assert reference_rank([[column[r] for column in dense_columns] for r in rows]) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -340,6 +349,77 @@ def test_rank_only_ranks_match_the_logged_ranks(K):
         entries = {(r, c): v for c, column in enumerate(columns) for r, v in column.items()}
         logged.append(SparseMatrix(len(upper), len(lower), entries).rank())
     assert real_cohomology_ranks(K) == cohomology_ranks(map(len, bases), logged)
+
+
+def assert_cleared_chain(levels, cover, by_upper_cell):
+    """The ranks of a chain's differentials, each cleared step checked against the uncleared one.
+
+    ``by_upper_cell(lower, upper)`` is the uncleared differential from lower
+    to upper as dense vectors, one per cell of upper: its rows when its
+    codomain gives the rows.  Each step's rank must match the dense rank
+    and ``rank_of_columns`` of the uncleared matrix, and the cells it covers
+    must be a row basis, which is what the next step may leave out.
+    """
+    ranks, covered = [], ()
+    for lower, upper in zip(levels, levels[1:]):
+        vectors = by_upper_cell(lower, upper)
+        rank = reference_rank(vectors)
+        columns = [{r: v for r, v in enumerate(vector) if v} for vector in vectors]
+        assert len(rank_of_columns(len(lower), columns)) == rank
+        covered = cover(lower, upper, covered)
+        assert len(covered) == rank == reference_rank([vectors[i] for i in covered])
+        ranks.append(rank)
+    return ranks
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(small_complexes(min_m=1, max_m=6), dense_complexes(max_m=6)))
+@example(SimplicialComplex.full_simplex(6))
+@example(SimplicialComplex(6, [(1, 4), (2, 5), (3, 6)]))
+def test_cleared_chains_match_the_uncleared_ranks(K):
+    def coboundary(lower, upper):
+        columns = _coboundary_columns(lower, upper)
+        return [[column.get(r, 0) for r in range(len(lower))] for column in columns]
+
+    levels = list(itertools.takewhile(bool, (K.face_masks(size) for size in itertools.count())))
+    ranks = assert_cleared_chain(levels, _coboundary_pivots, coboundary)
+    assert reduced_cohomology_ranks(K).ranks == cohomology_ranks(map(len, levels), ranks)
+
+    def differential(lower, upper):
+        columns = _differential_columns(K, lower, upper)
+        return [[column.get(r, 0) for column in columns] for r in range(len(upper))]
+
+    bases = list(itertools.takewhile(bool, (_degree_basis(K, p) for p in itertools.count())))
+    ranks = assert_cleared_chain(bases, functools.partial(_differential_pivots, K), differential)
+    assert real_cohomology_ranks(K) == cohomology_ranks(map(len, bases), ranks)
+
+
+def test_the_p4_nerve_real_chain_is_cleared(monkeypatch):
+    # bases of 512, 2304, 2688 and 896 pairs, differentials of ranks 511, 1716
+    # and 895: the middle one keeps 2304 - 511 columns, 1,732 of them nonzero
+    # (2,208 uncleared), and the top one is 896 x (2688 - 1716) = 896 x 972
+    # (896 x 2,688 uncleared); every call eliminates the shorter side
+    calls, reduce = [], rational_linalg._reduce
+
+    def spy(rows, ncols, log=None):
+        calls.append((sum(map(bool, rows)), ncols))
+        return reduce(rows, ncols, log)
+
+    monkeypatch.setattr(rational_linalg, "_reduce", spy)
+    assert real_cohomology_ranks(corpus_nerve("p4")) == (1, 77, 77, 1)
+    assert calls == [(511, 2304), (1732, 2688), (896, 972)]
+
+
+def test_a_covered_middle_level_reads_no_level_above():
+    # a proper window of the 8-gon is a forest of paths: its vertices cover its
+    # edges (rank |V| - components = |E|), so H^1 is zero with no face level of
+    # size 3 read, while H^0 still reads the edges
+    for mask in range(1, (1 << 8) - 1):
+        K, fresh = polygon_nerve(8), polygon_nerve(8)
+        profile = reduced_cohomology_ranks(fresh, mask)
+        assert reduced_cohomology_rank(K, 1, mask) == profile.rank(1) == 0
+        assert reduced_cohomology_rank(K, 0, mask) == profile.rank(0)
+        assert 3 not in K._cache["face_levels"].get(mask, {})
 
 
 def test_rank_only_paths_build_no_matrix_and_log_nothing(monkeypatch):
