@@ -258,6 +258,14 @@ def brute_minimal_nonfaces(m, maximal_faces):
     return sorted(out)
 
 
+def brute_domination(K, J):
+    """Pairs (v, w) of J, w != v, with w in every maximal face of K_J through v, by brute force."""
+    J = sorted(J)
+    local = brute_maximal_faces(len(J), K.induced(J).minimal_nonfaces)
+    facets = [{J[i - 1] for i in f} for f in local]
+    return [(v, w) for v in J for w in J if w != v and all(w in f for f in facets if v in f)]
+
+
 def all_complexes(m):
     """Every complex on m vertices without ghost vertices (antichains of non-faces)."""
     pool = [

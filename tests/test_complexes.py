@@ -30,6 +30,7 @@ from moment_angle.families import polygon_nerve
 from conftest import (
     WEDGE_FAMILY,
     all_complexes,
+    brute_domination,
     brute_faces,
     brute_maximal_faces,
     brute_minimal_nonfaces,
@@ -365,14 +366,6 @@ def test_component_count_matches_union_find(K, data):
     repeated = data.draw(st.lists(vertex, max_size=2 * K.m))
     assert K.component_count(repeated) == union_find_component_count(K, repeated)
     assert K.component_count(iter(repeated)) == union_find_component_count(K, repeated)
-
-
-def brute_domination(K, J):
-    """Pairs (v, w) of J, w != v, with w in every maximal face of K_J through v, by brute force."""
-    J = sorted(J)
-    local = brute_maximal_faces(len(J), K.induced(J).minimal_nonfaces)
-    facets = [{J[i - 1] for i in f} for f in local]
-    return [(v, w) for v in J for w in J if w != v and all(w in f for f in facets if v in f)]
 
 
 def test_dominated_vertex_of_a_path():

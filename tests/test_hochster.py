@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,10 +18,12 @@ from moment_angle.koszul import _component_cached, component_basis
 from moment_angle.massey import family_massey_input
 from moment_angle.multiwedge import j_construction
 from moment_angle.rational_linalg import cohomology_profile, reduced_cohomology_ranks
+import moment_angle.hochster as hochster
 
 from conftest import (
     CORPUS_GRAPHS,
     WEDGE_FAMILY,
+    brute_domination,
     corpus_nerve,
     dense_complexes,
     random_complex,
@@ -126,8 +129,6 @@ def test_full_table_eliminates_only_connected_uncollapsible_subsets(monkeypatch)
     # in the 13-gon every proper subset is a union of paths, each collapsing
     # to a point; the disjoint union of points takes the sum of its sides, so
     # only the empty set, the 13 singletons and the cycle itself are eliminated
-    import moment_angle.hochster as hochster
-
     profiles = []
 
     def counting(levels):
@@ -365,6 +366,69 @@ def test_collapsed_table_matches_induced_complexes_m9_to_m11(monkeypatch):
 
     union = cases[-1]
     assert any(b[0] is union and broken_by_a_larger_nonface(*b) for b in broken)
+
+
+def test_the_walk_re_tests_a_pair_only_when_the_new_top_vertex_threatens_it(monkeypatch):
+    # a pair (v, w) that collapsed J minus its top vertex t can be broken
+    # on J only through a minimal non-face of w that holds t; every other
+    # mask keeps the pair untested, and on these flag complexes every
+    # re-test left fails
+    answers = []
+    dominates = SimplicialComplex.dominates
+
+    def recording(K, v, w, mask):
+        answers.append(dominates(K, v, w, mask))
+        return answers[-1]
+
+    monkeypatch.setattr(SimplicialComplex, "dominates", recording)
+    for K, calls in [(polygon_nerve(13), 1024), (corpus_nerve("c4"), 1014)]:
+        assert K.structure_report().is_flag
+        answers.clear()
+        bigraded_betti_table(K)
+        assert (len(answers), any(answers)) == (calls, False)
+
+
+@st.composite
+def flag_complexes(draw, max_m):
+    """Hypothesis strategy: a flag complex, its minimal non-faces all pairs."""
+    m = draw(st.integers(2, max_m))
+    pairs = draw(st.lists(st.sets(st.integers(1, m), min_size=2, max_size=2), max_size=2 * m))
+    return SimplicialComplex(m, [tuple(sorted(p)) for p in pairs])
+
+
+def kept_witnesses(K):
+    """The full table of K and the pair the walk kept per mask, as (v, w) or None.
+
+    The walk keeps its pairs in one growing array indexed by mask; a list
+    stands in for it here and is read back after the walk.
+    """
+    kept = []
+
+    def witness_list(typecode, items):
+        kept.extend(items)
+        return kept
+
+    with mock.patch.object(hochster, "array", witness_list):
+        table = bigraded_betti_table(K)
+    return table, [(pair >> 8, pair & 255) if pair else None for pair in kept]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        small_complexes(min_m=1, max_m=9), dense_complexes(max_m=9), flag_complexes(max_m=9)
+    )
+)
+def test_every_pair_the_walk_keeps_dominates_on_flag_and_non_flag_complexes(K):
+    table, kept = kept_witnesses(K)
+    assert len(kept) == 1 << max(K.m - 1, 0)
+    for mask, pair in enumerate(kept[1:], 1):
+        J = _tuple_of(mask)
+        if pair is None:
+            assert brute_domination(K, J) == []
+        else:
+            assert K.dominates(*pair, mask) and pair in brute_domination(K, J)
+    assert table.bigraded == slow_hochster_sum(K, all_subsets(K.m))
 
 
 def wedge_poincare_sums(K, J):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moment_angle.complexes import SimplicialComplex
 from moment_angle.errors import AmbientMismatchError, CapacityError, InputError
@@ -12,6 +13,7 @@ from moment_angle.koszul import KoszulCochain, component_basis
 from moment_angle.rational_linalg import reduced_cohomology_ranks
 from moment_angle.real_cochains import (
     RealCochain,
+    _addable_masks,
     _degree_basis,
     _differential_columns,
     doubling_cochain,
@@ -20,6 +22,7 @@ from moment_angle.real_cochains import (
 )
 
 from conftest import (
+    dense_complexes,
     differential_matrix,
     homogeneous_pieces,
     random_complex,
@@ -162,6 +165,19 @@ def check_mask_build(K):
 @given(small_complexes(min_m=1, max_m=7))
 def test_mask_build_matches_tuple_build(K):
     check_mask_build(K)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_complexes(min_m=1, max_m=7), dense_complexes(max_m=7)))
+def test_addable_masks_match_face_tests(K):
+    # the column builder looks up only the vertices i with S + i a face,
+    # read off the level above; each face test here is the slow side
+    for p in range(K.m + 1):
+        addable = _addable_masks(K.face_masks(p + 1))
+        assert set(addable) <= set(K.face_masks(p))
+        for S in K.face_masks(p):
+            outside = (1 << i for i in range(K.m) if not S >> i & 1)
+            assert addable.get(S, 0) == sum(i for i in outside if K.is_face_mask(S | i))
 
 
 def test_mask_build_matches_tuple_build_on_p4_nerve():
