@@ -49,7 +49,12 @@ outside P, and E keeps its rank without them; the pivots of E so reduced
 again have independent rows spanning E's row space.  A cleared
 differential keeps rank + (cohomology of its domain) cells on its domain
 side, so its forward pass zeroes at most one row per cohomology class of
-that level.
+that level.  Any such P will do, pivots or not, so the two lowest
+simplicial coboundaries are not eliminated: from {emptyset} any one vertex
+is P, and from the vertices the edges of a spanning forest are, since the
+row of edge {a, b} is e_b - e_a and a forest's |V| - c rows are
+independent and span the row space (c the number of components).  H^0, and
+H^1 of a complex with no triangle, need no elimination at all.
 
 A ``SparseMatrix`` runs its forward pass on a copy of its rows, with a
 log of the integer row operations, and keeps the pivots, that log and
@@ -555,11 +560,46 @@ def _coboundary_pivots(domain, target, covered=()):
 
     The rows at the positions ``covered`` of ``domain``, those the
     coboundary into ``domain`` covered, are left out; that keeps the rank,
-    which is the number of positions returned.
+    which is the number of positions returned.  The two lowest coboundaries
+    are read off the graph, with no elimination (see the module docstring):
+    from {emptyset} the first vertex is returned, and from the vertices the
+    edges of a spanning forest (``_spanning_forest``), whatever is covered.
     """
+    if not target:
+        return set()
+    size = target[0].bit_count()
+    if size == 1:
+        return {0}
+    if size == 2:
+        return _spanning_forest(target)
     if covered:
         domain = [f for i, f in enumerate(domain) if i not in covered]
     return {c for _, c in rank_of_columns(len(domain), _coboundary_columns(domain, target))}
+
+
+def _spanning_forest(edges):
+    """The positions of the edges that Kruskal's scan keeps, in list order.
+
+    An edge is kept when its two vertex bits lie in different trees of a
+    union-find forest, which it then joins; the kept edges span every
+    component of the graph, |V| - (number of components) of them.
+    """
+    parent, kept = {}, set()
+
+    def root(x):
+        while x in parent:
+            up = parent[x]
+            if up in parent:  # path halving
+                parent[x] = up = parent[up]
+            x = up
+        return x
+
+    for i, edge in enumerate(edges):
+        a, b = root(edge & -edge), root(edge & (edge - 1))
+        if a != b:
+            parent[a] = b
+            kept.add(i)
+    return kept
 
 
 def coboundary_matrix(K, d):

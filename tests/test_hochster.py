@@ -19,6 +19,7 @@ from moment_angle.massey import family_massey_input
 from moment_angle.multiwedge import j_construction
 from moment_angle.rational_linalg import cohomology_profile, reduced_cohomology_ranks
 import moment_angle.hochster as hochster
+import moment_angle.rational_linalg as rational_linalg
 
 from conftest import (
     CORPUS_GRAPHS,
@@ -429,6 +430,69 @@ def test_every_pair_the_walk_keeps_dominates_on_flag_and_non_flag_complexes(K):
         else:
             assert K.dominates(*pair, mask) and pair in brute_domination(K, J)
     assert table.bigraded == slow_hochster_sum(K, all_subsets(K.m))
+
+
+def test_the_full_table_eliminates_only_above_the_edges(monkeypatch):
+    # the two lowest coboundaries are read off a spanning forest, and a
+    # connected K_J with a vertex whose link is acyclic takes the ranks of
+    # K_{J - v}; eliminating every coboundary of each connected subset with
+    # no dominated vertex makes 15, 204, 11 and 63 eliminations here
+    calls = []
+    rank_of_columns = rational_linalg.rank_of_columns
+
+    def counting(nrows, columns):
+        calls.append(nrows)
+        return rank_of_columns(nrows, columns)
+
+    monkeypatch.setattr(rational_linalg, "rank_of_columns", counting)
+    counts = []
+    for K in [polygon_nerve(13), corpus_nerve("c4"), polygon_nerve(9), corpus_nerve("p4")]:
+        calls.clear()
+        bigraded_betti_table(K)
+        counts.append(len(calls))
+    assert counts == [0, 14, 0, 2]
+
+
+def trimmed(ranks):
+    """Reduced cohomology ranks without their trailing zeros."""
+    ranks = list(ranks)
+    while ranks and not ranks[-1]:
+        ranks.pop()
+    return tuple(ranks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        small_complexes(min_m=1, max_m=9), dense_complexes(max_m=9), flag_complexes(max_m=9)
+    )
+)
+@example(SimplicialComplex(3, [(1, 2, 3)]))  # the hollow triangle: no vertex link is a full subcomplex
+def test_acyclic_links_collapse_only_what_the_induced_complexes_allow(K):
+    # a vertex v of K_J in no larger minimal non-face has the full subcomplex
+    # on its neighbours as its link; when that is acyclic the walk takes the
+    # ranks of K_{J - v}, each checked here on the induced complexes
+    collapsed = []
+    find = hochster._acyclic_link_vertex
+
+    def recording(stars, candidates, mask, ranks):
+        v = find(stars, candidates, mask, ranks)
+        if v:
+            collapsed.append((mask, v))
+        return v
+
+    with mock.patch.object(hochster, "_acyclic_link_vertex", recording):
+        table = bigraded_betti_table(K)
+    for mask, v in collapsed:
+        whole, rest = (reduced_cohomology_ranks(K.induced(_tuple_of(J))) for J in (mask, mask ^ v))
+        assert trimmed(whole.ranks) == trimmed(rest.ranks)
+        assert not any(nf & ~mask == 0 and nf & v and nf.bit_count() > 2 for nf in K._mf_masks)
+    expected = slow_hochster_sum(K, all_subsets(K.m))
+    assert table.bigraded == expected
+    zk = [0] * (2 * K.m + 1)
+    for (i, j), r in expected.items():
+        zk[2 * j - i] += r
+    assert table.zk_poincare == trimmed(zk)
 
 
 def wedge_poincare_sums(K, J):

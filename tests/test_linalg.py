@@ -42,6 +42,7 @@ from conftest import (
     rank_mod_p,
     reduced_cohomology_ranks_mod_p,
     small_complexes,
+    union_find_component_count,
 )
 
 
@@ -351,6 +352,11 @@ def test_rank_only_ranks_match_the_logged_ranks(K):
     assert real_cohomology_ranks(K) == cohomology_ranks(map(len, bases), logged)
 
 
+# three isolated vertices: the component J = {1, 2, 3} in degree 4 has dimension 2
+# (checked in test_concurrent_first_solves_agree)
+THREE_POINTS = SimplicialComplex(3, [(1, 2), (1, 3), (2, 3)])
+
+
 def assert_cleared_chain(levels, cover, by_upper_cell):
     """The ranks of a chain's differentials, each cleared step checked against the uncleared one.
 
@@ -376,6 +382,9 @@ def assert_cleared_chain(levels, cover, by_upper_cell):
 @given(st.one_of(small_complexes(min_m=1, max_m=6), dense_complexes(max_m=6)))
 @example(SimplicialComplex.full_simplex(6))
 @example(SimplicialComplex(6, [(1, 4), (2, 5), (3, 6)]))
+@example(THREE_POINTS)  # a forest of no edges
+# two components, a hollow triangle and a path: a forest of 2 + 2 of its 5 edges
+@example(SimplicialComplex(6, [(1, 2, 3), (4, 6), *((a, b) for a in (1, 2, 3) for b in (4, 5, 6))]))
 def test_cleared_chains_match_the_uncleared_ranks(K):
     def coboundary(lower, upper):
         columns = _coboundary_columns(lower, upper)
@@ -422,6 +431,27 @@ def test_a_covered_middle_level_reads_no_level_above():
         assert 3 not in K._cache["face_levels"].get(mask, {})
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(small_complexes(min_m=1, max_m=7), dense_complexes(max_m=7)))
+@example(polygon_nerve(8))
+@example(THREE_POINTS)
+def test_the_two_lowest_coboundaries_need_no_elimination(K):
+    # H^0 of every K_J, and H^1 of a K_J with no triangle, come from a
+    # spanning forest of the graph with no elimination: against the c
+    # components found by union-find, H^0 = c - 1 (0 for the empty J) and
+    # H^1 = |E| - |V| + c
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = spy_on_reduce(monkeypatch)
+        for mask in range(1 << K.m):
+            J = [v for v in range(1, K.m + 1) if mask >> (v - 1) & 1]
+            c = union_find_component_count(K, J)
+            assert reduced_cohomology_rank(K, 0, mask) == max(c - 1, 0)
+            if not K.face_masks(3, mask):
+                edges = sum(K.is_face(pair) for pair in itertools.combinations(J, 2))
+                assert reduced_cohomology_rank(K, 1, mask) == edges - len(J) + c
+    assert calls == []
+
+
 def test_rank_only_paths_build_no_matrix_and_log_nothing(monkeypatch):
     built, init = [], SparseMatrix._init
 
@@ -452,11 +482,6 @@ def test_coboundary_columns_match_the_entry_built_coboundary(K):
         fast = {(r, c): v for c, column in enumerate(columns) for r, v in column.items()}
         assert (len(domain), len(columns), fast) == (slow.nrows, slow.ncols, slow.entries)
         d += 1
-
-
-# three isolated vertices: the component J = {1, 2, 3} in degree 4 has dimension 2
-# (checked in test_concurrent_first_solves_agree)
-THREE_POINTS = SimplicialComplex(3, [(1, 2), (1, 3), (2, 3)])
 
 
 @settings(max_examples=40, deadline=None)
