@@ -203,7 +203,9 @@ def _cmd_massey(args, data):
         raise InputError(f"--supports is not valid JSON: {exc}") from exc
     supports = [tuple(_as_list(s, "a support")) for s in _as_list(supports, "--supports")]
     for s in supports:
-        _mask_of(s, K.m)  # every vertex an int (not a bool) in 1..m
+        # every vertex an int (not a bool) in 1..m, none of them twice
+        if _mask_of(s, K.m).bit_count() != len(s):
+            raise InputError(f"--supports repeats a vertex: {list(s)}")
     degrees = [0] * len(supports)
     if args.degrees is not None:
         degrees = _int_list(args.degrees, "--degrees")

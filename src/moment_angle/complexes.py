@@ -351,9 +351,35 @@ class SimplicialComplex:
 
         v is dominated by a vertex w != v of J when every maximal face of
         K_J through v contains w, i.e. the link of v in K_J is a cone with
-        apex w (see ``dominates``).
+        apex w.  Read off the minimal non-faces: {v, w} is a face, and for
+        every minimal non-face N inside J with w in N, (N - w) + v is a
+        non-face.  A pair N = {w, u} asks that {u, v} be a minimal
+        non-face, so the pairs are one bitmask test.  For a larger N, N - w
+        is a face, so (N - w) + v is a non-face exactly when it holds a
+        minimal non-face through v: N - w meets a u with {u, v} a non-face,
+        or holds the rest of a larger minimal non-face through v.  Each v of
+        J, lowest first, is tried against each w that shares an edge with
+        it; a flag complex has no larger non-faces, and no generator is
+        built for it.
         """
-        return self._dominating_pair(mask)[0]
+        stars = self._nonface_stars()
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            apart, own = stars[low.bit_length()]
+            candidates = mask & ~apart & ~low  # the w with {v, w} a face
+            while candidates:
+                apex = candidates & -candidates
+                candidates ^= apex
+                pairs, larger = stars[apex.bit_length()]
+                if pairs & mask & ~apart:
+                    continue
+                if not larger or all(
+                    r & apart or any(s & ~r == 0 for s in own) for r in larger if r & mask == r
+                ):
+                    return low.bit_length()
+        return 0
 
     def strong_core(self, mask):
         """The mask of the core of K_J, J given by the bitmask ``mask``.
@@ -371,59 +397,6 @@ class SimplicialComplex:
                 core ^= 1 << (v - 1)
             cores[mask] = core
         return core
-
-    def dominates(self, v, w, mask):
-        """Whether vertex w dominates vertex v in K_J, J given by the bitmask ``mask``.
-
-        True when v != w both lie in J and every maximal face of K_J through
-        v contains w.  Read off the minimal non-faces: {v, w} is a face, and
-        for every minimal non-face N inside J with w in N, (N - w) + v is a
-        non-face.  A pair N = {w, u} asks that {u, v} be a minimal non-face,
-        so the pairs are one bitmask test.  Domination is kept by every
-        subset of J that holds v and w.
-        """
-        stars = self._nonface_stars()
-        low, apex = 1 << (v - 1), 1 << (w - 1)
-        apart, own = stars[v]  # the u with {u, v} a non-face, and v's larger rests
-        pairs, larger = stars[w]
-        if v == w or low & ~mask or apex & ~mask or apart & apex or pairs & mask & ~apart:
-            return False
-        return not larger or self._larger_nonfaces_allow(apart, own, mask, larger)
-
-    @staticmethod
-    def _larger_nonfaces_allow(apart, own, mask, larger):
-        """Whether (N - w) + v is a non-face for each rest N - w in ``larger`` inside J.
-
-        ``apart`` and ``own`` are v's entry of ``_nonface_stars``.  N - w is
-        a face, so (N - w) + v is a non-face exactly when it holds a minimal
-        non-face through v: N - w meets a u with {u, v} a non-face, or holds
-        the rest of a larger minimal non-face through v.
-        """
-        return all(r & apart or any(s & ~r == 0 for s in own) for r in larger if r & mask == r)
-
-    def _dominating_pair(self, mask):
-        """(v, w): the lowest vertex v dominated in K_J and the lowest w dominating it; (0, 0) if none.
-
-        Each v of J, lowest first, is tried against each w that shares an
-        edge with it, by the test of ``dominates``.  A flag complex has no
-        larger non-faces, and no generator is built for it.
-        """
-        stars = self._nonface_stars()
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            apart, own = stars[low.bit_length()]
-            candidates = mask & ~apart & ~low  # the w with {v, w} a face
-            while candidates:
-                apex = candidates & -candidates
-                candidates ^= apex
-                pairs, larger = stars[apex.bit_length()]
-                if pairs & mask & ~apart:
-                    continue
-                if not larger or self._larger_nonfaces_allow(apart, own, mask, larger):
-                    return low.bit_length(), apex.bit_length()
-        return 0, 0
 
     @staticmethod
     def _grow(level, mask, rests):

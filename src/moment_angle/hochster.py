@@ -24,33 +24,29 @@ The full table walks the subsets as bitmasks in increasing order and keeps
 one rank tuple per mask (at m = 22, 2^22 entries, most of them shared
 tuples), so every proper subset of J has been walked before J:
 
-- Domination of v by w in K_J holds in every smaller K_I with v, w in I,
-  so a pair that collapses J and avoids its top vertex also collapsed J
-  minus that vertex.  The walk keeps, per mask without vertex m (the
-  only masks read back), the pair (v, w) that collapsed it, packed as
-  v << 8 | w in an ``array('H')``, and J takes the pair of J minus its
-  top vertex t.  Only a minimal non-face through w that holds t can break
-  the pair on J, so the pair is re-tested on J only when t is in its
-  threat mask (``_threat_mask``, one per pair and walk).  J is scanned in
-  full only when J minus t had no pair or the re-test fails: in the
-  13-gon 1,024 of 8,192 masks are re-tested, and each re-test fails.  A
-  subset with a dominated vertex v takes the ranks of K_{J - v}.
-- A subset with no dominated vertex whose 1-skeleton is disconnected is
-  the disjoint union of K_A, A the component of its lowest vertex, and
-  K_{J - A}: its ranks are the sums of theirs, plus 1 in degree 0.  The
-  summed tuples are interned, one object per distinct profile.
-- A connected subset with no dominated vertex takes the ranks of
-  K_{J - v} when some vertex v of J lies in no minimal non-face of 3 or
-  more vertices and its link is acyclic.  Such a v has the full subcomplex
-  on its neighbours in J as its link, whose ranks were walked already, and
-  K_J is the union of K_{J - v} and the star of v, a cone, which meet in
-  that link; by Mayer-Vietoris over Q, K_J has the reduced cohomology of
-  K_{J - v}.  The empty link, with ranks (1,), is never acyclic.
-- Only the subsets left grow faces, and their two lowest coboundaries are
-  read off a spanning forest of the graph (``rational_linalg``), so only
-  coboundaries above the edges are eliminated.  In the 13-gon 15 of 8,192
-  subsets grow faces (the empty set, the singletons and the cycle) and
-  none eliminates; the C4 nerve eliminates 14 matrices, the P4 nerve 2.
+- A subset J takes the ranks of K_{J - v} when some vertex v of J lies in
+  no minimal non-face of 3 or more vertices and its link is acyclic.  Such
+  a v has the full subcomplex on its neighbours in J as its link, whose
+  ranks were walked already, and K_J is the union of K_{J - v} and the
+  star of v, a cone, which meet in that link; by Mayer-Vietoris over Q,
+  K_J has the reduced cohomology of K_{J - v}.  The empty link, with ranks
+  (1,), is never acyclic.  A dominated v has a cone for its link, so this
+  one rule makes every collapse that domination makes on such vertices:
+  the 13-gon takes it on 7,670 of its 8,192 masks and makes no domination
+  test.
+- Only when no such vertex has an acyclic link and J holds a vertex of a
+  larger minimal non-face is J scanned for a dominated vertex v, which
+  then lies in a larger non-face, and J takes the ranks of K_{J - v}.
+- A subset left whose 1-skeleton is disconnected is the disjoint union of
+  K_A, A the component of its lowest vertex, and K_{J - A}: its ranks are
+  the sums of theirs, plus 1 in degree 0.  The summed tuples are interned,
+  one object per distinct profile.
+- Only the connected subsets left grow faces, and their two lowest
+  coboundaries are read off a spanning forest of the graph
+  (``rational_linalg``), so only coboundaries above the edges are
+  eliminated.  In the 13-gon 15 of 8,192 subsets grow faces (the empty
+  set, the singletons and the cycle) and none eliminates; the C4 nerve
+  eliminates 14 matrices, the P4 nerve 2.
 
 A single subset, asked by ``multigraded_betti`` or listed for the table, is
 read on its core, J with its dominated vertices stripped one at a time: its
@@ -61,7 +57,6 @@ pair and expands the counts once.
 """
 
 import itertools
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 
@@ -101,15 +96,11 @@ def _profile_counts(K, multidegrees):
 
     A listed J takes the ranks of its core: J's up to trailing zeros.  The
     full walk takes the subsets as bitmasks in increasing order and keeps
-    one rank tuple per mask: when a vertex v is dominated in K_J, K_J
-    collapses onto K_{J - v}, and a disconnected K_J is the disjoint union
-    of two smaller ones, all of whose masks were walked already.  J keeps
-    the pair (v, w) of J minus its top vertex t untested unless t is in
-    the pair's threat mask, kept in a dict for this call; ``dominates``
-    re-tests it then, and ``_dominating_pair`` scans J when there is no
-    pair to keep.  A connected K_J with no pair takes the ranks of
-    K_{J - v} for the vertex v of ``_acyclic_link_vertex``, if any, and
-    keeps no pair; only the rest grow their levels.
+    one rank tuple per mask, so the ranks of every smaller subset are
+    ready.  J takes the ranks of K_{J - v} for the vertex v of
+    ``_acyclic_link_vertex``, or failing that, when J holds a vertex of a
+    larger minimal non-face, for its ``dominated_vertex``; a disconnected
+    K_J left sums its two sides, and only the rest grow their levels.
     """
     if multidegrees is not None:
         masks = [_mask_of(J, K.m) for J in multidegrees]
@@ -117,57 +108,22 @@ def _profile_counts(K, multidegrees):
     else:
         masks = range(1 << K.m)
         ranks = [cohomology_profile(K.induced_face_levels(0)).ranks]
-        # v << 8 | w with v dominated by w in K_J, 0 if none; v, w <= m < 256
-        witness = array("H", [0])
-        threats = {0: -1}  # per pair, the top vertices that can break it; no pair always scans
         stars = K._nonface_stars()
         # the vertices in no minimal non-face of 3 or more vertices
         pair_only = sum(1 << (v - 1) for v in range(1, K.m + 1) if not stars[v][1])
         joined = {}  # one tuple per distinct profile of a disjoint union
-        for t in range(K.m):
-            # a pair is read back only for J minus its top vertex, a mask below
-            # 2^(m - 1): the masks of the last round hold vertex m, so keep none
-            keep = t < K.m - 1
-            top = 1 << t
-            for below in range(1 << t):
-                mask = below | top
-                pair = witness[below]
-                threat = threats.get(pair)
-                if threat is None:
-                    threat = threats[pair] = _threat_mask(stars, pair >> 8, pair & 255)
-                if threat & top and not (pair and K.dominates(pair >> 8, pair & 255, mask)):
-                    v, w = K._dominating_pair(mask)
-                    pair = v << 8 | w
-                if pair:
-                    ranks.append(ranks[mask ^ (1 << ((pair >> 8) - 1))])
-                else:
-                    part = K.component_mask(mask)
-                    if part != mask:
-                        profile = _disjoint_union(ranks[part], ranks[mask ^ part])
-                        ranks.append(joined.setdefault(profile, profile))
-                    elif bit := _acyclic_link_vertex(stars, mask & pair_only, mask, ranks):
-                        ranks.append(ranks[mask ^ bit])
-                    else:
-                        ranks.append(cohomology_profile(K.induced_face_levels(mask)).ranks)
-                if keep:
-                    witness.append(pair)
+        for mask in range(1, 1 << K.m):
+            bit = _acyclic_link_vertex(stars, mask & pair_only, mask, ranks)
+            if not bit and mask & ~pair_only and (v := K.dominated_vertex(mask)):
+                bit = 1 << (v - 1)
+            if bit:
+                ranks.append(ranks[mask ^ bit])
+            elif (part := K.component_mask(mask)) != mask:
+                profile = _disjoint_union(ranks[part], ranks[mask ^ part])
+                ranks.append(joined.setdefault(profile, profile))
+            else:
+                ranks.append(cohomology_profile(K.induced_face_levels(mask)).ranks)
     return Counter(zip(map(int.bit_count, masks), ranks))
-
-
-def _threat_mask(stars, v, w):
-    """The vertices t that can break the domination of v by w when they join J.
-
-    ``stars`` is ``K._nonface_stars()``.  If w dominates v in K_J, it still
-    does in K_{J + t} unless {w, t} is a minimal non-face while {v, t} is a
-    face, or t lies in a larger minimal non-face through w: every other
-    condition that ``dominates`` reads is one on J alone.
-    """
-    apart = stars[v][0]
-    pairs, larger = stars[w]
-    threat = pairs & ~apart
-    for rest in larger:
-        threat |= rest
-    return threat
 
 
 def _acyclic_link_vertex(stars, candidates, mask, ranks):

@@ -508,7 +508,8 @@ def test_multidegree_vertex_out_of_range(capsys):
     "argv",
     # each was read as a shorter list: [], [1], [1, 2], [3, 1], [3, 3]; each
     # blank value after them was read as an absent flag: the full 2^m table,
-    # the default profile, all-zero degrees, no degrees, the --supports path
+    # the default profile, all-zero degrees, no degrees, the --supports path;
+    # the last support was read as [1, 3] and answered with exit 0
     [
         ["betti", "--multidegree", ","],
         ["betti", "--multidegree", "1,1"],
@@ -520,6 +521,7 @@ def test_multidegree_vertex_out_of_range(capsys):
         ["massey", "--inline", HEXAGON, "--supports", "[[1,4],[2,5],[3,6]]", "--degrees", ""],
         ["family", "--name", "degrees", "--degrees", ""],
         ["massey", "--inline", HEXAGON, "--supports", "[[1,4],[2,5],[3,6]]", "--family", ""],
+        ["massey", "--inline", HEXAGON, "--supports", "[[1,3,3],[2,4]]"],
     ],
 )
 def test_blank_or_repeated_integers_are_an_input_error(capsys, argv):

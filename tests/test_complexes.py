@@ -415,15 +415,15 @@ def test_dominated_vertex_matches_maximal_faces(K, data):
     expected = brute_domination(K, J) if J else []
     mask = _mask(J)
     assert K.dominated_vertex(mask) == (expected[0][0] if expected else 0)
-    # the pair test, on every pair of vertices of K, in J or not
-    for v, w in itertools.product(range(1, K.m + 1), repeat=2):
-        assert K.dominates(v, w, mask) == ((v, w) in expected)
-    # the walk of the full Betti table keeps the lowest pair as its witness
-    assert K._dominating_pair(mask) == (expected[0] if expected else (0, 0))
+    # each vertex v of J is the lowest of the part of J from v up
+    for v in J:
+        upper = {u for u in J if u >= v}
+        expected = brute_domination(K, upper)
+        assert K.dominated_vertex(_mask(upper)) == (expected[0][0] if expected else 0)
 
 
 def dominates_by_face_tests(K, v, w, mask):
-    """The minimal non-face rule of ``dominates``, each (N - w) + v read by ``is_face_mask``."""
+    """The minimal non-face rule of ``dominated_vertex``, each (N - w) + v read by ``is_face_mask``."""
     low, apex = 1 << (v - 1), 1 << (w - 1)
     if v == w or low & ~mask or apex & ~mask or not K.is_face_mask(low | apex):
         return False
@@ -438,13 +438,14 @@ def test_domination_matches_the_face_test_rule(K, data):
     # the larger non-faces are read from the stars of v and w, never by a face test
     mask = data.draw(st.integers(0, (1 << K.m) - 1))
     vertices = range(1, K.m + 1)
-    expected = [
-        (v, w) for v, w in itertools.product(vertices, repeat=2)
-        if dominates_by_face_tests(K, v, w, mask)
-    ]
-    for v, w in itertools.product(vertices, repeat=2):
-        assert K.dominates(v, w, mask) == ((v, w) in expected)
-    assert K._dominating_pair(mask) == (expected[0] if expected else (0, 0))
+    # each vertex v of J is the lowest of the part of J from v up
+    for v in vertices:
+        upper = mask & -(1 << (v - 1))
+        expected = [
+            (v, w) for v, w in itertools.product(vertices, repeat=2)
+            if dominates_by_face_tests(K, v, w, upper)
+        ]
+        assert K.dominated_vertex(upper) == (expected[0][0] if expected else 0)
 
 
 def test_induced_hexagon_pair():

@@ -14,6 +14,7 @@ import json
 import pytest
 
 from moment_angle.cli import main
+from moment_angle.families import FamilySpec, family_complex
 from moment_angle.graphs import Graph, associahedron_nerve
 from moment_angle.massey import family_massey_input
 
@@ -70,6 +71,12 @@ NINE_GON = json.dumps(
 FAMILY_4_2 = json.dumps(family_massey_input(4, 2).complex.to_json_dict())
 # dense and not flag: nearly every induced subcomplex is close to a full simplex
 DENSE_12 = '{"m":12,"minimal_nonfaces":[[1,2,3],[3,6,9],[4,8,12],[2,7,11],[5,10,12]]}'
+# multiwedges that are not flag: in kns(3, 2) (m = 9) every vertex lies in a
+# minimal non-face of 3 vertices, and in the multiwedge of degrees 3,5,3
+# (m = 7) all but vertices 1, 4 and 5 do, so the full table collapses their
+# subsets by domination
+KNS_3_2 = json.dumps(family_complex(FamilySpec("kns", n=3, s=2)).to_json_dict())
+DEGREES_3_5_3 = json.dumps(family_complex(FamilySpec("degrees", degrees=(3, 5, 3))).to_json_dict())
 
 GOLDEN = (
     ("homology-square", ["homology", "--inline", SQUARE],
@@ -89,6 +96,10 @@ GOLDEN = (
      "7fa0a6c0f561bae671c4ced6840a72930ae08ce7b7391a72da710a3526579b4d"),
     ("betti-dense-12", ["betti", "--inline", DENSE_12],
      "de216cf8afc2cef298295a91bffb38e43fde48c47ade2d255fc2fe0fc76d31df"),
+    ("betti-kns-3-2", ["betti", "--inline", KNS_3_2],
+     "e6a847ed7fc773a32f636d4e3334db8418a60a8ad01ba5e0d18628351c4de485"),
+    ("betti-degrees-3-5-3", ["betti", "--inline", DEGREES_3_5_3],
+     "0167531ae89cee783e322c5f60093909656b42ce831a3bd0780ab6cf0f7b567e"),
     ("betti-hexagon-multidegree", ["betti", "--inline", HEXAGON, "--multidegree", "1,3"],
      "9e4037169a24c0cdd52ca04cd38f90ce9e3c975081541d263f719d39ec4dffe7"),
     # single subsets read on their cores: a path that collapses to a vertex, a

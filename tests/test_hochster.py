@@ -24,7 +24,6 @@ import moment_angle.rational_linalg as rational_linalg
 from conftest import (
     CORPUS_GRAPHS,
     WEDGE_FAMILY,
-    brute_domination,
     corpus_nerve,
     dense_complexes,
     random_complex,
@@ -321,8 +320,9 @@ def disjoint_union(K1, K2):
 
 
 def test_collapsed_table_matches_induced_complexes_m9_to_m11(monkeypatch):
-    # the full table reuses the profile of K_{J - v} whenever v is dominated
-    # in K_J, and adds the profiles of the two sides of a disconnected K_J;
+    # the full table reuses the profile of K_{J - v} whenever v has an
+    # acyclic link or is dominated in K_J, and adds the profiles of the two
+    # sides of a disconnected K_J;
     # here every one of the 2^m subsets is checked against its own induced
     # complex, on flag and non-flag complexes
     rng = random.Random(8)
@@ -342,51 +342,29 @@ def test_collapsed_table_matches_induced_complexes_m9_to_m11(monkeypatch):
         ),
     ]
     assert sum(not K.structure_report().is_flag for K in cases) == 4
-    # the walk re-tests the pair (v, w) that dominated J minus its top vertex;
-    # record the re-tests that the top vertex breaks
-    broken = []
-    dominates = SimplicialComplex.dominates
+    # the walk scans J for a dominated vertex only when no vertex outside the
+    # larger non-faces has an acyclic link; record what that scan strips
+    stripped = []
+    dominated_vertex = SimplicialComplex.dominated_vertex
 
-    def recording(K, v, w, mask):
-        answer = dominates(K, v, w, mask)
-        if not answer:
-            broken.append((K, v, w, mask))
-        return answer
+    def recording(K, mask):
+        v = dominated_vertex(K, mask)
+        if v:
+            stripped.append((K, v))
+        return v
 
-    monkeypatch.setattr(SimplicialComplex, "dominates", recording)
+    monkeypatch.setattr(SimplicialComplex, "dominated_vertex", recording)
     for K in cases:
         assert bigraded_betti_table(K).bigraded == slow_hochster_sum(K, all_subsets(K.m))
 
-    def edge(K, a, b):
-        return K.is_face_mask(1 << (a - 1) | 1 << (b - 1))
+    def in_a_larger_nonface(K, v):
+        return any(nf >> (v - 1) & 1 and nf.bit_count() > 2 for nf in K._mf_masks)
 
-    def broken_by_a_larger_nonface(K, v, w, mask):
-        # every u apart from w is apart from v too, so no pair breaks it
-        J = [u for u in range(1, K.m + 1) if mask >> (u - 1) & 1]
-        return all(not edge(K, u, v) for u in J if u != w and not edge(K, u, w))
-
+    # a dominated vertex in no larger non-face has a cone for its link, so
+    # the link rule takes it first
+    assert all(in_a_larger_nonface(K, v) for K, v in stripped)
     union = cases[-1]
-    assert any(b[0] is union and broken_by_a_larger_nonface(*b) for b in broken)
-
-
-def test_the_walk_re_tests_a_pair_only_when_the_new_top_vertex_threatens_it(monkeypatch):
-    # a pair (v, w) that collapsed J minus its top vertex t can be broken
-    # on J only through a minimal non-face of w that holds t; every other
-    # mask keeps the pair untested, and on these flag complexes every
-    # re-test left fails
-    answers = []
-    dominates = SimplicialComplex.dominates
-
-    def recording(K, v, w, mask):
-        answers.append(dominates(K, v, w, mask))
-        return answers[-1]
-
-    monkeypatch.setattr(SimplicialComplex, "dominates", recording)
-    for K, calls in [(polygon_nerve(13), 1024), (corpus_nerve("c4"), 1014)]:
-        assert K.structure_report().is_flag
-        answers.clear()
-        bigraded_betti_table(K)
-        assert (len(answers), any(answers)) == (calls, False)
+    assert any(K is union for K, _ in stripped)
 
 
 @st.composite
@@ -397,39 +375,32 @@ def flag_complexes(draw, max_m):
     return SimplicialComplex(m, [tuple(sorted(p)) for p in pairs])
 
 
-def kept_witnesses(K):
-    """The full table of K and the pair the walk kept per mask, as (v, w) or None.
+def test_flag_tables_collapse_by_acyclic_links_alone(monkeypatch):
+    # in a flag complex every vertex lies in pair non-faces only, so its link
+    # in K_J is the full subcomplex on its neighbours, and a dominated vertex
+    # has an acyclic one: the walk makes no domination test, and these are
+    # the masks that the link rule collapses
+    fired = []
+    find = hochster._acyclic_link_vertex
 
-    The walk keeps its pairs in one growing array indexed by mask; a list
-    stands in for it here and is read back after the walk.
-    """
-    kept = []
+    def recording(stars, candidates, mask, ranks):
+        v = find(stars, candidates, mask, ranks)
+        if v:
+            fired.append(mask)
+        return v
 
-    def witness_list(typecode, items):
-        kept.extend(items)
-        return kept
+    def refusing(K, mask):
+        raise AssertionError("a domination test in a flag table")
 
-    with mock.patch.object(hochster, "array", witness_list):
-        table = bigraded_betti_table(K)
-    return table, [(pair >> 8, pair & 255) if pair else None for pair in kept]
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.one_of(
-        small_complexes(min_m=1, max_m=9), dense_complexes(max_m=9), flag_complexes(max_m=9)
-    )
-)
-def test_every_pair_the_walk_keeps_dominates_on_flag_and_non_flag_complexes(K):
-    table, kept = kept_witnesses(K)
-    assert len(kept) == 1 << max(K.m - 1, 0)
-    for mask, pair in enumerate(kept[1:], 1):
-        J = _tuple_of(mask)
-        if pair is None:
-            assert brute_domination(K, J) == []
-        else:
-            assert K.dominates(*pair, mask) and pair in brute_domination(K, J)
-    assert table.bigraded == slow_hochster_sum(K, all_subsets(K.m))
+    monkeypatch.setattr(hochster, "_acyclic_link_vertex", recording)
+    monkeypatch.setattr(SimplicialComplex, "dominated_vertex", refusing)
+    counts = []
+    for K in [polygon_nerve(13), corpus_nerve("c4"), polygon_nerve(9), corpus_nerve("p4")]:
+        assert K.structure_report().is_flag
+        fired.clear()
+        bigraded_betti_table(K)
+        counts.append(len(fired))
+    assert counts == [7670, 3955, 435, 469]
 
 
 def test_the_full_table_eliminates_only_above_the_edges(monkeypatch):
