@@ -2,19 +2,22 @@
 
 A complex is stored by its set of minimal non-faces (the generators of the
 corresponding squarefree monomial ideal); the maximal faces are derived
-lazily by hypergraph dualization and cached.  The faces of K and of each
+lazily by hypergraph dualization and cached.  Every reader of the minimal
+non-faces reads one index of them, the star of each vertex: the non-faces
+through it, each with the vertex removed.  The faces of K and of each
 induced subcomplex K_J form bitmask lattices, built one level (face size)
 at a time from the nearer end: a lower level grows from the level below it
-by the non-faces indexed by top vertex, and an upper level (more than half
+by the stars of the vertices it adds, and an upper level (more than half
 of J) is read off the complements in J that meet every non-face inside J.
 Only the levels a caller asks for, and those below them on the bottom-up
 side, are built, and they are kept in one store per complex keyed by the
 vertex mask of J, for every reader of one K_J; only the walk over all 2^m
-subsets grows its levels bottom-up without keeping them.  A face test reads
-the same index of non-faces by top vertex.  Every singleton {i} must be a
-face, so complexes carry no ghost vertices.  All values are canonicalized
-and immutable after construction; equality and hashing use the canonical
-form (vertex labels are carried along but never affect any computation).
+subsets grows its levels bottom-up without keeping them.  A face test,
+domination and the 1-skeleton flood fill read the same stars.  Every
+singleton {i} must be a face, so complexes carry no ghost vertices.  All
+values are canonicalized and immutable after construction; equality and
+hashing use the canonical form (vertex labels are carried along but never
+affect any computation).
 
 Vertices are 1-indexed everywhere in the public API.  Internally subsets are
 represented both as sorted tuples and as bitmasks (bit v-1 for vertex v).
@@ -191,10 +194,6 @@ class SimplicialComplex:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_minimal_nonfaces(cls, m, minimal_nonfaces, labels=None):
-        return cls(m, minimal_nonfaces, labels)
-
-    @classmethod
     def from_maximal_faces(cls, m, maximal_faces, labels=None):
         """Inverse constructor: recover the minimal non-faces by dualization.
 
@@ -283,18 +282,18 @@ class SimplicialComplex:
     # -- faces ---------------------------------------------------------------
 
     def is_face_mask(self, mask):
-        """Whether the bitmask ``mask`` is a face of K, read off ``_nonface_rests``.
+        """Whether the bitmask ``mask`` is a face of K, read off ``_nonface_stars``.
 
-        A minimal non-face lies inside the mask exactly when its top vertex v
-        does and so does its rest listed under v: the rule of ``_grow``,
-        applied to each vertex of the mask.
+        A minimal non-face lies inside the mask exactly when one of its
+        vertices v does and so does its rest listed under v, so the lowest
+        vertex of the mask in such a non-face finds it.
         """
-        rests = self._nonface_rests()
+        stars = self._nonface_stars()
         rest = mask
         while rest:
             low = rest & -rest
             rest ^= low
-            pairs, larger = rests[low.bit_length()]
+            pairs, larger = stars[low.bit_length()]
             if mask & pairs or larger and any(r & mask == r for r in larger):
                 return False
         return True
@@ -303,34 +302,15 @@ class SimplicialComplex:
         """Whether a collection of vertices is a face of K."""
         return self.is_face_mask(_mask_of(vertices, self.m))
 
-    def _nonface_rests(self):
-        """Minimal non-faces by top vertex v, each with v removed (cached).
-
-        Entry v is a pair: the bitmask of the vertices u with {u, v} a
-        minimal non-face, and the list of the larger rests.  ``f | v`` (v
-        above the top vertex of a face f) is a face exactly when no rest
-        listed under v lies inside f: any other non-face inside ``f | v``
-        would already lie inside the face f.
-        """
-        if "nonface_rests" not in self._cache:
-            pairs = [0] * (self.m + 1)
-            rests = [[] for _ in range(self.m + 1)]
-            for nf in self._mf_masks:
-                top = nf.bit_length()
-                rest = nf ^ (1 << (top - 1))
-                if rest & (rest - 1):
-                    rests[top].append(rest)
-                else:
-                    pairs[top] |= rest
-            self._cache["nonface_rests"] = list(zip(pairs, rests))
-        return self._cache["nonface_rests"]
-
-    def _nonface_stars(self):
-        """Minimal non-faces through each vertex w (cached).
+    def _nonface_stars(self, mask=None):
+        """Minimal non-faces through each vertex w (cached), those inside J if J is given.
 
         Entry w is a pair: the bitmask of the vertices u with {u, w} a
         minimal non-face, and the rests N - w of the larger minimal
-        non-faces N that contain w.
+        non-faces N that contain w.  With J given by the bitmask ``mask``,
+        only the larger rests inside J are kept: a face of K_J never
+        contains a rest outside J, so the lattice of K_J costs its own
+        faces, however large K is.
         """
         if "nonface_stars" not in self._cache:
             pairs = [0] * (self.m + 1)
@@ -344,7 +324,10 @@ class SimplicialComplex:
                 for w in _tuple_of(nf):
                     larger[w].append(nf ^ 1 << (w - 1))
             self._cache["nonface_stars"] = list(zip(pairs, larger))
-        return self._cache["nonface_stars"]
+        stars = self._cache["nonface_stars"]
+        if mask is None or mask == self._full_mask:
+            return stars
+        return [(pairs, [r for r in larger if r & mask == r]) for pairs, larger in stars]
 
     def dominated_vertex(self, mask):
         """The lowest vertex v dominated in K_J, J given by the bitmask ``mask``; 0 if none.
@@ -399,13 +382,17 @@ class SimplicialComplex:
         return core
 
     @staticmethod
-    def _grow(level, mask, rests):
+    def _grow(level, mask, stars):
         """The next face level: each face of ``level`` gains a vertex of ``mask`` above its top.
 
-        Each face of the next level is reached exactly once, and a level in
-        lex order of its tuples grows into a level in lex order.  A level that
-        grows past ``FACE_LEVEL_CAPACITY`` faces raises ``CapacityError`` as
-        soon as it does; the singletons, one per vertex of ``mask``, are counted first.
+        ``stars`` is ``_nonface_stars(mask)``.  ``f | v``, v above the top
+        vertex of the face f, is a face exactly when no rest listed under v
+        lies inside f: any other non-face inside ``f | v`` would already lie
+        inside f, and a rest with a vertex above v never does.  Each face of
+        the next level is reached exactly once, and a level in lex order of
+        its tuples grows into a level in lex order.  A level that grows past
+        ``FACE_LEVEL_CAPACITY`` faces raises ``CapacityError`` as soon as it
+        does; the singletons, one per vertex of ``mask``, are counted first.
         """
         if level == (0,) and mask.bit_count() > FACE_LEVEL_CAPACITY:
             per_size = f"capacity is {FACE_LEVEL_CAPACITY} faces per size"
@@ -417,7 +404,7 @@ class SimplicialComplex:
             while above:
                 low = above & -above
                 above ^= low
-                pairs, larger = rests[low.bit_length()]
+                pairs, larger = stars[low.bit_length()]
                 if not f & pairs and not (larger and any(r & f == r for r in larger)):
                     grown.append(f | low)
                     if len(grown) > FACE_LEVEL_CAPACITY:
@@ -439,10 +426,11 @@ class SimplicialComplex:
         With n = |J|, a level with size > n - size and at most
         ``FACE_LEVEL_CAPACITY`` candidates, C(n, size), is read off the
         complements of its faces (``_level_from_top``); any other level
-        grows bottom-up (``_grow``) from the highest level stored below it,
-        storing every level between.  A level above an empty stored level is
-        empty.  Each level is built locally and stored whole unless one is
-        there already, so threads racing on one J never store a level twice.
+        grows bottom-up (``_grow``, from ``_nonface_stars`` of J) from the
+        highest level stored below it, storing every level between.  A level
+        above an empty stored level is empty.  Each level is built locally
+        and stored whole unless one is there already, so threads racing on
+        one J never store a level twice.
         """
         if mask is None:
             mask = self._full_mask
@@ -461,28 +449,28 @@ class SimplicialComplex:
             return ()
         if size > n - size and math.comb(n, size) <= FACE_LEVEL_CAPACITY:
             return levels.setdefault(size, self._level_from_top(size, mask))
-        rests = self._rests_in(mask)
+        stars = self._nonface_stars(mask)
         while known < size and level:
             known += 1
-            level = levels.setdefault(known, self._grow(level, mask, rests))
+            level = levels.setdefault(known, self._grow(level, mask, stars))
         return level if known == size else ()
 
     def _level_from_top(self, size, mask):
         """The faces of K_J with ``size`` vertices, J the bitmask ``mask``, from their complements.
 
         T is a face of K_J exactly when C = J - T meets every minimal
-        non-face inside J, read from ``_nonface_rests`` for the vertices of J
-        only, pairs first.  The (|J| - size)-subsets C come in lex order, so
-        their complements come in reverse lex order, and the kept faces are
-        reversed.
+        non-face inside J.  Each is read once from ``_nonface_stars``, under
+        its top vertex, pairs first.  The (|J| - size)-subsets C come in lex
+        order, so their complements come in reverse lex order, and the kept
+        faces are reversed.
         """
-        rests = self._nonface_rests()
+        stars = self._nonface_stars()
         bits = [1 << (v - 1) for v in _tuple_of(mask)]
         pairs, larger = [], []
         for top in bits:
-            near, far = rests[top.bit_length()]
-            pairs.extend(top | 1 << (u - 1) for u in _tuple_of(near & mask))
-            larger.extend(top | r for r in far if r & mask == r)
+            near, far = stars[top.bit_length()]
+            pairs.extend(top | 1 << (u - 1) for u in _tuple_of(near & mask & (top - 1)))
+            larger.extend(top | r for r in far if r < top and r & mask == r)
         complements = list(map(sum, itertools.combinations(bits, len(bits) - size)))
         for nf in pairs + larger:  # one pass per non-face over the complements left
             complements = list(filter(nf.__and__, complements))
@@ -493,25 +481,15 @@ class SimplicialComplex:
 
         Yields the faces of K_J with 0, 1, 2, ... vertices, up to the last
         nonempty level, as bitmasks over K's own vertices in lex order: the
-        levels of ``face_masks``, for their one reader: the walk over all 2^m
-        subsets, which would otherwise store 2^m entries.
+        levels of ``face_masks``, grown by ``_grow`` from ``_nonface_stars``
+        of J, for their one reader: the walk over all 2^m subsets, which
+        would otherwise store 2^m entries.
         """
-        rests = self._rests_in(mask)
+        stars = self._nonface_stars(mask)
         level = (0,)
         while level:
             yield level
-            level = self._grow(level, mask, rests)
-
-    def _rests_in(self, mask):
-        """``_nonface_rests`` with the larger rests outside J dropped, J the bitmask ``mask``.
-
-        A face of K_J never contains a rest outside J, so the lattice of K_J
-        costs its own faces, however large K is.
-        """
-        rests = self._nonface_rests()
-        if mask == self._full_mask:
-            return rests
-        return [(pairs, [r for r in larger if r & mask == r]) for pairs, larger in rests]
+            level = self._grow(level, mask, stars)
 
     def faces(self, size):
         """All faces with ``size`` vertices, as sorted tuples in lex order (not kept)."""
@@ -549,8 +527,8 @@ class SimplicialComplex:
         {emptyset}, whose reduced cohomology has rank 1 in degree -1; this is
         the convention that makes Hochster-type sums literally correct.
         """
-        vs = tuple(sorted(set(vertices)))
-        mask = _mask_of(vs, self.m)
+        mask = _mask_of(vertices, self.m)
+        vs = _tuple_of(mask)
         relabel = {v: i + 1 for i, v in enumerate(vs)}
         mf = [
             tuple(relabel[v] for v in _tuple_of(nf))
@@ -584,8 +562,8 @@ class SimplicialComplex:
         the face is coned over the new vertex.  The induced subcomplex on the
         old vertex set keeps its 1-skeleton unchanged.
         """
-        f = tuple(sorted(set(face)))
-        fmask = _mask_of(f, self.m)
+        fmask = _mask_of(face, self.m)
+        f = _tuple_of(fmask)
         if fmask not in self._max_face_masks():
             raise InputError(f"{f} is not a maximal face")
         if len(f) < 2:

@@ -70,9 +70,6 @@ class Graph:
             raise InputError("graph JSON must be an object with an \"n\" field")
         return cls.from_edges(data["n"], data.get("edges", ()))
 
-    def to_json_dict(self):
-        return {"n": self.n, "edges": [list(e) for e in self.edges]}
-
     @cached_property
     def adjacency(self):
         """The neighbours of each vertex v at index v (index 0 is empty), built once per graph."""
@@ -112,11 +109,12 @@ class BuildingSet:
 
     @classmethod
     def from_sets(cls, ground, sets):
-        family = {tuple(sorted(set(s))) for s in sets}
-        family |= {(v,) for v in range(1, ground + 1)}
-        for s in family:
-            if not s or s[0] < 1 or s[-1] > ground:
+        family = {(v,) for v in range(1, ground + 1)}
+        for s in sets:
+            s = _tuple_of(_mask_of(s, ground))
+            if not s:
                 raise InputError(f"building-set element {s} outside 1..{ground}")
+            family.add(s)
         masks = {_mask_of(s, ground): s for s in sorted(family)}  # the first bad pair is reported
         for (a, s1), (b, s2) in itertools.combinations(masks.items(), 2):
             if a & b and a | b not in masks:

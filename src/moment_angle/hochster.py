@@ -69,13 +69,14 @@ FULL_TABLE_CAPACITY = 22
 
 def multigraded_betti(K, i, J):
     """beta^{-i, 2J}: reduced H^{|J|-i-1} of K_J, read on the stored levels of J's core."""
-    J = sorted(set(J))
-    if i < 0 or i > len(J):
-        raise InputError(f"homological degree {i} outside 0..{len(J)}")
-    core = K.strong_core(_mask_of(J, K.m))
-    if J and core & (core - 1) == 0:
+    mask = _mask_of(J, K.m)
+    n = mask.bit_count()
+    if i < 0 or i > n:
+        raise InputError(f"homological degree {i} outside 0..{n}")
+    core = K.strong_core(mask)
+    if mask and core & (core - 1) == 0:
         return 0
-    return reduced_cohomology_rank(K, len(J) - i - 1, core)
+    return reduced_cohomology_rank(K, n - i - 1, core)
 
 
 @dataclass(frozen=True)

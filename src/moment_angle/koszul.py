@@ -48,7 +48,7 @@ and dropping u_i from position k (0-based) of a u-block contributes (-1)^k.
 
 from functools import lru_cache
 
-from .complexes import _mask_of, _tuple_of
+from .complexes import _as_list, _mask_of, _tuple_of
 from .errors import AmbientMismatchError, InputError, NotACocycleError
 from .rational_linalg import Rational, SparseMatrix, greedy_span
 
@@ -61,10 +61,10 @@ def normal_part(vertices, m, what):
     A vertex out of range, or one given twice (u_i u_i = 0, v_i v_i = 0 and
     t_i t_i = t_i, so no normal-form monomial repeats one), is an error.
     """
-    part = tuple(sorted(vertices))
+    part = _as_list(vertices, what)
     mask = _mask_of(part, m)
     if mask.bit_count() != len(part):
-        raise InputError(f"{what} {part} repeats a vertex")
+        raise InputError(f"{what} {tuple(sorted(part))} repeats a vertex")
     return mask
 
 

@@ -80,7 +80,7 @@ class MasseyClassInput:
     representative: KoszulCochain
 
     def __post_init__(self):
-        sup = tuple(sorted(set(self.support)))
+        sup = _tuple_of(_mask_of(self.support, self.representative.complex.m))
         if not -1 <= self.reduced_degree < len(sup):
             raise InputError(
                 f"class on {sup}: reduced degree {self.reduced_degree} outside "
@@ -148,7 +148,7 @@ class MasseyInput:
 
 def canonical_class(K, support, reduced_degree=0):
     """The class input with the deterministic first generator as representative."""
-    support = tuple(sorted(set(support)))
+    support = _tuple_of(_mask_of(support, K.m))
     comp = component_basis(K, support, reduced_degree + len(support) + 1)
     basis = comp.cohomology_basis()
     if not basis:

@@ -69,7 +69,7 @@ def nonface_scan_is_face(K, mask):
     """Slow-path face test: no minimal non-face of K lies inside the bitmask ``mask``.
 
     Scans every minimal non-face; ``SimplicialComplex.is_face_mask``, which
-    reads the non-faces indexed by top vertex, is compared with it.
+    reads the non-faces through each vertex of the mask, is compared with it.
     """
     return all(nf & mask != nf for nf in K._mf_masks)
 

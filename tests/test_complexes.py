@@ -26,6 +26,11 @@ from moment_angle.complexes import (
 )
 from moment_angle.errors import CapacityError, GhostVertexError, InputError
 from moment_angle.families import polygon_nerve
+from moment_angle.graphs import BuildingSet
+from moment_angle.hochster import multigraded_betti
+from moment_angle.koszul import KoszulCochain
+from moment_angle.massey import MasseyClassInput, canonical_class
+from moment_angle.real_cochains import RealCochain
 
 from conftest import (
     WEDGE_FAMILY,
@@ -154,7 +159,7 @@ def test_round_trip_random_m5():
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_complexes(min_m=1, max_m=7))
+@given(st.one_of(small_complexes(min_m=1, max_m=7), dense_complexes(), st.sampled_from(WEDGE_FAMILY)))
 def test_face_lattice_matches_brute_force(K):
     expected = brute_faces(K.m, K.minimal_nonfaces)
     for size in range(K.m + 2):
@@ -164,7 +169,10 @@ def test_face_lattice_matches_brute_force(K):
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_complexes(min_m=1, max_m=7), st.data())
+@given(
+    st.one_of(small_complexes(min_m=1, max_m=7), dense_complexes(), st.sampled_from(WEDGE_FAMILY)),
+    st.data(),
+)
 def test_induced_face_levels_match_brute_force(K, data):
     J = data.draw(st.sets(st.integers(1, K.m)))
     levels = list(K.induced_face_levels(sum(1 << (v - 1) for v in J)))
@@ -197,8 +205,30 @@ def test_is_face_memo_matches_nonface_scan(K):
             cold.is_face(bad)
 
 
+# the entry points that read a list of vertices and report it sorted, each given
+# [1, v] on the hexagon
+VERTEX_TAKERS = {
+    "induced": lambda K, vs: K.induced(vs),
+    "stellar_vertex_cut": lambda K, vs: K.stellar_vertex_cut(vs),
+    "multigraded_betti": lambda K, vs: multigraded_betti(K, 0, vs),
+    "canonical_class": lambda K, vs: canonical_class(K, vs),
+    "KoszulCochain.monomial": lambda K, vs: KoszulCochain.monomial(K, vs, ()),
+    "RealCochain.monomial": lambda K, vs: RealCochain.monomial(K, (), vs),
+    "MasseyClassInput": lambda K, vs: MasseyClassInput(vs, 0, KoszulCochain.zero(K)),
+    "BuildingSet.from_sets": lambda K, vs: BuildingSet.from_sets(K.m, [vs]),
+}
+
+
+@pytest.mark.parametrize("vertex", ["a", None])
+@pytest.mark.parametrize("call", VERTEX_TAKERS.values(), ids=VERTEX_TAKERS.keys())
+def test_a_vertex_that_is_not_an_integer_is_an_input_error(call, vertex):
+    # checked before the vertices are sorted, which would compare v with 1
+    with pytest.raises(InputError, match="out of range"):
+        call(polygon_nerve(6), [1, vertex])
+
+
 @settings(max_examples=150, deadline=None)
-@given(small_complexes(min_m=1, max_m=8))
+@given(st.one_of(small_complexes(min_m=1, max_m=8), dense_complexes(), st.sampled_from(WEDGE_FAMILY)))
 def test_indexed_face_test_matches_nonface_scan(K):
     # every mask, faces and non-faces alike, against the scan of all minimal non-faces
     for mask in range(1 << K.m):
