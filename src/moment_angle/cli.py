@@ -11,6 +11,9 @@ Exit codes: 0 success, 1 invalid input (command-line usage errors included)
 or an output that cannot be written (an unwritable ``--out``, or a reader
 that closed stdout), 2 capacity exceeded (the guard that fired is named in
 the error message).
+
+Each command imports the modules it runs when it is called, so a request
+loads only those (``betti`` never loads the Massey or graph modules).
 """
 
 import argparse
@@ -23,19 +26,6 @@ import time
 from . import __version__
 from .complexes import SimplicialComplex, _as_list, _mask_of
 from .errors import CapacityError, InputError
-from .families import FamilySpec, family_complex
-from .graphs import Graph, associahedron_nerve, formality_classify
-from .hochster import bigraded_betti_table
-from .massey import (
-    MasseyInput,
-    canonical_class,
-    massey_product,
-    search_triple_products,
-    verify_family_massey,
-)
-from .multiwedge import j_construction
-from .rational_linalg import reduced_cohomology_ranks
-from .real_cochains import real_cohomology_ranks
 
 
 def _load_input(args):
@@ -123,12 +113,16 @@ def _massey_report_dict(report):
 
 
 def _cmd_homology(args, data):
+    from .rational_linalg import reduced_cohomology_ranks
+
     K = SimplicialComplex.from_json_dict(_require_input(data))
     profile = reduced_cohomology_ranks(K)
     return {"m": K.m, "ranks": [[d, r] for d, r in profile.items()]}
 
 
 def _cmd_betti(args, data):
+    from .hochster import bigraded_betti_table
+
     K = SimplicialComplex.from_json_dict(_require_input(data))
     multidegrees = None
     if args.multidegree is not None:
@@ -145,6 +139,8 @@ def _cmd_betti(args, data):
 
 
 def _cmd_multiwedge(args, data):
+    from .multiwedge import j_construction
+
     K = SimplicialComplex.from_json_dict(_require_input(data))
     if not args.j:
         raise InputError("multiwedge needs --j with the copy counts")
@@ -153,11 +149,15 @@ def _cmd_multiwedge(args, data):
 
 
 def _cmd_real_betti(args, data):
+    from .real_cochains import real_cohomology_ranks
+
     K = SimplicialComplex.from_json_dict(_require_input(data))
     return {"m": K.m, "ranks": list(real_cohomology_ranks(K))}
 
 
 def _cmd_family(args, data):
+    from .families import FamilySpec, family_complex
+
     if not args.name:
         raise InputError("family needs --name")
     degrees = _int_list(args.degrees, "--degrees") if args.degrees is not None else None
@@ -166,6 +166,14 @@ def _cmd_family(args, data):
 
 
 def _cmd_massey(args, data):
+    from .massey import (
+        MasseyInput,
+        canonical_class,
+        massey_product,
+        search_triple_products,
+        verify_family_massey,
+    )
+
     if args.family is not None:
         family = _int_list(args.family, "--family")
         if len(family) != 2:
@@ -216,6 +224,8 @@ def _cmd_massey(args, data):
 
 
 def _cmd_graphassoc(args, data):
+    from .graphs import Graph, associahedron_nerve, formality_classify
+
     G = Graph.from_json_dict(_require_input(data))
     if args.formality:
         verdict = formality_classify(G)

@@ -71,8 +71,9 @@ STATUS_GREEDY_FAILED = "greedy-failed"
 class MasseyClassInput:
     """One input class: support subset, reduced degree, and a cocycle representative.
 
-    Checked once, when made: the degree lies in -1 .. |support| - 1, and a
-    nonzero representative is a cocycle of the class's multidegree and degree.
+    Checked once, when made: the support names no vertex twice, the degree
+    lies in -1 .. |support| - 1, and a nonzero representative is a cocycle of
+    the class's multidegree and degree.
     """
 
     support: tuple
@@ -81,6 +82,8 @@ class MasseyClassInput:
 
     def __post_init__(self):
         sup = _tuple_of(_mask_of(self.support, self.representative.complex.m))
+        if len(sup) != len(self.support):
+            raise InputError(f"class on {list(self.support)}: the support repeats a vertex")
         if not -1 <= self.reduced_degree < len(sup):
             raise InputError(
                 f"class on {sup}: reduced degree {self.reduced_degree} outside "

@@ -337,10 +337,10 @@ def test_graph_vertex_count_capacity_exit_code(capsys):
 def test_search_candidate_capacity_exit_code(capsys, monkeypatch):
     import functools
 
-    from moment_angle import cli, massey
+    from moment_angle import massey
 
     monkeypatch.setattr(
-        cli, "search_triple_products", functools.partial(massey.search_triple_products, capacity=3)
+        massey, "search_triple_products", functools.partial(massey.search_triple_products, capacity=3)
     )
     code, _, err = run(capsys, ["massey", "--inline", HEXAGON, "--search-triples"])
     assert code == 2

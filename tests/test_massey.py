@@ -210,6 +210,16 @@ def test_zero_representatives_outside_the_cohomology_range_are_rejected():
             MasseyInput(K, classes)
 
 
+@pytest.mark.parametrize("support", [(1, 1, 4), (4, 1, 4), (2, 2)])
+def test_a_support_that_repeats_a_vertex_is_rejected(support):
+    # (1, 1, 4) used to be accepted with total degree 4, counting vertex 1 twice
+    K = polygon_nerve(6)
+    for rep in [KoszulCochain.zero(K), KoszulCochain.monomial(K, (4,), (1,))]:
+        with pytest.raises(InputError, match="repeats a vertex"):
+            MasseyClassInput(support, 0, rep)
+    assert MasseyClassInput((1, 4), 0, KoszulCochain.zero(K)).total_degree == 3
+
+
 def test_strict_conditions_need_k3():
     K = polygon_nerve(4)
     classes = [
