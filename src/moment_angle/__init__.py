@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it
 _SUBMODULE_OF = {
     **dict.fromkeys(
-        ("SimplicialComplex", "are_isomorphic", "from_maximal_faces", "from_minimal_nonfaces",
-         "induced_subcomplex", "join", "maximal_faces", "stellar_vertex_cut", "structure_report"),
+        ("SimplicialComplex", "from_maximal_faces", "from_minimal_nonfaces", "induced_subcomplex",
+         "join", "maximal_faces", "stellar_vertex_cut", "structure_report"),
         "complexes",
     ),
     **dict.fromkeys(
@@ -28,7 +28,7 @@ _SUBMODULE_OF = {
         "graphs",
     ),
     **dict.fromkeys(
-        ("BettiTable", "bigraded_betti_table", "component_count_betti", "multigraded_betti"),
+        ("BettiTable", "bigraded_betti_table", "multigraded_betti"),
         "hochster",
     ),
     **dict.fromkeys(("KoszulCochain", "cohomology_class", "component_basis"), "koszul"),

@@ -24,7 +24,7 @@ import sys
 import time
 
 from . import __version__
-from .complexes import SimplicialComplex, _as_list, _mask_of
+from .complexes import SimplicialComplex, _as_list
 from .errors import CapacityError, InputError
 
 
@@ -126,10 +126,7 @@ def _cmd_betti(args, data):
     K = SimplicialComplex.from_json_dict(_require_input(data))
     multidegrees = None
     if args.multidegree is not None:
-        J = _int_list(args.multidegree, "--multidegree")
-        if len(set(J)) != len(J):
-            raise InputError(f"--multidegree repeats a vertex: {args.multidegree!r}")
-        multidegrees = [J]
+        multidegrees = [_int_list(args.multidegree, "--multidegree")]
     table = bigraded_betti_table(K, multidegrees=multidegrees)
     return {
         "bigraded": [[i, j, r] for i, j, r in table.sorted_entries()],
@@ -210,10 +207,6 @@ def _cmd_massey(args, data):
     except json.JSONDecodeError as exc:
         raise InputError(f"--supports is not valid JSON: {exc}") from exc
     supports = [tuple(_as_list(s, "a support")) for s in _as_list(supports, "--supports")]
-    for s in supports:
-        # every vertex an int (not a bool) in 1..m, none of them twice
-        if _mask_of(s, K.m).bit_count() != len(s):
-            raise InputError(f"--supports repeats a vertex: {list(s)}")
     degrees = [0] * len(supports)
     if args.degrees is not None:
         degrees = _int_list(args.degrees, "--degrees")

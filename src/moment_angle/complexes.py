@@ -19,8 +19,11 @@ values are canonicalized and immutable after construction; equality and
 hashing use the canonical form (vertex labels are carried along but never
 affect any computation).
 
-Vertices are 1-indexed everywhere in the public API.  Internally subsets are
-represented both as sorted tuples and as bitmasks (bit v-1 for vertex v).
+Vertices are 1-indexed everywhere in the public API, and a vertex set names
+each vertex once: ``_mask_of``, the one reader of vertex lists, refuses a
+repeat, since a multidegree or support that counts a vertex twice asks a
+different question.  Internally subsets are represented both as sorted
+tuples and as bitmasks (bit v-1 for vertex v).
 """
 
 import itertools
@@ -29,7 +32,6 @@ from typing import Iterable, NamedTuple
 
 from .errors import CapacityError, GhostVertexError, InputError
 
-ISOMORPHISM_CAPACITY = 9
 # vertices of one complex: every face is a mask of m bits, and a multiwedge
 # builds each inflated non-face one vertex bit at a time, in time quadratic in
 # its size; on the hexagon (2-vCPU Xeon, Python 3.11.7) the wedge vector
@@ -55,6 +57,7 @@ FACE_LEVEL_CAPACITY = 50_000
 
 
 def _mask_of(vertices, m):
+    """The bitmask of a vertex set: each vertex an int in 1..m, named once."""
     try:
         vertices = iter(vertices)
     except TypeError:
@@ -63,6 +66,8 @@ def _mask_of(vertices, m):
     for v in vertices:
         if type(v) is not int or v < 1 or v > m:  # bool is an int subclass: not a vertex
             raise InputError(f"vertex {v!r} out of range 1..{m}")
+        if mask >> (v - 1) & 1:  # a shift: on ascending vertices it is 0 at once
+            raise InputError(f"a vertex set repeats a vertex: {v}")
         mask |= 1 << (v - 1)
     return mask
 
@@ -174,8 +179,6 @@ class SimplicialComplex:
             nf = _as_list(nf, "a non-face")  # read once: it may be an iterator
             mask = _mask_of(nf, m)
             size = mask.bit_count()
-            if size != len(nf):
-                raise InputError(f"non-face {tuple(nf)!r} has repeated vertices")
             if size < 2:
                 raise GhostVertexError(
                     f"non-face {tuple(nf)!r} has size {size}; singletons must be faces"
@@ -502,10 +505,6 @@ class SimplicialComplex:
             self._cache["dim"] = max(f.bit_count() for f in self._max_face_masks()) - 1
         return self._cache["dim"]
 
-    def face_counts(self):
-        """Number of faces of each size 0..dim+1 (index = cardinality)."""
-        return tuple(len(self.face_masks(k)) for k in range(self.dim + 2))
-
     def _max_face_masks(self):
         if "maximal_faces" not in self._cache:
             trans = _minimal_transversals(self._mf_masks, "maximal-faces")
@@ -642,24 +641,3 @@ def structure_report(K):
 def stellar_vertex_cut(K, face):
     return K.stellar_vertex_cut(face)
 
-
-def are_isomorphic(K1, K2):
-    """Brute-force isomorphism test, for identifying small nerve complexes."""
-    if K1.m != K2.m:
-        return False
-    if K1.m > ISOMORPHISM_CAPACITY:
-        raise CapacityError(
-            "isomorphism",
-            f"isomorphism search is limited to m <= {ISOMORPHISM_CAPACITY}",
-        )
-    mf1 = K1.minimal_nonfaces
-    mf2 = set(K2.minimal_nonfaces)
-    if len(mf1) != len(mf2):
-        return False
-    if sorted(len(f) for f in mf1) != sorted(len(f) for f in mf2):
-        return False
-    for perm in itertools.permutations(range(1, K1.m + 1)):
-        mapped = {tuple(sorted(perm[v - 1] for v in nf)) for nf in mf1}
-        if mapped == mf2:
-            return True
-    return False

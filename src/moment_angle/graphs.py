@@ -123,10 +123,6 @@ class BuildingSet:
                 )
         return cls(ground, tuple(masks.values()))
 
-    @property
-    def is_connected(self):
-        return tuple(range(1, self.ground + 1)) in self.sets
-
     def maximal_elements(self):
         """The maximal members; they partition the ground set."""
         masks = (_mask_of(s, self.ground) for s in self.sets)

@@ -181,17 +181,3 @@ def bigraded_betti_table(K, multidegrees=None):
 
     return BettiTable(dict(bigraded), to_vector(zk), to_vector(rk))
 
-
-def component_count_betti(K, i):
-    """beta^{-i, 2(i+1)} computed from connected-component counts.
-
-    Sums (number of components of K_J) - 1 over all (i+1)-subsets J; the
-    components of an induced subcomplex are those of its 1-skeleton, with
-    isolated vertices counting as components.
-    """
-    if i < 1:
-        raise InputError(f"component-count Betti numbers need i >= 1, got {i}")
-    total = 0
-    for J in itertools.combinations(range(1, K.m + 1), i + 1):
-        total += K.component_count(J) - 1
-    return total

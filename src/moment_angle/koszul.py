@@ -55,19 +55,6 @@ from .rational_linalg import Rational, SparseMatrix, greedy_span
 _ONE = Rational(1)
 
 
-def normal_part(vertices, m, what):
-    """One part of a normal-form monomial as the mask of its vertices 1..m.
-
-    A vertex out of range, or one given twice (u_i u_i = 0, v_i v_i = 0 and
-    t_i t_i = t_i, so no normal-form monomial repeats one), is an error.
-    """
-    part = _as_list(vertices, what)
-    mask = _mask_of(part, m)
-    if mask.bit_count() != len(part):
-        raise InputError(f"{what} {tuple(sorted(part))} repeats a vertex")
-    return mask
-
-
 def shuffle_sign(a, b):
     """Sign of the shuffle merging two disjoint masks of odd generators, a's block first.
 
@@ -194,8 +181,8 @@ class KoszulCochain(Cochain):
 
     @classmethod
     def monomial(cls, complex, u_vertices, v_vertices, coeff=1):
-        u = normal_part(u_vertices, complex.m, "u-part")
-        v = normal_part(v_vertices, complex.m, "v-part")
+        u = _mask_of(_as_list(u_vertices, "u-part"), complex.m)
+        v = _mask_of(_as_list(v_vertices, "v-part"), complex.m)
         if u & v:
             raise InputError(f"u-part {_tuple_of(u)} and v-part {_tuple_of(v)} overlap")
         if not complex.is_face_mask(v):

@@ -82,8 +82,6 @@ class MasseyClassInput:
 
     def __post_init__(self):
         sup = _tuple_of(_mask_of(self.support, self.representative.complex.m))
-        if len(sup) != len(self.support):
-            raise InputError(f"class on {list(self.support)}: the support repeats a vertex")
         if not -1 <= self.reduced_degree < len(sup):
             raise InputError(
                 f"class on {sup}: reduced degree {self.reduced_degree} outside "
@@ -266,11 +264,9 @@ def massey_value(ds, corner=None):
     """
     input = ds.input
     k = input.k
-    a = KoszulCochain.zero(input.complex)
+    a = -ds.rhs(1, k + 1)
     if corner is not None:
-        a = a + corner.differential()
-    for p in range(2, k + 1):
-        a = a - ds.cells[(1, p)].bar() * ds.cells[(p, k + 1)]
+        a = corner.differential() + a
     if not a.differential().is_zero():
         raise VerificationError("corner residue is not a cocycle: sign conventions broken")
     support = input.window_support(1, k)

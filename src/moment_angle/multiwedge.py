@@ -41,7 +41,6 @@ def j_construction(K, J):
     Copies of an unwedged vertex keep its label; wedged copies get the label
     suffixed by the copy number.
     """
-    J = validate_wedge_vector(K, J)
     copies = wedge_vertex_map(K, J)
     mf = []
     for nf in K.minimal_nonfaces:
@@ -50,11 +49,10 @@ def j_construction(K, J):
             inflated.extend(copies[v])
         mf.append(tuple(inflated))
     labels = []
-    for i, j in enumerate(J, start=1):
-        base = K.labels[i - 1]
-        if j == 1:
+    for base, vs in zip(K.labels, copies.values()):
+        if len(vs) == 1:
             labels.append(base)
         else:
-            labels.extend(f"{base}{c}" for c in range(1, j + 1))
-    return SimplicialComplex(sum(J), mf, labels)
+            labels.extend(f"{base}{c}" for c in range(1, len(vs) + 1))
+    return SimplicialComplex(len(labels), mf, labels)
 

@@ -164,21 +164,6 @@ class SparseMatrix:
                     row[c] = v
         return SparseMatrix.from_rows(self.ncols + len(vectors), rows)
 
-    def matmul(self, other):
-        if self.ncols != other.nrows:
-            raise InputError("dimension mismatch in matrix product")
-        by_row = other._rows
-        out = {}
-        for (r, k), v in self.entries.items():
-            for c, w in by_row[k].items():
-                key = (r, c)
-                s = out.get(key, _ZERO) + v * w
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return SparseMatrix(self.nrows, other.ncols, out)
-
     def _forward_pass(self):
         """(columns, positions, log, rows) of the logged forward pass.
 

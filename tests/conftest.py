@@ -74,6 +74,41 @@ def nonface_scan_is_face(K, mask):
     return all(nf & mask != nf for nf in K._mf_masks)
 
 
+def are_isomorphic(K1, K2):
+    """Brute-force isomorphism test over every vertex permutation, for small nerve complexes."""
+    if K1.m != K2.m:
+        return False
+    mf1, mf2 = K1.minimal_nonfaces, set(K2.minimal_nonfaces)
+    if sorted(map(len, mf1)) != sorted(map(len, mf2)):
+        return False
+    return any(
+        {tuple(sorted(perm[v - 1] for v in nf)) for nf in mf1} == mf2
+        for perm in itertools.permutations(range(1, K1.m + 1))
+    )
+
+
+def component_count_betti(K, i):
+    """beta^{-i, 2(i+1)} from component counts, for i >= 1.
+
+    Sums (number of components of K_J) - 1 over all (i+1)-subsets J; the
+    components of an induced subcomplex are those of its 1-skeleton, with
+    isolated vertices counting as components.
+    """
+    subsets = itertools.combinations(range(1, K.m + 1), i + 1)
+    return sum(K.component_count(J) - 1 for J in subsets)
+
+
+def matrix_product(A, B):
+    """The nonzero entries of the product A B of two sparse matrices, keyed (row, column)."""
+    assert A.ncols == B.nrows
+    rows = B.rows_as_dicts()
+    out = {}
+    for (r, k), v in A.entries.items():
+        for c, w in rows[k].items():
+            out[r, c] = out.get((r, c), 0) + v * w
+    return {key: x for key, x in out.items() if x}
+
+
 def mask_pair(pair):
     """The key (u, w) of the tuple pair (S, T): vertex v is bit v - 1."""
     return tuple(sum(1 << (v - 1) for v in part) for part in pair)

@@ -12,7 +12,7 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from moment_angle.complexes import SimplicialComplex, are_isomorphic, stellar_vertex_cut
+from moment_angle.complexes import SimplicialComplex, stellar_vertex_cut
 from moment_angle.families import FamilySpec, family_complex, polygon_nerve
 from moment_angle.graphs import (
     Graph,
@@ -33,7 +33,7 @@ from moment_angle.massey import (
 from moment_angle.rational_linalg import reduced_cohomology_ranks
 from moment_angle.real_cochains import doubling_complex, real_cohomology_ranks
 
-from conftest import koszul_bigraded_ranks, random_complexes
+from conftest import are_isomorphic, koszul_bigraded_ranks, random_complexes
 
 
 @contextmanager

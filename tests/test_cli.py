@@ -533,6 +533,20 @@ def test_blank_or_repeated_integers_are_an_input_error(capsys, argv):
     assert "expects comma-separated integers" in message or "repeats a vertex" in message
 
 
+@pytest.mark.parametrize("command", ["betti", "homology"])
+@pytest.mark.parametrize(
+    "complex_", [{"maximal_faces": [[1, 1, 2], [3]]}, {"minimal_nonfaces": [[1, 3, 3]]}]
+)
+def test_a_complex_that_repeats_a_vertex_is_an_input_error(capsys, command, complex_):
+    # the maximal faces [[1, 1, 2], [3]] used to be read as [[1, 2], [3]]
+    document = {"m": 3, **complex_}
+    with pytest.raises(jsonschema.ValidationError, match="non-unique"):
+        jsonschema.validate(document, schema("complex.schema.json"))
+    code, out, err = run(capsys, [command, "--inline", json.dumps(document)])
+    assert out == ""
+    assert "repeats a vertex" in assert_one_input_error(code, err)
+
+
 def test_complex_output_reads_back_as_the_same_complex(capsys):
     # CLI outputs carry both lists, and they agree
     code, out, _ = run(capsys, ["family", "--name", "kbarns", "--n", "3", "--s", "2"])

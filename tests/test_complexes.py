@@ -15,7 +15,6 @@ from moment_angle.complexes import (
     _antichain,
     _mask_of,
     _tuple_of,
-    are_isomorphic,
     from_maximal_faces,
     from_minimal_nonfaces,
     induced_subcomplex,
@@ -27,14 +26,15 @@ from moment_angle.complexes import (
 from moment_angle.errors import CapacityError, GhostVertexError, InputError
 from moment_angle.families import polygon_nerve
 from moment_angle.graphs import BuildingSet
-from moment_angle.hochster import multigraded_betti
-from moment_angle.koszul import KoszulCochain
+from moment_angle.hochster import bigraded_betti_table, multigraded_betti
+from moment_angle.koszul import KoszulCochain, component_basis
 from moment_angle.massey import MasseyClassInput, canonical_class
 from moment_angle.real_cochains import RealCochain
 
 from conftest import (
     WEDGE_FAMILY,
     all_complexes,
+    are_isomorphic,
     brute_domination,
     brute_faces,
     brute_maximal_faces,
@@ -205,12 +205,17 @@ def test_is_face_memo_matches_nonface_scan(K):
             cold.is_face(bad)
 
 
-# the entry points that read a list of vertices and report it sorted, each given
-# [1, v] on the hexagon
+# the entry points that read a list of vertices, each given one on the hexagon
 VERTEX_TAKERS = {
+    "SimplicialComplex": lambda K, vs: SimplicialComplex(K.m, [vs]),
+    "from_maximal_faces": lambda K, vs: from_maximal_faces(K.m, [*K.maximal_faces(), vs]),
+    "is_face": lambda K, vs: K.is_face(vs),
+    "component_count": lambda K, vs: K.component_count(vs),
     "induced": lambda K, vs: K.induced(vs),
     "stellar_vertex_cut": lambda K, vs: K.stellar_vertex_cut(vs),
     "multigraded_betti": lambda K, vs: multigraded_betti(K, 0, vs),
+    "bigraded_betti_table": lambda K, vs: bigraded_betti_table(K, [vs]),
+    "component_basis": lambda K, vs: component_basis(K, vs, 3),
     "canonical_class": lambda K, vs: canonical_class(K, vs),
     "KoszulCochain.monomial": lambda K, vs: KoszulCochain.monomial(K, vs, ()),
     "RealCochain.monomial": lambda K, vs: RealCochain.monomial(K, (), vs),
@@ -225,6 +230,17 @@ def test_a_vertex_that_is_not_an_integer_is_an_input_error(call, vertex):
     # checked before the vertices are sorted, which would compare v with 1
     with pytest.raises(InputError, match="out of range"):
         call(polygon_nerve(6), [1, vertex])
+
+
+@pytest.mark.parametrize("vertices", [[1, 1, 4], [1, 4, 1], [4, 4]])
+@pytest.mark.parametrize("call", VERTEX_TAKERS.values(), ids=VERTEX_TAKERS.keys())
+def test_a_vertex_set_that_repeats_a_vertex_is_an_input_error(call, vertices):
+    # (1, 1, 4) used to be read as (1, 4): canonical_class answered with a class
+    # on (1, 4) of total degree 3
+    K = polygon_nerve(6)
+    for listed in [vertices, iter(vertices)]:
+        with pytest.raises(InputError, match="repeats a vertex"):
+            call(K, listed)
 
 
 @settings(max_examples=150, deadline=None)
@@ -393,9 +409,13 @@ def test_component_count_matches_union_find(K, data):
     vertex = st.integers(1, K.m)
     subset = data.draw(st.sets(vertex))
     assert K.component_count(subset) == union_find_component_count(K, subset)
-    repeated = data.draw(st.lists(vertex, max_size=2 * K.m))
-    assert K.component_count(repeated) == union_find_component_count(K, repeated)
-    assert K.component_count(iter(repeated)) == union_find_component_count(K, repeated)
+    listed = data.draw(st.lists(vertex, max_size=2 * K.m))
+    for vertices in [listed, iter(listed)]:
+        if len(set(listed)) < len(listed):
+            with pytest.raises(InputError, match="repeats a vertex"):
+                K.component_count(vertices)
+        else:
+            assert K.component_count(vertices) == union_find_component_count(K, listed)
 
 
 def test_dominated_vertex_of_a_path():

@@ -38,6 +38,7 @@ from conftest import (
     all_complexes,
     corpus_nerve,
     dense_complexes,
+    matrix_product,
     random_complex,
     rank_mod_p,
     reduced_cohomology_ranks_mod_p,
@@ -151,8 +152,7 @@ def test_delta_squared_zero_small():
     for m in range(0, 5):
         for K in all_complexes(m):
             for d in range(-1, K.dim):
-                prod = coboundary_matrix(K, d).matmul(coboundary_matrix(K, d + 1))
-                assert prod.is_zero()
+                assert not matrix_product(coboundary_matrix(K, d), coboundary_matrix(K, d + 1))
 
 
 def test_profiles():
@@ -185,7 +185,7 @@ def test_euler_characteristic():
     rng = random.Random(17)
     for _ in range(30):
         K = random_complex(rng, rng.randint(1, 6))
-        counts = K.face_counts()
+        counts = [len(K.face_masks(k)) for k in range(K.dim + 2)]
         chi_faces = sum((-1) ** k * n for k, n in enumerate(counts))
         profile = reduced_cohomology_ranks(K)
         chi_betti = sum((-1) ** (d + 1) * r for d, r in profile.items())
