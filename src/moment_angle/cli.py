@@ -206,7 +206,7 @@ def _cmd_massey(args, data):
         supports = json.loads(args.supports)
     except json.JSONDecodeError as exc:
         raise InputError(f"--supports is not valid JSON: {exc}") from exc
-    supports = [tuple(_as_list(s, "a support")) for s in _as_list(supports, "--supports")]
+    supports = _as_list(supports, "--supports")
     degrees = [0] * len(supports)
     if args.degrees is not None:
         degrees = _int_list(args.degrees, "--degrees")

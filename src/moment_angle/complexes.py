@@ -19,24 +19,24 @@ values are canonicalized and immutable after construction; equality and
 hashing use the canonical form (vertex labels are carried along but never
 affect any computation).
 
-Vertices are 1-indexed everywhere in the public API, and a vertex set names
-each vertex once: ``_mask_of``, the one reader of vertex lists, refuses a
-repeat, since a multidegree or support that counts a vertex twice asks a
-different question.  Internally subsets are represented both as sorted
-tuples and as bitmasks (bit v-1 for vertex v).
+Vertices are 1-indexed in the public API, and a vertex set is a list that
+names each vertex once: ``_mask_of``, the one reader of vertex lists,
+refuses a string, bytes, a mapping or a repeat (a support that counts a
+vertex twice asks a different question), where the list enters.  Inside,
+every vertex set is a bitmask, bit v-1 for vertex v, and a sorted tuple is
+written only for a public field, a report or a repr.
 """
 
 import itertools
 import math
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import CapacityError, GhostVertexError, InputError
 
-# vertices of one complex: every face is a mask of m bits, and a multiwedge
-# builds each inflated non-face one vertex bit at a time, in time quadratic in
-# its size; on the hexagon (2-vCPU Xeon, Python 3.11.7) the wedge vector
-# (99999, 1, ..., 1) took 3.9 s and 47 MB, (131071, 1, ..., 1) 4.9 s and 55 MB,
-# and (10^6, 1, ..., 1) 223 s and 298 MB; the largest complex in the tests has
+# vertices of one complex: every face is a mask of m bits; a multiwedge sums one
+# copy mask per vertex into each inflated non-face, so on the hexagon (2-vCPU
+# Xeon, Python 3.11.7, fresh processes) the wedge vector (131067, 1, ..., 1),
+# at this cap, builds in 0.05 s at 27 MB; the largest complex in the tests has
 # 100,002 vertices
 VERTEX_CAPACITY = 2**17
 # candidate transversals per dualization step; the reduction to the minimal
@@ -57,11 +57,10 @@ FACE_LEVEL_CAPACITY = 50_000
 
 
 def _mask_of(vertices, m):
-    """The bitmask of a vertex set: each vertex an int in 1..m, named once."""
-    try:
-        vertices = iter(vertices)
-    except TypeError:
-        raise InputError(f"expected a list of vertices, got {vertices!r}") from None
+    """The bitmask of a vertex list: each vertex an int in 1..m, named once."""
+    # a string, bytes or mapping is iterable, but never a list of vertices
+    if isinstance(vertices, (str, bytes, bytearray, dict)) or not hasattr(vertices, "__iter__"):
+        raise InputError(f"a vertex set must be a list, got {vertices!r}")
     mask = 0
     for v in vertices:
         if type(v) is not int or v < 1 or v > m:  # bool is an int subclass: not a vertex
@@ -91,13 +90,17 @@ def _check_vertex_count(m):
         )
 
 
-def _tuple_of(mask):
-    out = []
-    while mask:  # one step per set bit, lowest first
+def _bits(mask):
+    """The set bits of ``mask`` as one-bit masks, lowest first."""
+    while mask:
         low = mask & -mask
-        out.append(low.bit_length())
+        yield low
         mask ^= low
-    return tuple(out)
+
+
+def _tuple_of(mask):
+    """The sorted vertex tuple of a bitmask, for a public field, a report or a repr."""
+    return tuple(map(int.bit_length, _bits(mask)))
 
 
 def _antichain(masks, minimal):
@@ -152,10 +155,9 @@ def _minimal_transversals(edges, guard):
                 f"dualization needs {candidates} candidate transversals after "
                 f"{done} of {len(edges)} sets; capacity is {TRANSVERSAL_CAPACITY}",
             )
-        new = list(hit)
-        verts = _tuple_of(e)
+        new, bits = list(hit), list(_bits(e))
         for t in miss:
-            new.extend(t | (1 << (v - 1)) for v in verts)
+            new.extend(t | b for b in bits)
         trans = _antichain(new, minimal=True)
     return trans
 
@@ -172,29 +174,34 @@ class SimplicialComplex:
 
     def __init__(self, m, minimal_nonfaces=(), labels=None):
         _check_vertex_count(m)
-        self.m = m
-        self._full_mask = (1 << m) - 1
-        masks = []
-        for nf in _as_list(minimal_nonfaces, "minimal non-faces"):
-            nf = _as_list(nf, "a non-face")  # read once: it may be an iterator
-            mask = _mask_of(nf, m)
-            size = mask.bit_count()
-            if size < 2:
-                raise GhostVertexError(
-                    f"non-face {tuple(nf)!r} has size {size}; singletons must be faces"
-                )
-            masks.append(mask)
-        self._mf_masks = tuple(sorted(_antichain(masks, minimal=True)))
-        if labels is None:
-            labels = tuple(str(i) for i in range(1, m + 1))
-        else:
-            labels = tuple(str(x) for x in _as_list(labels, "labels"))
-            if len(labels) != m:
-                raise InputError(f"expected {m} labels, got {len(labels)}")
-        self.labels = labels
-        self._cache = {"face_levels": {}, "cores": {}}
+        masks = [_mask_of(nf, m) for nf in _as_list(minimal_nonfaces, "minimal non-faces")]
+        self._init(m, masks, labels)
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _from_masks(cls, m, nonface_masks, labels=None):
+        """The complex on m vertices whose non-faces are the bitmasks ``nonface_masks``."""
+        _check_vertex_count(m)
+        K = cls.__new__(cls)
+        K._init(m, nonface_masks, labels)
+        return K
+
+    def _init(self, m, masks, labels):
+        """Keep the minimal non-face masks, refusing one of size 0 or 1, and the m labels."""
+        kept = _antichain(masks, minimal=True)  # by size, smallest first
+        if kept and (size := kept[0].bit_count()) < 2:
+            raise GhostVertexError(
+                f"non-face {_tuple_of(kept[0])} has size {size}; singletons must be faces"
+            )
+        labels = tuple(map(str, range(1, m + 1) if labels is None else _as_list(labels, "labels")))
+        if len(labels) != m:
+            raise InputError(f"expected {m} labels, got {len(labels)}")
+        self.m = m
+        self._full_mask = (1 << m) - 1
+        self._mf_masks = tuple(sorted(kept))
+        self.labels = labels
+        self._cache = {"face_levels": {}, "cores": {}}
 
     @classmethod
     def from_maximal_faces(cls, m, maximal_faces, labels=None):
@@ -205,20 +212,16 @@ class SimplicialComplex:
         of the complement hypergraph.
         """
         _check_vertex_count(m)
-        face_masks = []
-        covered = 0
-        for f in _as_list(maximal_faces, "maximal faces"):
-            mask = _mask_of(f, m)
-            face_masks.append(mask)
-            covered |= mask
-        if covered != (1 << m) - 1:
-            missing = _tuple_of(((1 << m) - 1) ^ covered)
-            raise GhostVertexError(f"vertices {missing} lie in no maximal face")
-        face_masks = _antichain(face_masks, minimal=False)
+        face_masks = [_mask_of(f, m) for f in _as_list(maximal_faces, "maximal faces")]
         full = (1 << m) - 1
-        complements = [full ^ f for f in face_masks]
-        mf = _minimal_transversals(complements, "minimal-nonfaces")
-        K = cls(m, [_tuple_of(x) for x in mf], labels)
+        covered = 0
+        for mask in face_masks:
+            covered |= mask
+        if covered != full:
+            raise GhostVertexError(f"vertices {_tuple_of(full ^ covered)} lie in no maximal face")
+        face_masks = _antichain(face_masks, minimal=False)
+        mf = _minimal_transversals([full ^ f for f in face_masks], "minimal-nonfaces")
+        K = cls._from_masks(m, mf, labels)
         K._cache["maximal_faces"] = tuple(sorted(face_masks))
         return K
 
@@ -324,8 +327,8 @@ class SimplicialComplex:
                     pairs[a.bit_length()] |= b
                     pairs[b.bit_length()] |= a
                     continue
-                for w in _tuple_of(nf):
-                    larger[w].append(nf ^ 1 << (w - 1))
+                for w in _bits(nf):
+                    larger[w.bit_length()].append(nf ^ w)
             self._cache["nonface_stars"] = list(zip(pairs, larger))
         stars = self._cache["nonface_stars"]
         if mask is None or mask == self._full_mask:
@@ -468,11 +471,11 @@ class SimplicialComplex:
         faces are reversed.
         """
         stars = self._nonface_stars()
-        bits = [1 << (v - 1) for v in _tuple_of(mask)]
+        bits = list(_bits(mask))
         pairs, larger = [], []
         for top in bits:
             near, far = stars[top.bit_length()]
-            pairs.extend(top | 1 << (u - 1) for u in _tuple_of(near & mask & (top - 1)))
+            pairs.extend(top | u for u in _bits(near & mask & (top - 1)))
             larger.extend(top | r for r in far if r < top and r & mask == r)
         complements = list(map(sum, itertools.combinations(bits, len(bits) - size)))
         for nf in pairs + larger:  # one pass per non-face over the complements left
@@ -527,20 +530,19 @@ class SimplicialComplex:
         the convention that makes Hochster-type sums literally correct.
         """
         mask = _mask_of(vertices, self.m)
-        vs = _tuple_of(mask)
-        relabel = {v: i + 1 for i, v in enumerate(vs)}
+        # vertex v of the set becomes the vertex numbered by its place in it
         mf = [
-            tuple(relabel[v] for v in _tuple_of(nf))
+            sum(1 << (mask & (v - 1)).bit_count() for v in _bits(nf))
             for nf in self._mf_masks
             if nf & mask == nf
         ]
-        return SimplicialComplex(len(vs), mf, tuple(self.labels[v - 1] for v in vs))
+        labels = tuple(self.labels[v.bit_length() - 1] for v in _bits(mask))
+        return SimplicialComplex._from_masks(mask.bit_count(), mf, labels)
 
     def join(self, other):
         """Simplicial join; the second factor's vertices are shifted by self.m."""
-        mf = list(self.minimal_nonfaces)
-        mf.extend(tuple(v + self.m for v in nf) for nf in other.minimal_nonfaces)
-        return SimplicialComplex(self.m + other.m, mf, self.labels + other.labels)
+        mf = self._mf_masks + tuple(nf << self.m for nf in other._mf_masks)
+        return SimplicialComplex._from_masks(self.m + other.m, mf, self.labels + other.labels)
 
     def structure_report(self):
         """Flagness and connectivity read off the minimal non-face sizes.
@@ -559,20 +561,17 @@ class SimplicialComplex:
 
         The face is removed, a new vertex m+1 is added, and the boundary of
         the face is coned over the new vertex.  The induced subcomplex on the
-        old vertex set keeps its 1-skeleton unchanged.
+        old vertex set keeps its 1-skeleton unchanged.  Its minimal non-faces are
+        K's (less those holding the face), the face, and m+1 with each other vertex.
         """
         fmask = _mask_of(face, self.m)
-        f = _tuple_of(fmask)
         if fmask not in self._max_face_masks():
-            raise InputError(f"{f} is not a maximal face")
-        if len(f) < 2:
+            raise InputError(f"{_tuple_of(fmask)} is not a maximal face")
+        if not fmask & (fmask - 1):
             raise GhostVertexError("cutting a maximal singleton would orphan its vertex")
-        w = self.m + 1
-        new_faces = [_tuple_of(g) for g in self._max_face_masks() if g != fmask]
-        new_faces.extend(tuple(sorted(set(f) - {v})) + (w,) for v in f)
-        return SimplicialComplex.from_maximal_faces(
-            w, new_faces, self.labels + (str(w),)
-        )
+        w = 1 << self.m
+        mf = [*self._mf_masks, fmask, *(w | v for v in _bits(self._full_mask ^ fmask))]
+        return SimplicialComplex._from_masks(self.m + 1, mf, self.labels + (str(self.m + 1),))
 
     # -- 1-skeleton helpers ---------------------------------------------------
 

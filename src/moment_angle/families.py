@@ -35,11 +35,8 @@ class FamilySpec:
 
 
 def _pair_nonfaces(n, max_offset):
-    return [
-        (k, n + k + i)
-        for i in range(0, max_offset + 1)
-        for k in range(1, n - i + 1)
-    ]
+    pairs = ((k, n + k + i) for i in range(max_offset + 1) for k in range(1, n - i + 1))
+    return [1 << (a - 1) | 1 << (b - 1) for a, b in pairs]  # as bitmasks
 
 
 def _require_n(spec):
@@ -67,13 +64,8 @@ def polygon_nerve(m):
     """The m-cycle: nerve complex of an m-gon (all non-adjacent pairs are non-faces)."""
     if m < 4:
         raise InputError(f"polygon nerve needs m >= 4, got {m}")
-    mf = []
-    for a in range(1, m + 1):
-        for b in range(a + 2, m + 1):
-            if a == 1 and b == m:
-                continue
-            mf.append((a, b))
-    return SimplicialComplex(m, mf)
+    mf = [1 << a | 1 << b for a in range(m) for b in range(a + 2, m) if (a, b) != (0, m - 1)]
+    return SimplicialComplex._from_masks(m, mf)
 
 
 def family_complex(spec):
@@ -82,11 +74,11 @@ def family_complex(spec):
     if name == "k":
         n = _require_n(spec)
         _check_family_size(name, 2 * n)
-        return SimplicialComplex(2 * n, _pair_nonfaces(n, n - 2))
+        return SimplicialComplex._from_masks(2 * n, _pair_nonfaces(n, n - 2))
     if name == "kbar":
         n = _require_n(spec)
         _check_family_size(name, 2 * n)
-        return SimplicialComplex(2 * n, _pair_nonfaces(n, n - 1))
+        return SimplicialComplex._from_masks(2 * n, _pair_nonfaces(n, n - 1))
     if name in ("kns", "kbarns"):
         n, s = _require_n(spec), _require_s(spec)
         _check_family_size(name, n * s + n)

@@ -25,7 +25,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .complexes import VERTEX_CAPACITY, SimplicialComplex, _antichain, _as_list, _mask_of, _tuple_of
+from .complexes import (
+    VERTEX_CAPACITY, SimplicialComplex, _antichain, _as_list, _bits, _mask_of, _tuple_of
+)
 from .errors import CapacityError, InputError
 from .massey import MasseyReport, search_triple_products
 
@@ -109,19 +111,16 @@ class BuildingSet:
 
     @classmethod
     def from_sets(cls, ground, sets):
-        family = {(v,) for v in range(1, ground + 1)}
-        for s in sets:
-            s = _tuple_of(_mask_of(s, ground))
-            if not s:
-                raise InputError(f"building-set element {s} outside 1..{ground}")
-            family.add(s)
-        masks = {_mask_of(s, ground): s for s in sorted(family)}  # the first bad pair is reported
-        for (a, s1), (b, s2) in itertools.combinations(masks.items(), 2):
-            if a & b and a | b not in masks:
+        family = {1 << v for v in range(ground)} | {_mask_of(s, ground) for s in sets}
+        if 0 in family:
+            raise InputError(f"building-set element () outside 1..{ground}")
+        named = sorted((_tuple_of(x), x) for x in family)  # the first bad pair is reported
+        for (s1, a), (s2, b) in itertools.combinations(named, 2):
+            if a & b and a | b not in family:
                 raise InputError(
                     f"not a building set: {s1} and {s2} intersect but their union is missing"
                 )
-        return cls(ground, tuple(masks.values()))
+        return cls(ground, tuple(s for s, _ in named))
 
     def maximal_elements(self):
         """The maximal members; they partition the ground set."""
@@ -129,30 +128,33 @@ class BuildingSet:
         return tuple(sorted(map(_tuple_of, _antichain(masks, minimal=False))))
 
 
-def graphical_building_set(G):
-    """All vertex subsets inducing a connected subgraph."""
+def _connected_sets(G):
+    """The masks of the vertex sets that induce a connected subgraph of G."""
     if G.n > GRAPH_CAPACITY:
-        raise CapacityError(
-            "graph-size", f"graphs are limited to {GRAPH_CAPACITY} vertices"
-        )
-    neighbours = [_mask_of(vs, G.n) for vs in G.adjacency]  # of vertex v at index v
+        raise CapacityError("graph-size", f"graphs are limited to {GRAPH_CAPACITY} vertices")
+    neighbours = [sum(1 << (u - 1) for u in vs) for vs in G.adjacency]  # of vertex v at index v
     found, frontier = set(), {1 << v for v in range(G.n)}
     while frontier:  # the connected sets one vertex larger than the last round's
         found |= frontier
         grown = set()
         for s in frontier:
             reach = 0
-            for v in _tuple_of(s):
-                reach |= neighbours[v]
-            grown.update(s | 1 << (u - 1) for u in _tuple_of(reach & ~s))
+            for v in _bits(s):
+                reach |= neighbours[v.bit_length()]
+            grown.update(s | u for u in _bits(reach & ~s))
         frontier = grown - found
-    return BuildingSet.from_sets(G.n, map(_tuple_of, found))
+    return found
+
+
+def graphical_building_set(G):
+    """All vertex subsets inducing a connected subgraph."""
+    return BuildingSet(G.n, tuple(sorted(map(_tuple_of, _connected_sets(G)))))
 
 
 def _component_nonfaces(elements, family):
-    """Non-nested collections among one block's elements, as vertex tuples.
+    """Non-nested collections among one block's elements, as masks of nerve vertices.
 
-    ``elements`` maps each nerve vertex to its element's mask, and ``family``
+    ``elements`` maps each nerve vertex bit to its element's mask, ``family``
     holds the masks of the building set.  Every minimal collection is listed:
     the incomparable intersecting pairs, one AND test each, and, from
     ``grow``, each once, the pairwise disjoint collections whose union is in
@@ -163,49 +165,52 @@ def _component_nonfaces(elements, family):
     """
     items = list(elements.items())
     nonfaces = [
-        (u, v)
+        u | v
         for i, (u, a) in enumerate(items, 1)
         for v, b in items[i:]
         if a & b not in (0, a, b)
     ]
 
-    def grow(start, chosen, union):
+    def grow(start, chosen, vertices, union):
         for idx in range(start, len(items)):
             v, s = items[idx]
-            if union & s or (len(chosen) >= 2 and any(elements[c] | s in family for c in chosen)):
+            if union & s or (len(chosen) >= 2 and any(c | s in family for c in chosen)):
                 continue
             if chosen and union | s in family:
-                nonfaces.append((*chosen, v))
+                nonfaces.append(vertices | v)
             else:
-                grow(idx + 1, (*chosen, v), union | s)
+                grow(idx + 1, (*chosen, s), vertices | v, union | s)
 
-    grow(0, (), 0)
+    grow(0, (), 0, 0)
     return nonfaces
 
 
-def nested_set_complex(B):
+def _nested_set_nerve(family):
     """The nerve complex of the nestohedron: faces are the nested sets.
 
-    The join of one nerve per maximal element, built as one complex; the
-    vertex order within a block is by (size, lexicographic) over the
-    non-maximal elements.
+    ``family`` maps each member's mask to its vertex tuple.  One nerve per maximal
+    element, joined; a block's vertices are its other members by (size, lex).
     """
-    family = {_mask_of(s, B.ground): s for s in B.sets}
     nonfaces, labels = [], []
-    for block in (_mask_of(s, B.ground) for s in B.maximal_elements()):
+    for block in sorted(_antichain(family, minimal=False), key=lambda x: x & -x):  # lowest first
         inner = sorted(
             (x for x in family if x & block and x != block),
             key=lambda x: (x.bit_count(), family[x]),
         )
-        block_vertices = dict(enumerate(inner, len(labels) + 1))
-        nonfaces.extend(_component_nonfaces(block_vertices, family))
-        labels.extend("{" + ",".join(str(v) for v in family[x]) + "}" for x in inner)
-    return SimplicialComplex(len(labels), nonfaces, labels)
+        vertices = {1 << i: x for i, x in enumerate(inner, len(labels))}
+        nonfaces.extend(_component_nonfaces(vertices, family))
+        labels.extend("{" + ",".join(map(str, family[x])) + "}" for x in inner)
+    return SimplicialComplex._from_masks(len(labels), nonfaces, tuple(labels))
+
+
+def nested_set_complex(B):
+    """The nerve complex of the nestohedron of the building set B (``_nested_set_nerve``)."""
+    return _nested_set_nerve({_mask_of(s, B.ground): s for s in B.sets})
 
 
 def associahedron_nerve(G):
     """Nerve of the graph-associahedron of G (components contribute a join)."""
-    return nested_set_complex(graphical_building_set(G))
+    return _nested_set_nerve({x: _tuple_of(x) for x in _connected_sets(G)})
 
 
 # -- formality ---------------------------------------------------------------------

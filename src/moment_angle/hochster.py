@@ -70,13 +70,17 @@ FULL_TABLE_CAPACITY = 22
 def multigraded_betti(K, i, J):
     """beta^{-i, 2J}: reduced H^{|J|-i-1} of K_J, read on the stored levels of J's core."""
     mask = _mask_of(J, K.m)
-    n = mask.bit_count()
-    if i < 0 or i > n:
-        raise InputError(f"homological degree {i} outside 0..{n}")
+    if not 0 <= i <= mask.bit_count():
+        raise InputError(f"homological degree {i} outside 0..{mask.bit_count()}")
+    return _core_rank(K, mask.bit_count() - i - 1, mask)
+
+
+def _core_rank(K, degree, mask):
+    """Reduced H^degree of K_J, J the bitmask ``mask``: 0 when J's core is one vertex."""
     core = K.strong_core(mask)
     if mask and core & (core - 1) == 0:
         return 0
-    return reduced_cohomology_rank(K, n - i - 1, core)
+    return reduced_cohomology_rank(K, degree, core)
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ and dropping u_i from position k (0-based) of a u-block contributes (-1)^k.
 
 from functools import lru_cache
 
-from .complexes import _as_list, _mask_of, _tuple_of
+from .complexes import _mask_of, _tuple_of
 from .errors import AmbientMismatchError, InputError, NotACocycleError
 from .rational_linalg import Rational, SparseMatrix, greedy_span
 
@@ -181,8 +181,8 @@ class KoszulCochain(Cochain):
 
     @classmethod
     def monomial(cls, complex, u_vertices, v_vertices, coeff=1):
-        u = _mask_of(_as_list(u_vertices, "u-part"), complex.m)
-        v = _mask_of(_as_list(v_vertices, "v-part"), complex.m)
+        u = _mask_of(u_vertices, complex.m)
+        v = _mask_of(v_vertices, complex.m)
         if u & v:
             raise InputError(f"u-part {_tuple_of(u)} and v-part {_tuple_of(v)} overlap")
         if not complex.is_face_mask(v):
@@ -190,12 +190,14 @@ class KoszulCochain(Cochain):
         return cls(complex, {(u, v): Rational(coeff)})
 
     def multidegree(self):
+        return None if (mask := self._multidegree_mask()) is None else _tuple_of(mask)
+
+    def _multidegree_mask(self):
+        """The vertex mask S u T shared by every term u_S v_T; None for the zero cochain."""
         mds = {u | v for u, v in self.terms}
-        if not mds:
-            return None
         if len(mds) > 1:
             raise InputError("cochain is not multihomogeneous")
-        return _tuple_of(mds.pop())
+        return mds.pop() if mds else None
 
     def bar(self):
         """(-1)^degree times self (sign convention for defining systems)."""
@@ -270,21 +272,24 @@ class ComponentBasis:
     one small matrix, over which a class vector is a solution.
     """
 
-    __slots__ = ("complex", "multidegree", "total_degree", "_mask", "_faces", "_cache")
+    __slots__ = ("complex", "total_degree", "_mask", "_faces", "_cache")
 
-    def __init__(self, complex, multidegree, total_degree):
+    def __init__(self, complex, mask, total_degree):
         self.complex = complex
-        self._mask = mask = _mask_of(multidegree, complex.m)
-        self.multidegree = _tuple_of(mask)
+        self._mask = mask  # the multidegree J
         self.total_degree = total_degree
         self._faces = complex.face_masks(total_degree - mask.bit_count(), mask)[::-1]
         self._cache = {}
+
+    @property
+    def multidegree(self):
+        return _tuple_of(self._mask)
 
     def __len__(self):
         return len(self._faces)
 
     def _neighbor(self, offset):
-        return _component_cached(self.complex, self.multidegree, self.total_degree + offset)
+        return _component_cached(self.complex, self._mask, self.total_degree + offset)
 
     def matrix_from_below(self):
         """Differential (degree-1 component) -> (this component), target rows.
@@ -371,7 +376,7 @@ class ComponentBasis:
             mask = K.strong_core(self._mask)
             R, core = self._mask ^ mask, None
             if R and mask & (mask - 1):
-                core = _component_cached(K, _tuple_of(mask), self.total_degree - R.bit_count())
+                core = _component_cached(K, mask, self.total_degree - R.bit_count())
             self._cache["core"] = (core, R)  # not self, which would make a cycle
         core, R = self._cache["core"]
         return (core if R else self), R
@@ -456,22 +461,21 @@ class ComponentBasis:
 
 
 @lru_cache(maxsize=None)
-def _component_cached(complex, multidegree, total_degree):
-    return ComponentBasis(complex, multidegree, total_degree)
+def _component_cached(complex, mask, total_degree):  # keyed by the mask of the multidegree
+    return ComponentBasis(complex, mask, total_degree)
 
 
 def component_basis(K, J, total_degree):
-    """Memoized component for multidegree J (any iterable of vertices)."""
-    return _component_cached(K, _tuple_of(_mask_of(J, K.m)), total_degree)
+    """Memoized component for multidegree J, a list of vertices."""
+    return _component_cached(K, _mask_of(J, K.m), total_degree)
 
 
 def component_of(cochain):
     """The component a homogeneous cochain lives in."""
-    md = cochain.multidegree()
-    deg = cochain.degree()
-    if md is None:
+    mask = cochain._multidegree_mask()
+    if mask is None:
         raise InputError("zero cochain has no component")
-    return component_basis(cochain.complex, md, deg)
+    return _component_cached(cochain.complex, mask, cochain.degree())
 
 
 def cohomology_class(cochain):

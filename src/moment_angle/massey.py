@@ -37,16 +37,15 @@ up to sign conventions.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from typing import NamedTuple, Optional
 
-from .complexes import _mask_of, _tuple_of
+from . import koszul
+from .complexes import _bits, _mask_of, _tuple_of
 from .errors import CapacityError, InputError, VerificationError
-from .families import FamilySpec, family_complex
-from .hochster import multigraded_betti
-from .koszul import KoszulCochain, component_basis
-from .multiwedge import wedge_vertex_map
+from .hochster import _core_rank
+from .koszul import KoszulCochain
 from .rational_linalg import greedy_span
 
 # order n of a certified family product; K(n, 1) certifies in 0.02 s at 17 MB
@@ -79,30 +78,32 @@ class MasseyClassInput:
     support: tuple
     reduced_degree: int
     representative: KoszulCochain
+    _mask: int = field(init=False, repr=False, compare=False)  # the support, read once
 
     def __post_init__(self):
-        sup = _tuple_of(_mask_of(self.support, self.representative.complex.m))
-        if not -1 <= self.reduced_degree < len(sup):
+        mask = _mask_of(self.support, self.representative.complex.m)
+        object.__setattr__(self, "_mask", mask)
+        if not -1 <= self.reduced_degree < mask.bit_count():
             raise InputError(
-                f"class on {sup}: reduced degree {self.reduced_degree} outside "
-                f"-1..{len(sup) - 1}, where its support has no cohomology"
+                f"class on {self.support}: reduced degree {self.reduced_degree} outside "
+                f"-1..{mask.bit_count() - 1}, where its support has no cohomology"
             )
         rep = self.representative
         if rep.is_zero():
             return
-        if rep.multidegree() != sup:
-            raise InputError(f"class on {sup}: representative has the wrong multidegree")
+        if rep._multidegree_mask() != mask:
+            raise InputError(f"class on {self.support}: representative has the wrong multidegree")
         if rep.degree() != self.total_degree:
             raise InputError(
-                f"class on {sup}: representative degree {rep.degree()} != "
+                f"class on {self.support}: representative degree {rep.degree()} != "
                 f"{self.total_degree} = d + |I| + 1"
             )
         if not rep.differential().is_zero():
-            raise InputError(f"class on {sup}: representative is not a cocycle")
+            raise InputError(f"class on {self.support}: representative is not a cocycle")
 
     @property
     def total_degree(self):
-        return self.reduced_degree + len(self.support) + 1
+        return self.reduced_degree + self._mask.bit_count() + 1
 
 
 class MasseyInput:
@@ -113,12 +114,11 @@ class MasseyInput:
             raise InputError("Massey products need at least 2 classes")
         self.complex = complex
         self.classes = tuple(classes)
-        seen = set()
+        seen = 0
         for idx, cl in enumerate(self.classes, start=1):
-            sup = set(cl.support)
-            if seen & sup:
+            if seen & cl._mask:
                 raise InputError(f"class {idx} support overlaps an earlier one")
-            seen |= sup
+            seen |= cl._mask
             if cl.representative.complex != complex:
                 raise InputError(f"class {idx} representative has a different ambient")
 
@@ -131,10 +131,10 @@ class MasseyInput:
 
     def window_support(self, start, end):
         """Union of the supports of classes start..end (1-based, inclusive)."""
-        out = []
-        for cl in self.classes[start - 1 : end]:
-            out.extend(cl.support)
-        return tuple(sorted(out))
+        return _tuple_of(self._window_mask(start, end))
+
+    def _window_mask(self, start, end):  # the supports are disjoint: their sum is the union
+        return sum(cl._mask for cl in self.classes[start - 1 : end])
 
     def window_total_degree(self, start, end):
         """m(start, end) = m(start) + ... + m(end) - (end - start + 1) + 2."""
@@ -149,9 +149,14 @@ class MasseyInput:
 
 def canonical_class(K, support, reduced_degree=0):
     """The class input with the deterministic first generator as representative."""
-    support = _tuple_of(_mask_of(support, K.m))
-    comp = component_basis(K, support, reduced_degree + len(support) + 1)
+    return _canonical_class(K, _mask_of(support, K.m), reduced_degree)
+
+
+def _canonical_class(K, mask, reduced_degree=0):
+    """``canonical_class`` on the support given by the bitmask ``mask``."""
+    comp = koszul._component_cached(K, mask, reduced_degree + mask.bit_count() + 1)
     basis = comp.cohomology_basis()
+    support = _tuple_of(mask)
     if not basis:
         raise InputError(
             f"no nonzero class with support {support} in reduced degree {reduced_degree}"
@@ -219,15 +224,15 @@ def build_defining_system(input, perturbations=None):
         for i in range(1, k + 2 - span):
             j = i + span
             rhs = ds.rhs(i, j)
-            support = input.window_support(i, j - 1)
+            mask = input._window_mask(i, j - 1)
             degree = input.window_total_degree(i, j - 1) - 1
-            comp_rhs = component_basis(K, support, degree + 1)
+            comp_rhs = koszul._component_cached(K, mask, degree + 1)
             cell = comp_rhs.primitive(rhs)
             if cell is None:
                 return CellFailure(
                     cell=(i, j),
                     obstruction=comp_rhs.class_vector(rhs),
-                    support=support,
+                    support=_tuple_of(mask),
                     total_degree=degree + 1,
                 )
             pert = perturbations.get((i, j))
@@ -235,7 +240,7 @@ def build_defining_system(input, perturbations=None):
                 if not pert.differential().is_zero():
                     raise InputError(f"perturbation at {(i, j)} is not a cocycle")
                 if not pert.is_zero() and (
-                    pert.multidegree() != support or pert.degree() != degree
+                    pert._multidegree_mask() != mask or pert.degree() != degree
                 ):
                     raise InputError(f"perturbation at {(i, j)} is in the wrong component")
                 cell = cell + pert
@@ -269,13 +274,13 @@ def massey_value(ds, corner=None):
         a = corner.differential() + a
     if not a.differential().is_zero():
         raise VerificationError("corner residue is not a cocycle: sign conventions broken")
-    support = input.window_support(1, k)
+    mask = input._window_mask(1, k)
     degree = input.window_total_degree(1, k)
     if not a.is_zero():
-        if a.multidegree() != support or a.degree() != degree:
+        if a._multidegree_mask() != mask or a.degree() != degree:
             raise VerificationError("corner residue landed outside the expected component")
-    comp = component_basis(input.complex, support, degree)
-    return MasseyValue(a, support, degree, comp.class_vector(a))
+    comp = koszul._component_cached(input.complex, mask, degree)
+    return MasseyValue(a, _tuple_of(mask), degree, comp.class_vector(a))
 
 
 # -- strictness conditions --------------------------------------------------------
@@ -309,16 +314,16 @@ class ConditionTable:
 
 
 @lru_cache(maxsize=None)
-def _window_rank(K, support, degree):
-    """Reduced H^degree of K_support: the Betti number beta^{-i, 2 support}.
+def _window_rank(K, mask, degree):
+    """Reduced H^degree of K_J, J the bitmask ``mask``: the Betti number beta^{-i, 2J}.
 
-    Zero outside degrees -1 .. |support| - 1, which zero representatives of
-    any reduced degree can ask for.  Read on the stored levels of the
-    support's core, so a window that collapses to a vertex grows no faces.
+    Zero outside degrees -1 .. |J| - 1, which zero representatives of any
+    reduced degree can ask for.  Read on the stored levels of J's core, so
+    a window that collapses to a vertex grows no faces.
     """
-    if not -1 <= degree < len(support):
+    if not -1 <= degree < mask.bit_count():
         return 0
-    return multigraded_betti(K, len(support) - degree - 1, support)
+    return _core_rank(K, degree, mask)
 
 
 def strict_conditions_check(input):
@@ -336,16 +341,16 @@ def strict_conditions_check(input):
     for r in range(1, k - 1):
         for s in range(1, k - r + 1):
             end = r + s
-            support = input.window_support(s, end)
+            mask = input._window_mask(s, end)
             d = input.window_reduced_degree(s, end)
             rows.append(
                 ConditionRow(
                     start=s,
                     end=end,
-                    support=support,
+                    support=_tuple_of(mask),
                     obstruction_degree=d,
-                    rank_below=_window_rank(input.complex, support, d - 1),
-                    rank_at=_window_rank(input.complex, support, d),
+                    rank_below=_window_rank(input.complex, mask, d - 1),
+                    rank_at=_window_rank(input.complex, mask, d),
                 )
             )
     return ConditionTable(tuple(rows))
@@ -374,9 +379,8 @@ def _shift_products(input):
     a1 = input.classes[0].representative
     a3 = input.classes[2].representative
     for start, end, multiplier, on_left in ((2, 3, a1, True), (1, 2, a3, False)):
-        support = input.window_support(start, end)
         degree = input.window_total_degree(start, end) - 1
-        comp = component_basis(input.complex, support, degree)
+        comp = koszul._component_cached(input.complex, input._window_mask(start, end), degree)
         for coords in comp.cohomology_basis():
             z = comp.cochain_from_coordinates(coords)
             prod = multiplier * z if on_left else z * multiplier
@@ -398,7 +402,7 @@ def triple_value_set(input, ds=None):
     if isinstance(ds, CellFailure):
         raise InputError("triple product is not defined")
     value = massey_value(ds)
-    target = component_basis(input.complex, value.support, value.total_degree)
+    target = koszul._component_cached(input.complex, input._window_mask(1, 3), value.total_degree)
     hdim = len(value.class_coordinates)
 
     # no product is read for a target with no cohomology, or past the one
@@ -480,7 +484,6 @@ def _report(input, conditions, ds, triple):
 class _Support(NamedTuple):
     """A candidate support J whose 1-skeleton K_J has exactly two components."""
 
-    vertices: tuple
     mask: int
     parts: tuple  # the masks of the two components P and Q
     near: tuple  # the vertices joined by an edge of K to P, and to Q
@@ -496,23 +499,22 @@ def _h0_candidates(K, size, capacity):
 
     def near(part):  # ~pairs of v: v and every u with {u, v} an edge
         out = 0
-        for v in _tuple_of(part):
-            out |= ~stars[v][0]
+        for v in _bits(part):
+            out |= ~stars[v.bit_length()][0]
         return out
 
     out = []
-    subsets = itertools.combinations(range(1, K.m + 1), size)
-    for scanned, J in enumerate(subsets):
+    subsets = map(sum, itertools.combinations([1 << v for v in range(K.m)], size))
+    for scanned, mask in enumerate(subsets):
         if scanned == capacity:
             raise CapacityError(
                 "triple-search",
                 f"capacity {capacity} reached after scanning {scanned} of the "
                 f"{math.comb(K.m, size)} candidate supports of size {size}",
             )
-        mask = _mask_of(J, K.m)
         parts = K.component_masks(mask)
         if len(parts) == 2:
-            out.append(_Support(J, mask, tuple(parts), (near(parts[0]), near(parts[1]))))
+            out.append(_Support(mask, tuple(parts), (near(parts[0]), near(parts[1]))))
     return out
 
 
@@ -614,24 +616,24 @@ def search_triple_products(K, profile=None, capacity=SEARCH_TRIPLE_CAPACITY,
     sizes = tuple(d - 1 for d in profile)
     candidates = {size: _h0_candidates(K, size, capacity) for size in set(sizes)}
 
-    @cache
-    def cls(J):
-        return canonical_class(K, J)
+    cls = cache(lambda mask: _canonical_class(K, mask))
 
     @cache
     def cup_cell(Ja, Jb):
         """Solved cell for <a, b>, whose product the 1-skeleton rule found zero."""
         a, b = cls(Ja), cls(Jb)
-        comp = component_basis(K, tuple(sorted(Ja + Jb)), a.total_degree + b.total_degree)
+        comp = koszul._component_cached(K, Ja | Jb, a.total_degree + b.total_degree)
         cell = comp.primitive(a.representative.bar() * b.representative)
         if cell is None:
-            raise VerificationError(f"cup product on {Ja}, {Jb} is not zero: 1-skeleton rule broken")
+            raise VerificationError(
+                f"cup product on {a.support}, {b.support} is not zero: 1-skeleton rule broken"
+            )
         return cell
 
     @cache
     def target_rank(union):
         # the value lies in reduced degree d(1, 3) = 1 on J1 u J2 u J3
-        return _window_rank(K, _tuple_of(union), 1)
+        return _window_rank(K, union, 1)
 
     examined = 0
     for s1 in candidates[sizes[0]]:
@@ -655,7 +657,7 @@ def search_triple_products(K, profile=None, capacity=SEARCH_TRIPLE_CAPACITY,
                     continue
                 if not (_cup_is_zero(s1, s2) and _cup_is_zero(s2, s3)):
                     continue
-                J1, J2, J3 = s1.vertices, s2.vertices, s3.vertices
+                J1, J2, J3 = s1.mask, s2.mask, s3.mask
                 input = MasseyInput(K, (cls(J1), cls(J2), cls(J3)))
                 ds = DefiningSystem(input, {(1, 3): cup_cell(J1, J2), (2, 4): cup_cell(J2, J3)})
                 triple = triple_value_set(input, ds)
@@ -689,17 +691,14 @@ def degree_prescribed_input(odd_degrees):
 
     ks = tuple(odd_degrees)
     K = degree_prescribed_complex(ks)
-    n = len(ks)
     d = tuple((k - 1) // 2 for k in ks)
-    base = family_complex(FamilySpec("k", n=n))
-    copies = wedge_vertex_map(base, d + (1,) * n)
-    classes = []
-    for j in range(1, n + 1):
-        block = copies[j]
-        partner = copies[n + j]
-        support = tuple(sorted(block + partner))
-        rep = KoszulCochain.monomial(K, (block[0],), block[1:] + partner)
-        classes.append(MasseyClassInput(support, d[j - 1] - 1, rep))
+    classes, low, top = [], 0, sum(d)
+    for j, dj in enumerate(d):  # u on the first copy of j, v on the others and on n + j
+        first, block = 1 << low, ((1 << dj) - 1) << low
+        support = block | 1 << (top + j)
+        rep = KoszulCochain(K, {(first, support ^ first): 1})
+        classes.append(MasseyClassInput(_tuple_of(support), dj - 1, rep))
+        low += dj
     return MasseyInput(K, classes)
 
 

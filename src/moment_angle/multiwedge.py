@@ -7,7 +7,7 @@ that ordering fixes the multidegree supports and sign conventions used
 downstream.
 """
 
-from .complexes import VERTEX_CAPACITY, SimplicialComplex
+from .complexes import VERTEX_CAPACITY, SimplicialComplex, _bits
 from .errors import CapacityError, InputError
 
 
@@ -35,24 +35,21 @@ def wedge_vertex_map(K, J):
         pos += j
     return out
 
+
 def j_construction(K, J):
     """The multiwedge K(J); K(1,...,1) is K itself.
 
-    Copies of an unwedged vertex keep its label; wedged copies get the label
-    suffixed by the copy number.
+    Each minimal non-face inflates to the sum of the copy masks of its
+    vertices, which are disjoint.  Copies of an unwedged vertex keep its
+    label; wedged copies get the label suffixed by the copy number.
     """
-    copies = wedge_vertex_map(K, J)
-    mf = []
-    for nf in K.minimal_nonfaces:
-        inflated = []
-        for v in nf:
-            inflated.extend(copies[v])
-        mf.append(tuple(inflated))
-    labels = []
-    for base, vs in zip(K.labels, copies.values()):
-        if len(vs) == 1:
-            labels.append(base)
-        else:
-            labels.extend(f"{base}{c}" for c in range(1, len(vs) + 1))
-    return SimplicialComplex(len(labels), mf, labels)
-
+    J = validate_wedge_vector(K, J)
+    copies, low = [0], 0  # copies[v]: the mask of the copies of vertex v
+    for j in J:
+        copies.append(((1 << j) - 1) << low)
+        low += j
+    mf = [sum(copies[v.bit_length()] for v in _bits(nf)) for nf in K._mf_masks]
+    labels = tuple(
+        base if j == 1 else f"{base}{c}" for base, j in zip(K.labels, J) for c in range(1, j + 1)
+    )
+    return SimplicialComplex._from_masks(low, mf, labels)

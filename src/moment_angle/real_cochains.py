@@ -42,7 +42,7 @@ face masks and the elimination kernel with it.
 import functools
 import itertools
 
-from .complexes import _as_list, _mask_of, _tuple_of
+from .complexes import _mask_of, _tuple_of
 from .errors import CapacityError, InputError
 from .koszul import Cochain, shuffle_sign
 from .multiwedge import j_construction, wedge_vertex_map
@@ -67,8 +67,8 @@ class RealCochain(Cochain):
 
     @classmethod
     def monomial(cls, complex, u_vertices, t_vertices, coeff=1):
-        u = _mask_of(_as_list(u_vertices, "u-part"), complex.m)
-        t = _mask_of(_as_list(t_vertices, "t-part"), complex.m)
+        u = _mask_of(u_vertices, complex.m)
+        t = _mask_of(t_vertices, complex.m)
         if u & t:
             raise InputError(f"u-part {_tuple_of(u)} and t-part {_tuple_of(t)} overlap")
         if not complex.is_face_mask(u):

@@ -6,6 +6,7 @@ arbitrate the dualization and induced-subcomplex code paths.
 """
 
 import bisect
+import collections
 import functools
 import itertools
 import json
@@ -37,6 +38,20 @@ CORPUS_GRAPHS = json.loads(CORPUS.read_text())["graphs"]
 def corpus_nerve(name):
     """The graph-associahedron nerve of a benchmark corpus graph."""
     return associahedron_nerve(Graph.from_edges(**CORPUS_GRAPHS[name]))
+
+
+def counted_readers(monkeypatch, *modules):
+    """Count the calls of ``_mask_of`` and ``_tuple_of`` made through the given modules, by name."""
+    calls = collections.Counter()
+    for module in modules:
+        for name in ("_mask_of", "_tuple_of"):
+            if hasattr(module, name):
+                def counting(*args, _real=getattr(module, name), _name=name):
+                    calls[_name] += 1
+                    return _real(*args)
+
+                monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 def union_find_component_count(K, vertices=None):

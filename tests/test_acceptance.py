@@ -12,7 +12,7 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from moment_angle.complexes import SimplicialComplex, stellar_vertex_cut
+from moment_angle.complexes import stellar_vertex_cut
 from moment_angle.families import FamilySpec, family_complex, polygon_nerve
 from moment_angle.graphs import (
     Graph,

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moment_angle import complexes, multiwedge
 from moment_angle.complexes import (
     SimplicialComplex,
     _antichain,
@@ -29,12 +30,15 @@ from moment_angle.graphs import BuildingSet
 from moment_angle.hochster import bigraded_betti_table, multigraded_betti
 from moment_angle.koszul import KoszulCochain, component_basis
 from moment_angle.massey import MasseyClassInput, canonical_class
+from moment_angle.multiwedge import j_construction
 from moment_angle.real_cochains import RealCochain
 
 from conftest import (
     WEDGE_FAMILY,
     all_complexes,
     are_isomorphic,
+    corpus_nerve,
+    counted_readers,
     brute_domination,
     brute_faces,
     brute_maximal_faces,
@@ -241,6 +245,29 @@ def test_a_vertex_set_that_repeats_a_vertex_is_an_input_error(call, vertices):
     for listed in [vertices, iter(vertices)]:
         with pytest.raises(InputError, match="repeats a vertex"):
             call(K, listed)
+
+
+@pytest.mark.parametrize(
+    "vertices", [b"\x01\x04", bytearray(b"\x01\x04"), "14", {1: "a", 4: "b"}],
+    ids=["bytes", "bytearray", "str", "dict"],
+)
+@pytest.mark.parametrize("call", VERTEX_TAKERS.values(), ids=VERTEX_TAKERS.keys())
+def test_bytes_strings_and_mappings_are_not_vertex_lists(call, vertices):
+    # bytes iterate to ints and a dict to its keys: is_face(b"\x01\x02") used to
+    # answer for {1, 2}, and multigraded_betti(K, 1, {1: "a", 4: "b"}) used to return 1
+    with pytest.raises(InputError, match="must be a list"):
+        call(polygon_nerve(6), vertices)
+
+
+def test_mask_builders_read_no_vertex_list(monkeypatch):
+    # a builder hands the constructor masks; only induced reads a list, its own argument
+    K, L = polygon_nerve(6), SimplicialComplex(3, [(1, 2, 3)])
+    calls = counted_readers(monkeypatch, complexes, multiwedge)
+    K.join(L)
+    j_construction(K, (2, 1, 1, 3, 1, 1))
+    assert calls["_mask_of"] == 0
+    K.induced([1, 3, 5])
+    assert calls["_mask_of"] == 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -561,6 +588,24 @@ def test_join_associative_up_to_relabeling():
         assert join(join(A, B), C) == join(A, join(B, C))
 
 
+def test_spec_level_functions_are_their_methods():
+    K, L = corpus_nerve("p4"), SimplicialComplex(3, [(1, 2, 3)], labels=["a", "b", "c"])
+    face = K.maximal_faces()[0]
+    pairs = [
+        (from_minimal_nonfaces(K.m, K.minimal_nonfaces, K.labels),
+         SimplicialComplex(K.m, K.minimal_nonfaces, K.labels)),
+        (from_maximal_faces(K.m, K.maximal_faces(), K.labels),
+         SimplicialComplex.from_maximal_faces(K.m, K.maximal_faces(), K.labels)),
+        (induced_subcomplex(K, [1, 3, 4, 7]), K.induced([1, 3, 4, 7])),
+        (join(K, L), K.join(L)),
+        (stellar_vertex_cut(K, face), K.stellar_vertex_cut(face)),
+    ]
+    for spec, method in pairs:
+        assert spec == method and spec.labels == method.labels
+    assert maximal_faces(K) == K.maximal_faces()
+    assert structure_report(K) == K.structure_report() and structure_report(L) == L.structure_report()
+
+
 def test_structure_report_examples():
     assert structure_report(polygon_nerve(6)) == (True, 1)
     assert structure_report(SimplicialComplex(4, [(1, 2, 3, 4)])) == (False, 3)
@@ -589,6 +634,23 @@ def test_stellar_cut_requires_maximal_face():
         stellar_vertex_cut(K, (1, 3))
     with pytest.raises(InputError):
         stellar_vertex_cut(K, (1,))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_complexes(min_m=2, max_m=7), dense_complexes()), st.data())
+def test_stellar_cut_matches_the_dualization_of_its_faces(K, data):
+    # the cut writes its minimal non-faces down; dualizing its maximal faces (K's
+    # without F, and F - v plus the new vertex for each v of F) gives the same complex
+    cuttable = [f for f in K.maximal_faces() if len(f) >= 2]
+    if not cuttable:
+        return
+    face = data.draw(st.sampled_from(cuttable))
+    faces = [f for f in K.maximal_faces() if f != face]
+    faces += [tuple(u for u in face if u != v) + (K.m + 1,) for v in face]
+    expected = from_maximal_faces(K.m + 1, faces, K.labels + (str(K.m + 1),))
+    cut = stellar_vertex_cut(K, face)
+    assert cut == expected and cut.labels == expected.labels
+    assert cut.maximal_faces() == expected.maximal_faces()
 
 
 def test_stellar_cut_preserves_old_graph():

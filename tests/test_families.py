@@ -1,6 +1,5 @@
 import pytest
 
-from moment_angle.complexes import SimplicialComplex
 from moment_angle.errors import InputError
 from moment_angle.families import (
     FamilySpec,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moment_angle.complexes import VERTEX_CAPACITY, SimplicialComplex
+from moment_angle.complexes import VERTEX_CAPACITY, SimplicialComplex, _tuple_of
 from moment_angle.errors import CapacityError, InputError
 from moment_angle.families import polygon_nerve
 from moment_angle.graphs import (
@@ -171,9 +171,10 @@ def test_component_nonfaces_are_listed_once(G):
     for block in B.maximal_elements():
         elements = block_elements(B, block)
         nonfaces = _component_nonfaces(
-            {v: mask(s) for v, s in enumerate(elements, 1)}, set(map(mask, family))
+            {1 << (v - 1): mask(s) for v, s in enumerate(elements, 1)}, set(map(mask, family))
         )
         assert len(nonfaces) == len(set(nonfaces))
+        nonfaces = [_tuple_of(x) for x in nonfaces]  # the nerve-vertex masks, as tuples
         assert SimplicialComplex(len(elements), nonfaces) == SimplicialComplex(
             len(elements), non_nested_collections(elements, family)
         )

@@ -1,5 +1,6 @@
 """The package namespace resolves names on first use; a request imports only its modules."""
 
+import ast
 import importlib
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 import moment_angle
 
 SRC = Path(moment_angle.__file__).resolve().parents[1]
+TESTS = Path(__file__).resolve().parent
 SQUARE = json.dumps({"m": 4, "minimal_nonfaces": [[1, 3], [2, 4]]})
 
 
@@ -108,3 +110,24 @@ def test_a_betti_request_loads_no_massey_model():
 def test_a_massey_request_loads_no_graphs():
     loaded = loaded_by_request(["massey", "--family", "2,1"])
     assert "massey" in loaded and "graphs" not in loaded
+
+
+def unused_imports(path):
+    """The names that a module's import statements bind and that its code never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:  # ``import a.b`` binds ``a``
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in bound.items() if name not in read)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted([*(SRC / "moment_angle").glob("*.py"), *TESTS.glob("*.py")]),
+    ids=lambda path: f"{path.parent.name}/{path.name}",
+)
+def test_every_imported_name_is_used(path):
+    assert unused_imports(path) == []

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moment_angle import rational_linalg
-from moment_angle.complexes import SimplicialComplex
+from moment_angle.complexes import SimplicialComplex, _mask_of
 from moment_angle.errors import InputError, NotACocycleError
 from moment_angle.families import polygon_nerve
 from moment_angle.hochster import bigraded_betti_table, multigraded_betti
@@ -772,7 +772,7 @@ def test_concurrent_first_solves_agree():
                     got = [f.result(timeout=60) for f in futures]
                     assert got == [reference_solution(A, b) for b in rhs]
             for K, J, degree, hdim in components:
-                comp = ComponentBasis(K, J, degree)  # not the memoized component
+                comp = ComponentBasis(K, _mask_of(J, K.m), degree)  # not the memoized component
                 B = comp.matrix_from_below()
                 classes = B.with_columns(component_basis(K, J, degree).cohomology_basis())
                 cocycles = tuple(component_basis(K, J, degree).cocycle_basis())

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moment_angle import massey
+from moment_angle import complexes, hochster, koszul, massey
 from moment_angle.cli import _massey_report_dict
-from moment_angle.complexes import SimplicialComplex, _tuple_of, stellar_vertex_cut
-from moment_angle.errors import CapacityError, InputError, VerificationError
+from moment_angle.complexes import SimplicialComplex, _mask_of, _tuple_of, stellar_vertex_cut
+from moment_angle.errors import CapacityError, InputError
 from moment_angle.families import polygon_nerve
 from moment_angle.graphs import Graph, associahedron_nerve
 from moment_angle.koszul import KoszulCochain, component_basis
@@ -34,6 +34,7 @@ from moment_angle.rational_linalg import SparseMatrix, reduced_cohomology_rank
 from conftest import (
     CORPUS_GRAPHS,
     corpus_nerve,
+    counted_readers,
     koszul_cup_is_zero,
     koszul_indeterminate,
     small_complexes,
@@ -192,10 +193,10 @@ def test_window_ranks_match_induced_complexes(degrees):
 
 def test_window_rank_is_zero_outside_the_cohomology_range():
     K = polygon_nerve(6)
-    for support in [(), (1, 4), (1, 2, 4, 5)]:
-        for degree in [-3, -2, len(support), len(support) + 4]:
+    for support in [0, 0b1001, 0b11011]:  # (), (1, 4), (1, 2, 4, 5)
+        for degree in [-3, -2, support.bit_count(), support.bit_count() + 4]:
             assert _window_rank(K, support, degree) == 0
-    assert _window_rank(K, (1, 4), 0) == 1
+    assert _window_rank(K, 0b1001, 0) == 1
 
 
 def test_zero_representatives_outside_the_cohomology_range_are_rejected():
@@ -540,8 +541,8 @@ def defined_canonical_triples(K):
     on disconnected pairs whose target is nonzero."""
     pairs = [J for J in itertools.combinations(range(1, K.m + 1), 2) if K.component_count(J) == 2]
     for supports in itertools.product(pairs, repeat=3):
-        union = tuple(sorted(sum(supports, ())))
-        if len(set(union)) < 6 or _window_rank(K, union, 1) == 0:
+        union = _mask_of(set(sum(supports, ())), K.m)
+        if union.bit_count() < 6 or _window_rank(K, union, 1) == 0:
             continue
         inp = MasseyInput(K, [canonical_class(K, J) for J in supports])
         ds = build_defining_system(inp)
@@ -673,7 +674,7 @@ def nonzero_target_triples(K, profile):
     }
     for triple in itertools.product(*(candidates[size] for size in sizes)):
         union = triple[0].mask | triple[1].mask | triple[2].mask
-        if union.bit_count() == sum(sizes) and _window_rank(K, _tuple_of(union), 1):
+        if union.bit_count() == sum(sizes) and _window_rank(K, union, 1):
             yield triple
 
 
@@ -708,9 +709,9 @@ def assert_skeleton_decisions_match(K, profile, last=None):
     seen = Counter()
     for triple in nonzero_target_triples(K, profile):
         fast = skeleton_decisions(K, *triple)
-        assert fast == koszul_decisions(K, [cls(s.vertices) for s in triple]), triple
+        assert fast == koszul_decisions(K, [cls(_tuple_of(s.mask)) for s in triple]), triple
         seen[fast] += 1
-        if tuple(s.vertices for s in triple) == last:
+        if tuple(_tuple_of(s.mask) for s in triple) == last:
             break
     return seen
 
@@ -761,7 +762,7 @@ def test_skeleton_decisions_match_the_koszul_model(K, profile):
 def triple_decision(K, supports):
     """What the search reads of one triple: its 1-skeleton tests, status and nontriviality."""
     records = {
-        s.vertices: s
+        _tuple_of(s.mask): s
         for size in {len(J) for J in supports}
         for s in massey._h0_candidates(K, size, massey.SEARCH_TRIPLE_CAPACITY)
     }
@@ -782,7 +783,7 @@ def test_triple_decision_is_local(K, profile, data):
     triples = list(nonzero_target_triples(K, profile))
     if not triples:
         return
-    supports = tuple(s.vertices for s in data.draw(st.sampled_from(triples)))
+    supports = tuple(_tuple_of(s.mask) for s in data.draw(st.sampled_from(triples)))
     J = sorted(sum(supports, ()))
     local = {v: i for i, v in enumerate(J, start=1)}
     relabelled = tuple(tuple(local[v] for v in support) for support in supports)
@@ -801,6 +802,15 @@ def test_search_reads_each_target_rank_once(monkeypatch):
     monkeypatch.setattr(massey, "_window_rank", counting)
     assert search_triple_products(polygon_nerve(10)) is None
     assert len(calls) == len(set(calls)) == 210
+
+
+def test_a_search_that_builds_no_class_converts_no_vertex_set(monkeypatch):
+    # supports, memo keys and window ranks are masks from the scan on, so a search
+    # on a complex already built reads no vertex list and writes no vertex tuple
+    K = polygon_nerve(10)
+    calls = counted_readers(monkeypatch, massey, hochster, koszul, complexes)
+    assert search_triple_products(K) is None
+    assert calls == Counter()
 
 
 def test_canonical_class_grows_only_the_levels_it_reads():

@@ -15,8 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moment_angle.complexes import SimplicialComplex
-from moment_angle.families import FamilySpec, family_complex, polygon_nerve
+from moment_angle.families import polygon_nerve
 from moment_angle.koszul import KoszulCochain, component_basis
 from moment_angle.massey import (
     CellFailure,
