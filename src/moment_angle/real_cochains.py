@@ -20,23 +20,37 @@ share, with each term u_S t_T keyed by the vertex masks (S, T), and defines
 only the model's product and ``differential_terms``, the signed terms of d
 of one monomial, which ``differential`` reads.
 
-The ranks are computed on bases of the same mask pairs (S, T): degree p
-takes S from the face masks with p vertices and T from the subsets of the
-other vertices, and the columns of its differential are written from the
-bits with the sign rule of ``differential_terms``.  A column of (S, T)
-visits only the vertices i of T with S + i a face, from a mask per face
-read off the level above (``_addable_masks``), so each row it looks up is
-there: on the P4 nerve the cleared chain makes 7,783 lookups where trying
-every vertex of T made 13,597, 5,814 of them for no row.  Only the rank
-of each differential is read, so ``rational_linalg.rank_of_columns``
-eliminates it once on its shorter side, unlogged and in place, and keeps
-only its pivots.  The differentials are read lowest degree first, and
-the pairs whose rows the pivots of one differential cover get no column
-in the next (``rational_linalg.cleared_ranks``): d d = 0, so that keeps
-its rank.  On the P4 nerve the middle differential keeps 1,793 of its
-2,304 columns (1,732 of them nonzero), and the top one 972 of its 2,688.
-As the independent oracle for Hochster's sum, this build shares only the
-face masks and the elimination kernel with it.
+The ranks are read on a subcomplex Y with the cohomology of the whole
+model, the critical cells of an acyclic matching (algebraic Morse theory,
+Skoldberg, Trans. AMS 358, 2006).  Write W = S + T for the vertices of
+u_S t_T and w for the lowest of them.  Y is spanned by the unit and by the
+u_S t_T with w in T and S + w a non-face.  The lemma: d keeps W, and
+d(Y) lies in Y, since the term i = w of d(u_S t_T) is zero (S + w is a
+non-face) and every other term keeps w lowest and in T - i, with
+S + i + w a non-face as it contains S + w.  C/Y splits by W, and its
+W-part is spanned by the u_S t_T with S + w a face, w in S or in T: the
+augmented cochains of the closed star of w in K_W, up to the shift of d
+and sign.  That star is a cone on w ({w} is a face, as K has no ghost
+vertex), so C/Y is acyclic and H(Y) = H(C).  On the P4 nerve Y holds
+1,998 of the 6,400 cells, on the 9-gon 2,180 of 3,968.
+
+``_critical_cells`` writes the cells of one degree as mask pairs (S, T):
+per face S and vertex w below min S that S's mask from ``_addable_masks``
+leaves out, T is w plus any subset of the vertices above w outside S.  The
+columns of each differential are written from the bits with the sign rule
+of ``differential_terms``: a column of (S, T) visits only the vertices i
+of T with S + i a face, from the same masks of the level above, so each
+row it looks up is there, and in Y by the lemma.  Only the rank of each
+differential is read, so ``rational_linalg.rank_of_columns`` eliminates
+it once on its shorter side, unlogged and in place, and keeps only its
+pivots.  The differentials are read lowest degree first, from degree 1
+(d of the unit is zero), and the pairs whose rows the pivots of one
+differential cover get no column in the next
+(``rational_linalg.cleared_ranks``): d d = 0, so that keeps its rank.  On
+the P4 nerve the differentials from degrees 1 and 2 are eliminated as
+998 x 639 (578 nonzero columns) and 360 x 436.  As the independent oracle
+for Hochster's sum, this build shares only the face masks and the
+elimination kernel with it.
 """
 
 import functools
@@ -48,12 +62,13 @@ from .koszul import Cochain, shuffle_sign
 from .multiwedge import j_construction, wedge_vertex_map
 from .rational_linalg import Rational, cleared_ranks, cohomology_ranks, rank_of_columns
 
-# vertices of a complex whose full real model is ranked: the bases hold one
-# pair (S, T) per face S and subset T of the other vertices, up to 3^m in all;
-# one fresh process each (2-vCPU Xeon, Python 3.11.7, Fraction backend, medians
-# of 4), the full simplex at m = 9 (19,683 pairs) took 0.028 s at 21 MB, and at
-# m = 10, with this cap lifted, the cross-polytope (32,768 pairs) took 0.050 s
-# at 25 MB
+# vertices of a complex whose real model is ranked: of the 3^m or so pairs
+# (S, T), the worst input found keeps 3^(m-1) - 2^(m-1) + 1 cells in Y, a point
+# disjoint from a simplex on the other vertices with the point as vertex 1 (the
+# full simplex, the worst of the full model, keeps the unit alone); one fresh
+# process each (2-vCPU Xeon, Python 3.11.7, Fraction backend, medians of 4),
+# that complex at m = 9 (6,306 cells) took 0.020 s at 17 MB, and at m = 10,
+# with this cap lifted, (19,172 cells) took 0.048 s at 20 MB
 REAL_RANKS_CAPACITY = 9
 
 
@@ -119,16 +134,6 @@ def _lex_subsets(bits):
     return subsets
 
 
-def _degree_basis(K, p):
-    """The monomials u_S t_T of degree p as mask pairs (S, T), sorted by (u-part, t-part).
-
-    S runs over the faces with p vertices and T over the subsets of the
-    vertices outside S, both in lex order of their tuples.
-    """
-    bits = [1 << v for v in range(K.m)]
-    return [(S, T) for S in K.face_masks(p) for T in _lex_subsets([b for b in bits if not b & S])]
-
-
 def _addable_masks(faces):
     """Per face S of the level below the face level ``faces``, the vertices i with S + i a face.
 
@@ -145,6 +150,31 @@ def _addable_masks(faces):
             rest ^= low
             addable[face ^ low] = addable.get(face ^ low, 0) | low
     return addable
+
+
+def _critical_cells(K, p):
+    """The cells u_S t_T of Y in degree p >= 1 as mask pairs (S, T), sorted by (u-part, t-part).
+
+    The lowest vertex w of S + T lies in T and S + w is a non-face: S runs
+    over the faces with p vertices in lex order of their tuples, w over the
+    vertices below min S, ascending, that S's mask from ``_addable_masks``
+    leaves out, and T over w plus the subsets of the vertices above w
+    outside S, in lex order of their tuples.  Degree 0 of Y is the unit
+    alone, which this does not list.
+    """
+    addable = _addable_masks(K.face_masks(p + 1))
+    full = (1 << K.m) - 1
+    subsets, cells = {}, []
+    for S in K.face_masks(p):
+        nonfaces = ((S & -S) - 1) & full & ~addable.get(S, 0)
+        while nonfaces:
+            w = nonfaces & -nonfaces
+            nonfaces ^= w
+            above = full & -(w << 1) & ~S
+            if above not in subsets:
+                subsets[above] = _lex_subsets([1 << v for v in range(K.m) if above >> v & 1])
+            cells.extend((S, w | R) for R in subsets[above])
+    return cells
 
 
 def _differential_columns(K, lower, upper):
@@ -187,18 +217,21 @@ def real_cohomology_ranks(K):
     """Cohomology ranks of the model by degree, 0 .. dim K + 1.
 
     Must match the Hochster-type sum: rank H^p = sum over J of reduced
-    H^{p-1}(K_J) with the {emptyset} convention.  Degrees are read up to the
-    first empty basis, the degree one above the largest face size, and each
-    differential is cleared by the one below it (``_differential_pivots``).
+    H^{p-1}(K_J) with the {emptyset} convention.  The ranks are those of the
+    critical subcomplex Y (module docstring), degree p >= 1 read from the
+    faces with p vertices up to the largest, so a degree of Y with no cell
+    is kept.  Degree 0 of Y is the unit and d(1) = 0, so the cleared chain
+    (``_differential_pivots``) starts at degree 1, with rank 0 below it.
     """
     if K.m > REAL_RANKS_CAPACITY:
         raise CapacityError(
             "real-ranks",
             f"full model on m={K.m} vertices exceeds capacity m <= {REAL_RANKS_CAPACITY}",
         )
-    bases = list(itertools.takewhile(bool, (_degree_basis(K, p) for p in itertools.count())))
+    top = sum(1 for _ in itertools.takewhile(bool, map(K.face_masks, itertools.count(1))))
+    bases = [_critical_cells(K, p) for p in range(1, top + 1)]
     dranks = cleared_ranks(bases, functools.partial(_differential_pivots, K))
-    return cohomology_ranks(map(len, bases), dranks)
+    return cohomology_ranks([1, *map(len, bases)], [0, *dranks])
 
 
 # -- doubling bridge -------------------------------------------------------------

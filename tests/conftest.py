@@ -27,7 +27,7 @@ from moment_angle.rational_linalg import (
     coboundary_matrix,
     cohomology_ranks,
 )
-from moment_angle.real_cochains import RealCochain
+from moment_angle.real_cochains import RealCochain, _lex_subsets
 
 
 CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.json"
@@ -231,6 +231,17 @@ def differential_matrix(model, K, source, target_index):
         for target, sign in differential_terms(K, a, b):
             entries[(target_index[target], col)] = sign
     return SparseMatrix(len(target_index), len(source), entries)
+
+
+def degree_basis(K, p):
+    """Every monomial u_S t_T of Cai's model of degree p as a mask pair (S, T), sorted by (u-part, t-part).
+
+    S runs over the faces with p vertices and T over the subsets of the
+    vertices outside S, both in lex order of their tuples: the full basis,
+    which the ranks of the critical subcomplex are checked against.
+    """
+    bits = [1 << v for v in range(K.m)]
+    return [(S, T) for S in K.face_masks(p) for T in _lex_subsets([b for b in bits if not b & S])]
 
 
 def is_coboundary(comp, cochain):

@@ -28,7 +28,7 @@ from moment_angle.rational_linalg import (
     solve_linear,
 )
 from moment_angle.real_cochains import (
-    _degree_basis,
+    _critical_cells,
     _differential_columns,
     _differential_pivots,
     real_cohomology_ranks,
@@ -37,6 +37,7 @@ from moment_angle.real_cochains import (
 from conftest import (
     all_complexes,
     corpus_nerve,
+    degree_basis,
     dense_complexes,
     matrix_product,
     random_complex,
@@ -343,7 +344,7 @@ def test_rank_only_ranks_match_the_logged_ranks(K):
     levels = list(itertools.takewhile(bool, (K.face_masks(size) for size in itertools.count())))
     logged = [coboundary_matrix(K, d).rank() for d in range(-1, len(levels) - 2)]
     assert reduced_cohomology_ranks(K).ranks == cohomology_ranks(map(len, levels), logged)
-    bases = list(itertools.takewhile(bool, (_degree_basis(K, p) for p in itertools.count())))
+    bases = list(itertools.takewhile(bool, (degree_basis(K, p) for p in itertools.count())))
     logged = []
     for lower, upper in zip(bases, bases[1:]):
         columns = _differential_columns(K, lower, upper)
@@ -398,16 +399,17 @@ def test_cleared_chains_match_the_uncleared_ranks(K):
         columns = _differential_columns(K, lower, upper)
         return [[column.get(r, 0) for column in columns] for r in range(len(upper))]
 
-    bases = list(itertools.takewhile(bool, (_degree_basis(K, p) for p in itertools.count())))
+    bases = list(itertools.takewhile(bool, (degree_basis(K, p) for p in itertools.count())))
     ranks = assert_cleared_chain(bases, functools.partial(_differential_pivots, K), differential)
     assert real_cohomology_ranks(K) == cohomology_ranks(map(len, bases), ranks)
 
 
 def test_the_p4_nerve_real_chain_is_cleared(monkeypatch):
-    # bases of 512, 2304, 2688 and 896 pairs, differentials of ranks 511, 1716
-    # and 895: the middle one keeps 2304 - 511 columns, 1,732 of them nonzero
-    # (2,208 uncleared), and the top one is 896 x (2688 - 1716) = 896 x 972
-    # (896 x 2,688 uncleared); every call eliminates the shorter side
+    # the critical subcomplex holds 1, 639, 998 and 360 cells (1,998 of the
+    # 6,400 of the full model) and its differentials have ranks 0, 562 and
+    # 359: d out of the unit is not eliminated, the one from degree 1 is
+    # 998 x 639 with 578 nonzero columns, and the top one keeps 998 - 562
+    # columns, 360 x 436; every call eliminates the shorter side
     calls, reduce = [], rational_linalg._reduce
 
     def spy(rows, ncols, log=None):
@@ -415,8 +417,10 @@ def test_the_p4_nerve_real_chain_is_cleared(monkeypatch):
         return reduce(rows, ncols, log)
 
     monkeypatch.setattr(rational_linalg, "_reduce", spy)
-    assert real_cohomology_ranks(corpus_nerve("p4")) == (1, 77, 77, 1)
-    assert calls == [(511, 2304), (1732, 2688), (896, 972)]
+    K = corpus_nerve("p4")
+    assert real_cohomology_ranks(K) == (1, 77, 77, 1)
+    assert calls == [(578, 998), (360, 436)]
+    assert [len(_critical_cells(K, p)) for p in (1, 2, 3)] == [639, 998, 360]
 
 
 def test_a_covered_middle_level_reads_no_level_above():

@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 
 from moment_angle.complexes import SimplicialComplex
 from moment_angle.errors import AmbientMismatchError, CapacityError, InputError
-from moment_angle.families import polygon_nerve
+from moment_angle.families import degree_prescribed_complex, polygon_nerve
 from moment_angle.graphs import Graph, associahedron_nerve
+from moment_angle.hochster import bigraded_betti_table
 from moment_angle.koszul import KoszulCochain, component_basis
-from moment_angle.rational_linalg import reduced_cohomology_ranks
+from moment_angle.rational_linalg import SparseMatrix, cohomology_ranks, reduced_cohomology_ranks
 from moment_angle.real_cochains import (
     RealCochain,
     _addable_masks,
-    _degree_basis,
+    _critical_cells,
     _differential_columns,
     doubling_cochain,
     doubling_complex,
@@ -22,6 +23,8 @@ from moment_angle.real_cochains import (
 )
 
 from conftest import (
+    WEDGE_FAMILY,
+    degree_basis,
     dense_complexes,
     differential_matrix,
     homogeneous_pieces,
@@ -148,9 +151,9 @@ def _tuple_basis(K, p):
 def check_mask_build(K):
     """The mask bases and differential columns of every degree against the tuple-built matrices."""
     p = 0
-    lower = _degree_basis(K, 0)
+    lower = degree_basis(K, 0)
     while lower:
-        upper = _degree_basis(K, p + 1)
+        upper = degree_basis(K, p + 1)
         slow_lower, slow_upper = _tuple_basis(K, p), _tuple_basis(K, p + 1)
         assert [tuple_pair(pair) for pair in lower] == slow_lower
         index = {mono: i for i, mono in enumerate(slow_upper)}
@@ -178,6 +181,61 @@ def test_addable_masks_match_face_tests(K):
         for S in K.face_masks(p):
             outside = (1 << i for i in range(K.m) if not S >> i & 1)
             assert addable.get(S, 0) == sum(i for i in outside if K.is_face_mask(S | i))
+
+
+def critical_filter(K, p):
+    """The critical cells of degree p by their definition, filtered from the full basis.
+
+    The unit, and each u_S t_T whose lowest vertex w of S + T lies in T
+    with S + w a non-face.
+    """
+    cells = []
+    for S, T in degree_basis(K, p):
+        w = (S | T) & -(S | T)
+        if not S | T or (w & T and not K.is_face_mask(S | w)):
+            cells.append((S, T))
+    return cells
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_complexes(min_m=1, max_m=7), dense_complexes(max_m=7)))
+def test_the_critical_cells_span_a_subcomplex_with_the_full_ranks(K):
+    # the generated cells of Y against the filter of the full basis, d(Y) in
+    # Y, and the ranks of Y against the logged ranks of the full model
+    full = list(itertools.takewhile(bool, (degree_basis(K, p) for p in itertools.count())))
+    cells = [critical_filter(K, p) for p in range(len(full))]
+    assert cells[0] == [(0, 0)]
+    for p in range(1, len(full)):
+        assert _critical_cells(K, p) == cells[p]
+    for p in range(len(full) - 1):
+        columns = _differential_columns(K, cells[p], full[p + 1])
+        assert {full[p + 1][r] for column in columns for r in column} <= set(cells[p + 1])
+    logged = []
+    for lower, upper in zip(full, full[1:]):
+        columns = _differential_columns(K, lower, upper)
+        entries = {(r, c): v for c, column in enumerate(columns) for r, v in column.items()}
+        logged.append(SparseMatrix(len(upper), len(lower), entries).rank())
+    assert real_cohomology_ranks(K) == cohomology_ranks(map(len, full), logged)
+
+
+def trimmed(ranks):
+    ranks = list(ranks)
+    while ranks and not ranks[-1]:
+        ranks.pop()
+    return ranks
+
+
+@pytest.mark.parametrize(
+    "K",
+    [K for K in WEDGE_FAMILY if K.m <= 9] + [degree_prescribed_complex((5, 5, 5))],
+)
+def test_cai_ranks_match_hochster_on_the_non_flag_family(K):
+    # most members of the paper's family have non-faces of 3 or more
+    # vertices, and degrees (5, 5, 5) has only non-faces of size 3; the
+    # ranks run up to the largest face size
+    ranks = real_cohomology_ranks(K)
+    assert len(ranks) == K.dim + 2
+    assert trimmed(ranks) == trimmed(bigraded_betti_table(K).rk_poincare)
 
 
 def test_mask_build_matches_tuple_build_on_p4_nerve():
